@@ -17,6 +17,10 @@ class DegenerateSpec(SpecError):
     """Too few points, zero-curvature segment, or otherwise unusable input."""
 
 
+class UnsupportedFraming(SpecError):
+    """The requested output framing cannot be derived for this knot layout."""
+
+
 class VerticalTangent(CordAlgError):
     """Blackboard framing undefined: tangent parallel to the vertical direction."""
 

@@ -6,6 +6,15 @@ crossings (mu factors), basepoint crossings (lambda factors) and interior
 knot crossings (splits) on the way.  The fold of a finished trace is the
 algebra value D-hat; D(k) = D-hat(k+) - D-hat(k-).
 
+The flow is stiff in the near-Bott inter-strand valleys of braid layouts, so
+it is integrated by the linearly implicit Rosenbrock-Euler step
+y <- y + h (I + hH)^-1 f with f = -grad E and H the Hessian of E at y (Hairer
+and Wanner, Solving ODEs II, ch. IV.7).  The step has no stability limit;
+its length is set by a displacement cap (2e-3 L, one chord-screen step while
+a knot branch is near the cord), it is kept where I + hH stays positive
+definite, and it is halved until the energy decreases.  Events are located
+on the step's own interpolant, whose endpoint is the accepted step.
+
 Sign conventions that the paper only fixes through its figures (which side
 of a crossing contributes mu versus mu^-1, and the split sign) enter through
 ``Conventions``; the defaults are pinned by the worked trefoil example.
@@ -14,7 +23,7 @@ of a crossing contributes mu versus mu^-1, and the split sign) enter through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,9 +206,6 @@ def _event_values(ctx, s, t):
     return out
 
 
-VERT = np.array([0.0, 0.0, 1.0])
-
-
 def _interior_hits(ctx, s, t):
     from .incidence import chord_knot_intersections
     return chord_knot_intersections(ctx.curve, s, t, ctx.tol, screen=ctx.screen)
@@ -209,14 +215,8 @@ def _interior_hits(ctx, s, t):
 # the integrator
 # ---------------------------------------------------------------------------
 
-def _rhs(curve, y):
-    pts, tans = curve.spline.eval_multi(np.asarray(y, dtype=float), (0, 1))
-    d = pts[0] - pts[1]
-    return np.array([-float(d @ tans[0]), float(d @ tans[1])])
-
-
 def _rhs_energy_hessian(curve, y):
-    """Flow right-hand side, energy, Hessian entries and spectral bound."""
+    """Flow right-hand side f = -grad E, energy and Hessian entries at y."""
     pts, tans, secs = curve.spline.eval_multi(np.asarray(y, dtype=float), (0, 1, 2))
     d = pts[0] - pts[1]
     f = np.array([-float(d @ tans[0]), float(d @ tans[1])])
@@ -224,34 +224,36 @@ def _rhs_energy_hessian(curve, y):
     h11 = float(tans[0] @ tans[0]) + float(d @ secs[0])
     h22 = float(tans[1] @ tans[1]) - float(d @ secs[1])
     h12 = -float(tans[0] @ tans[1])
-    lam = abs(h11 + h22) * 0.5 + math.hypot(0.5 * (h11 - h22), h12)
-    return f, e, (h11, h12, h22), max(lam, 1e-9)
+    return f, e, (h11, h12, h22)
 
 
-def _rk2_step(curve, y, h, f0=None):
-    """Explicit midpoint step; cheap, used inside the stability cap."""
-    if f0 is None:
-        f0 = _rhs(curve, y)
-    fm = _rhs(curve, y + 0.5 * h * f0)
-    return y + h * fm
+class _Step:
+    """One linearly implicit (Rosenbrock-Euler) step from y0 with length h.
 
+    The step is y0 + h (I + h H0)^-1 f0, with f0 = -grad E and H0 the Hessian
+    of E at y0.  Taken with h replaced by theta*h it is also the step's
+    interpolant y(theta); at theta = 1 the interpolant is the step itself, so
+    every in-step refinement brackets against the accepted endpoint and
+    needs no further spline evaluations.
+    """
 
-def _ck_step(curve, y, h):
-    k = [_rhs(curve, y)]
-    for row in _CK_A[1:]:
-        yi = y + h * sum(a * ki for a, ki in zip(row, k))
-        k.append(_rhs(curve, yi))
-    y5 = y + h * sum(b * ki for b, ki in zip(_CK_B5, k))
-    y4 = y + h * sum(b * ki for b, ki in zip(_CK_B4, k))
-    return y5, y5 - y4
+    __slots__ = ("y0", "h", "f0", "H0", "L")
 
+    def __init__(self, y0, h, f0, H0, L):
+        self.y0, self.h, self.f0, self.H0, self.L = y0, h, f0, H0, L
 
-def _rk4(curve, y, h):
-    k1 = _rhs(curve, y)
-    k2 = _rhs(curve, y + 0.5 * h * k1)
-    k3 = _rhs(curve, y + 0.5 * h * k2)
-    k4 = _rhs(curve, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    def at(self, theta):
+        """y(theta), wrapped onto the torus."""
+        a = theta * self.h
+        h11, h12, h22 = self.H0
+        m11, m12, m22 = 1.0 + a * h11, a * h12, 1.0 + a * h22
+        det = m11 * m22 - m12 * m12
+        f0, f1 = self.f0
+        L = self.L
+        return np.array([
+            (self.y0[0] + a * (m22 * f0 - m12 * f1) / det) % L,
+            (self.y0[1] + a * (m11 * f1 - m12 * f0) / det) % L,
+        ])
 
 
 class _Tracer:
@@ -287,56 +289,57 @@ class _Tracer:
         disp_cap = 2e-3 * L
         e_prev = energy(curve, y[0], y[1])
 
-        f, _e, _H, lam = _rhs_energy_hessian(curve, y)
+        f, _e, H = _rhs_energy_hessian(curve, y)
         for _ in range(tol.max_steps):
-            # the near-Bott valleys make the flow stiff: cap the step at the
-            # explicit stability limit of the fastest transverse mode (the
-            # valley itself attracts, so along-flow accuracy is what counts);
-            # steps carrying an event or the terminal entry are redone small
-            # enough for the in-step refinement jumps to stay accurate
+            # the near-Bott valleys make the flow stiff; the linearly
+            # implicit step has no stability limit, so the step is capped by
+            # displacement only: 2e-3 L per step, one screen step while a knot
+            # branch is near the cord (the S-branch matching assumes the chord
+            # moves less than that per step).  Near the origin saddle H has a
+            # negative eigenvalue; keeping h below 0.5/|lambda_min| keeps
+            # I + hH positive definite.
             speed = math.hypot(f[0], f[1])
             if speed < 1e-14:
                 raise GenericityViolation("flow stalled away from any basin",
                                           reason="knot")
-            h = min(disp_cap / speed, 1.6 / lam)
-            h_event = min(0.06 / lam, h)
+            cap = ctx.screen.step if s_branches else disp_cap
+            h = cap / speed
+            h11, h12, h22 = H
+            lam_min = 0.5 * (h11 + h22) - math.hypot(0.5 * (h11 - h22), h12)
+            if lam_min < 0.0:
+                h = min(h, 0.5 / -lam_min)
             while True:
-                while True:
-                    y_new = _rk2_step(curve, y, h, f)
-                    y_new_mod = np.array([y_new[0] % L, y_new[1] % L])
-                    f_new, e_new, _H, lam_new = _rhs_energy_hessian(curve, y_new_mod)
-                    if e_new < e_prev:
-                        break
-                    h *= 0.5
-                    if h < h_min:
-                        raise StepCollapse("step collapsed during flow")
-                ev_new = _event_values(ctx, y_new_mod[0], y_new_mod[1])
-                crossings = self._bracket_events(y, h, ev_prev, ev_new)
-                term, t_term = self._terminal_in_step(y, h, y_new_mod)
-                if term:
-                    crossings = [c for c in crossings if c[0] < t_term]
-                s_crossings, s_branches_new = self._bracket_s(
-                    y, h, s_branches, y_new_mod, cut=t_term if term else None)
-                if (crossings or s_crossings or term) and h > h_event:
-                    h = h_event
-                    continue
-                break
+                step = _Step(y, h, f, H, L)
+                y_new = step.at(1.0)
+                f_new, e_new, H_new = _rhs_energy_hessian(curve, y_new)
+                if e_new < e_prev:
+                    break
+                h *= 0.5
+                if h < h_min:
+                    raise StepCollapse("step collapsed during flow")
+            ev_new = _event_values(ctx, y_new[0], y_new[1])
+            crossings = self._bracket_events(step, ev_prev, ev_new)
+            term, t_term = self._terminal_in_step(step, y_new)
+            if term:
+                crossings = [c for c in crossings if c[0] < t_term]
+            s_crossings, s_branches_new = self._bracket_s(
+                step, s_branches, y_new, cut=t_term if term else None)
             all_events = sorted(crossings + s_crossings, key=lambda c: c[0])
-            self._apply_events(trace, tau, y, h, all_events, depth)
+            self._apply_events(trace, tau, step, all_events, depth)
 
             tau += h
-            y = y_new_mod
             e_prev = e_new
             ev_prev = ev_new
             s_branches = s_branches_new
-            f, lam = f_new, lam_new
-            trace.path.append((tau, float(y[0]), float(y[1])))
+            f, H = f_new, H_new
+            trace.path.append((tau, float(y_new[0]), float(y_new[1])))
             if term:
                 trace.terminal = term
-                trace.terminal_state = (float(y[0]), float(y[1]))
+                trace.terminal_state = (float(y_new[0]), float(y_new[1]))
                 trace.energy_drop = (trace.energy_drop[0], e_new)
                 return trace
-            self._saddle_guard(y)
+            self._saddle_guard(y, y_new)
+            y = y_new
         raise StepCollapse("flow exceeded the step budget")
 
     # -- terminal conditions ------------------------------------------------
@@ -351,7 +354,7 @@ class _Tracer:
                 return p.label
         return None
 
-    def _terminal_in_step(self, y0, h, y1):
+    def _terminal_in_step(self, step, y1):
         """Terminal label and fractional entry time, via bisection."""
         term1 = self._terminal_check(y1)
         if not term1:
@@ -359,28 +362,32 @@ class _Tracer:
         lo, hi = 0.0, 1.0
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            ym = _rk4(self.ctx.curve, y0, h * mid)
-            ym = np.array([ym[0] % self.ctx.curve.L, ym[1] % self.ctx.curve.L])
-            if self._terminal_check(ym):
+            if self._terminal_check(step.at(mid)):
                 hi = mid
             else:
                 lo = mid
         return term1, hi
 
-    def _saddle_guard(self, y):
+    def _saddle_guard(self, y0, y1):
+        """Raise if the segment y0 -> y1 enters a foreign saddle's ball."""
         ctx = self.ctx
         L = ctx.curve.L
         r = ctx.tol.trajectory_tol * L
+        v0, v1 = _torus_delta(y1, y0, L)
+        vv = v0 * v0 + v1 * v1
         for p in ctx.saddles:
             if self.origin is not None and p is self.origin:
                 continue
-            if math.hypot(*(_torus_delta(y, (p.s, p.t), L))) < r:
+            d0, d1 = _torus_delta(y0, (p.s, p.t), L)
+            # closest point of the segment to the saddle
+            a = min(max(-(d0 * v0 + d1 * v1) / vv, 0.0), 1.0) if vv > 0.0 else 0.0
+            if math.hypot(d0 + a * v0, d1 + a * v1) < r:
                 raise GenericityViolation(
                     f"trajectory ran into index-1 point {p.label}", reason="knot")
 
     # -- event bracketing -----------------------------------------------------
 
-    def _bracket_events(self, y0, h, ev0, ev1):
+    def _bracket_events(self, step, ev0, ev1):
         out = []
         L = self.ctx.curve.L
         for kind in ("B-start", "B-end", "F-start", "F-end"):
@@ -391,33 +398,29 @@ class _Tracer:
                 raise GenericityViolation(f"trace starts on {kind} set",
                                           reason="basepoint" if kind[0] == "B" else "framing")
             if a * b < 0.0:
-                frac = self._bisect(y0, h, kind, a)
+                frac = self._bisect(step, kind, a)
                 if frac is not None:
                     out.append((frac, kind, int(math.copysign(1, b - a)), None))
         return out
 
-    def _bisect(self, y0, h, kind, val0, iters=60):
+    def _bisect(self, step, kind, val0, iters=60):
+        """Fractional time of an event bracketed by the step's endpoints."""
         ctx = self.ctx
         L = ctx.curve.L
         lo, hi = 0.0, 1.0
         sign0 = math.copysign(1.0, val0)
-        y_end = _rk4(ctx.curve, y0, h)
-        v_end = _event_values(ctx, y_end[0] % L, y_end[1] % L)[kind]
-        if math.copysign(1.0, v_end) == sign0:
-            return None  # bracket not confirmed on the refinement path
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            ym = _rk4(ctx.curve, y0, h * mid)
-            v = _event_values(ctx, ym[0] % L, ym[1] % L)[kind]
+            ym = step.at(mid)
+            v = _event_values(ctx, ym[0], ym[1])[kind]
             if math.copysign(1.0, v) == sign0:
                 lo = mid
             else:
                 hi = mid
-            if (hi - lo) * h < ctx.tol.event_tol * L:
+            if (hi - lo) * step.h < ctx.tol.event_tol * L:
                 break
         frac = 0.5 * (lo + hi)
-        ym = _rk4(ctx.curve, y0, h * frac)
-        ym = np.array([ym[0] % L, ym[1] % L])
+        ym = step.at(frac)
         if kind.startswith("F"):
             endpoint = "start" if kind == "F-start" else "end"
             ev = framing_event(ctx.curve, ctx.framing, ym[0], ym[1], endpoint)
@@ -477,7 +480,7 @@ class _Tracer:
             return None
         return (u, val, tau_frac, n_hat, dist)
 
-    def _bracket_s(self, y0, h, branches0, y1, cut=None):
+    def _bracket_s(self, step, branches0, y1, cut=None):
         branches1 = self._s_branches(y1)
         window = 8.0 * self.ctx.screen.step
         out = []
@@ -494,7 +497,7 @@ class _Tracer:
                 v1 = -v1  # keep the branch's sign orientation continuous
             if v0 * v1 >= 0.0:
                 continue
-            res = self._bisect_s(y0, h, u0, math.copysign(1.0, v0), n0)
+            res = self._bisect_s(step, u0, math.copysign(1.0, v0), n0)
             if res is None:
                 continue
             frac, u_hit, tau_hit, dist = res
@@ -508,15 +511,14 @@ class _Tracer:
             out.append((frac, "split", 0, (u_hit, tau_hit, dist)))
         return out, branches1
 
-    def _bisect_s(self, y0, h, u_seed, sign0, n_ref, iters=60):
+    def _bisect_s(self, step, u_seed, sign0, n_ref, iters=60):
         ctx = self.ctx
         L = ctx.curve.L
         excl = max(ctx.tol.endpoint_margin * L, 3.0 * ctx.screen.step)
         lo, hi = 0.0, 1.0
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            ym = _rk4(ctx.curve, y0, h * mid)
-            res = self._branch_value(np.array([ym[0] % L, ym[1] % L]), u_seed, excl)
+            res = self._branch_value(step.at(mid), u_seed, excl)
             if res is None:
                 return None
             val = res[1] if float(res[3] @ n_ref) >= 0.0 else -res[1]
@@ -524,21 +526,21 @@ class _Tracer:
                 lo = mid
             else:
                 hi = mid
-            if (hi - lo) * h < ctx.tol.event_tol * L:
+            if (hi - lo) * step.h < ctx.tol.event_tol * L:
                 break
         frac = 0.5 * (lo + hi)
-        ym = _rk4(ctx.curve, y0, h * frac)
-        res = self._branch_value(np.array([ym[0] % L, ym[1] % L]), u_seed, excl)
+        res = self._branch_value(step.at(frac), u_seed, excl)
         if res is None:
             return None
         return frac, res[0], res[2], res[4]
 
     # -- applying events ---------------------------------------------------------
 
-    def _apply_events(self, trace, tau, y0, h, events, depth):
+    def _apply_events(self, trace, tau, step, events, depth):
         ctx = self.ctx
         L = ctx.curve.L
         conv = ctx.conventions
+        h = step.h
         for i, (frac, kind, sigma, aux) in enumerate(events):
             if i + 1 < len(events):
                 nfrac, nkind = events[i + 1][0], events[i + 1][1]
@@ -547,8 +549,7 @@ class _Tracer:
                     if pair != {"F-start", "F-end"}:
                         raise GenericityViolation(
                             f"simultaneous events {kind}/{nkind}", reason="knot")
-            ym = _rk4(ctx.curve, y0, h * frac)
-            ym = np.array([ym[0] % L, ym[1] % L])
+            ym = step.at(frac)
             if kind == "split":
                 self._do_split(trace, tau + frac * h, ym, depth, aux)
                 continue
@@ -695,17 +696,6 @@ def _group_contiguous(indices, n):
 # public operations
 # ---------------------------------------------------------------------------
 
-def integrate(curve, framing, s, t, critical_points=None, tol=DEFAULT_TOL,
-              conventions=DEFAULT_CONVENTIONS, ctx=None):
-    """Flow the cord (s, t) down the negative gradient; returns a FlowTrace."""
-    if ctx is None:
-        from .energy import find_critical_points
-        if critical_points is None:
-            critical_points = find_critical_points(curve, tol)
-        ctx = FlowContext(curve, framing, critical_points, tol, conventions)
-    return _Tracer(ctx).run(s, t)
-
-
 def _birth_exponent(conventions, q_side, _sigma_nu):
     """Middle meridian exponent of a split (0 when the framing is clear)."""
     if conventions.birth_exp and q_side == conventions.birth_side:
@@ -783,11 +773,6 @@ def refold_trace(trace, conventions):
     )
 
 
-def dhat(curve, framing, s, t, ctx):
-    trace = _Tracer(ctx).run(s, t)
-    return dhat_of_trace(trace, terminal_generator_values(ctx))
-
-
 def terminal_generator_values(ctx):
     vals = {p.label: AlgebraElement.gen(p.label) for p in ctx.minima}
     return vals
@@ -858,8 +843,12 @@ def self_consistent_window(ctx, center, e, h):
 
 
 def boundary_D(curve, framing, k, ctx):
-    """D(k) = Dhat(k+) - Dhat(k-) for an index-1 critical point."""
+    """D(k) = Dhat(k+) - Dhat(k-) for an index-1 critical point.
+
+    Each boundary value gets its own split budget of ``tol.max_splits``.
+    """
     (plus, minus, flagged) = select_k_pm(curve, framing, k, ctx)
+    ctx.split_budget = ctx.tol.max_splits
     tr_plus = _Tracer(ctx, origin_saddle=k).run(*plus)
     tr_minus = _Tracer(ctx, origin_saddle=k).run(*minus)
     tr_plus.flagged.extend(flagged)

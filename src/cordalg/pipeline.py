@@ -13,6 +13,7 @@ from .errors import (
     GenericityViolation,
     InvariantLost,
     SeedingInsufficient,
+    UnsupportedFraming,
 )
 from .flow import (
     DEFAULT_CONVENTIONS,
@@ -233,17 +234,25 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL,
                              simplify_result, seifert_rules, seed)
         except (GenericityViolation, DegenerateCritical, SeedingInsufficient,
                 InvariantLost) as exc:
-            last = exc
+            # drop the traceback: it would pin the failed attempt's frames
+            # and census arrays in a cycle while the next attempt runs
+            last = exc.with_traceback(None)
             reason = getattr(exc, "reason", "knot")
             if isinstance(exc, (DegenerateCritical, SeedingInsufficient)):
                 reason = "knot"
-            try:
-                curve, frame, what = _perturb_for(reason, curve, frame,
-                                                  magnitude, seed + attempt + 1)
-            except InvariantLost:
-                pass
-            magnitude *= 0.5
+        # a perturbation that breaks an invariant is redrawn smaller with the
+        # next seed, without rerunning the unchanged input; each draw spends
+        # one attempt
+        redrawn = False
+        while not redrawn and attempt <= tol.max_perturb:
             attempt += 1
+            try:
+                curve, frame, _ = _perturb_for(reason, curve, frame,
+                                               magnitude, seed + attempt)
+                redrawn = True
+            except InvariantLost as exc:
+                last = exc.with_traceback(None)
+            magnitude *= 0.5
     raise GenericityExhausted(f"perturb-and-retry budget exhausted: {last}")
 
 
@@ -314,11 +323,18 @@ def derive_seifert_rules(curve, ctx, lk):
 
     The lk windings added near the basepoint travel along the knot to the
     crossing sites; each index-0 cord endpoint they sweep past picks up one
-    mu factor on the corresponding side.  Non-braid layouts return no rules.
+    mu factor on the corresponding side.  lk = 0 needs no rules.  Other
+    layouts have no derivation, so lk != 0 there raises
+    ``UnsupportedFraming`` rather than return a presentation mislabelled
+    "seifert".
     """
-    meta = curve.metadata
-    if meta.get("layout") != "braid" or lk == 0:
+    if lk == 0:
         return []
+    layout = curve.metadata.get("layout")
+    if layout != "braid":
+        raise UnsupportedFraming(
+            f"no Seifert winding-sweep rules for layout {layout!r} with lk = {lk};"
+            " pass seifert_rules explicitly or use the blackboard framing")
     # see calibration notes: implemented after the golden layout is pinned
     return _winding_sweep_rules(curve, ctx, lk)
 

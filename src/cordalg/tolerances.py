@@ -37,7 +37,6 @@ class Tolerances:
     min_split_decrease: float = 1e-6 # both children shorter by at least     (*L)
     max_splits: int = 64
     max_steps: int = 200_000
-    rtol: float = 1e-10              # integrator relative tolerance         (abs)
 
     # presentation_builder
     max_perturb: int = 8             # genericity retry budget
@@ -49,7 +48,6 @@ class Tolerances:
             "tol_arc", "embedding_floor", "newton_tol", "merge_tol",
             "intersect_tol", "endpoint_margin", "tau_floor", "boundary_tol",
             "event_tol", "trajectory_tol", "split_offset", "min_split_decrease",
-            "rtol",
         )
         return replace(self, **{f: getattr(self, f) * factor for f in scale_fields})
 

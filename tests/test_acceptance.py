@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from cordalg.energy import energy, find_critical_points, gradient, hessian
-from cordalg.flow import FlowContext, select_k_pm, _Tracer
+from cordalg.flow import FlowContext, boundary_D, select_k_pm, _Tracer
 from cordalg.incidence import f_arc_terminates_at, framing_event, tangent_boundary_cords
 from cordalg.knots import build_curve, build_framing
 from cordalg.pipeline import compare, compute_cord_algebra
 from cordalg.ring import parse, serialize
-from cordalg.tolerances import DEFAULT_TOL
+from cordalg.tolerances import DEFAULT_TOL, Tolerances
 
 _SPECS = Path(__file__).resolve().parent.parent / "specs"
 TREFOIL_SPEC = json.loads((_SPECS / "trefoil.json").read_text())
@@ -198,6 +198,47 @@ def test_criterion_6_energy_monotone_and_split_contract(trefoil_result):
         n_splits += len(trp.splits) + len(trm.splits)
     assert n_splits > 0
     print(f"\n[pass] criterion 6: energy monotone, {n_splits} splits all contract")
+
+
+def _tree_counts(tr):
+    """(traces, accepted steps, splits) of a trace and its split children."""
+    traces, steps, splits = 1, len(tr.path) - 1, len(tr.splits)
+    for sp in tr.splits:
+        for child in sp["children"]:
+            t, st, sp_n = _tree_counts(child)
+            traces, steps, splits = traces + t, steps + st, splits + sp_n
+    return traces, steps, splits
+
+
+def test_trefoil_flow_step_count(trefoil_result):
+    """The linearly implicit step flows all ten saddles in few steps."""
+    totals = np.zeros(3, dtype=int)
+    for trp, trm in trefoil_result.traces.values():
+        totals += _tree_counts(trp)
+        totals += _tree_counts(trm)
+    traces, steps, splits = totals
+    assert (traces, splits) == (68, 24)
+    assert steps < 20_000
+    print(f"\n[pass] trefoil flow: {steps} accepted steps, {traces} traces, "
+          f"{splits} splits")
+
+
+def test_split_budget_is_per_boundary_value(trefoil_result):
+    """Each saddle has its own split budget: 5 each suffice, 24 in total."""
+    spec = dict(TREFOIL_SPEC)
+    curve = build_curve(spec)
+    framing = build_framing(curve, rotation=spec.get("framing_rotation", 0.15))
+    tol = Tolerances(max_splits=5)
+    ctx = FlowContext(curve, framing, find_critical_points(curve, tol), tol)
+    total = 0
+    for k in ctx.saddles:
+        value, trp, trm = boundary_D(curve, framing, k, ctx)
+        used = _tree_counts(trp)[2] + _tree_counts(trm)[2]
+        assert used <= 5
+        assert value == trefoil_result.boundary_values[k.label]
+        total += used
+    assert total == 24
+    print(f"\n[pass] split budget per boundary value ({total} splits in total)")
 
 
 def test_criterion_7_f_symmetry_and_boundary():

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from cordalg.energy import energy, find_critical_points
+from cordalg.errors import GenericityViolation
 from cordalg.flow import (
     Conventions,
     FlowContext,
     FlowTrace,
+    _Step,
     _Tracer,
+    _rhs_energy_hessian,
+    _torus_delta,
     boundary_D,
     dhat_of_trace,
     refold_trace,
@@ -127,3 +131,47 @@ def test_contractible_value_is_one_minus_mu(unknot):
     tr = _Tracer(ctx, origin_saddle=k).run(*plus)
     assert tr.terminal == "contractible"
     assert dhat_of_trace(tr, {}) == A.one() - A.mu()
+
+
+def test_interpolant_endpoint_is_the_accepted_step(unknot):
+    curve, framing, ctx = unknot
+    L = curve.L
+    k = next(p for p in ctx.saddles if p.label == "h1_s")
+    _plus, minus, _ = select_k_pm(curve, framing, k, ctx)
+    y0 = np.array(minus)
+    f, _e, (h11, h12, h22) = _rhs_energy_hessian(curve, y0)
+    h = 0.7
+    step = _Step(y0, h, f, (h11, h12, h22), L)
+    # Rosenbrock-Euler: y0 + h (I + h H)^-1 f at theta = 1, y0 at theta = 0
+    expect = y0 + h * np.linalg.solve(
+        np.eye(2) + h * np.array([[h11, h12], [h12, h22]]), f)
+    assert np.allclose(step.at(1.0), expect % L, rtol=0, atol=1e-12 * L)
+    assert np.allclose(step.at(0.0), y0, rtol=0, atol=0)
+    # every accepted step of a real trace is the interpolant's endpoint
+    tr = _Tracer(ctx, origin_saddle=k).run(*minus)
+    assert len(tr.path) > 2
+    for (tau0, s0, t0), (tau1, s1, t1) in zip(tr.path, tr.path[1:]):
+        ya = np.array([s0, t0])
+        fa, _ea, Ha = _rhs_energy_hessian(curve, ya)
+        yb = _Step(ya, tau1 - tau0, fa, Ha, L).at(1.0)
+        assert np.hypot(*_torus_delta(yb, (s1, t1), L)) < 1e-9 * L
+
+
+def test_saddle_guard_checks_the_whole_segment(unknot):
+    curve, framing, ctx = unknot
+    L = curve.L
+    p = ctx.saddles[0]
+    r = ctx.tol.trajectory_tol * L
+    center = np.array([p.s, p.t])
+    tracer = _Tracer(ctx)
+    # both endpoints outside the ball, the segment through its center
+    y0 = (center + [-1.5 * r, 0.2 * r]) % L
+    y1 = (center + [1.5 * r, -0.2 * r]) % L
+    assert np.hypot(*_torus_delta(y0, center, L)) > r
+    assert np.hypot(*_torus_delta(y1, center, L)) > r
+    with pytest.raises(GenericityViolation):
+        tracer._saddle_guard(y0, y1)
+    # a parallel segment that passes outside the ball
+    tracer._saddle_guard((y0 + [0.0, 2.0 * r]) % L, (y1 + [0.0, 2.0 * r]) % L)
+    # the trace's own origin saddle is exempt
+    _Tracer(ctx, origin_saddle=p)._saddle_guard(y0, y1)

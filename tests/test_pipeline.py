@@ -5,9 +5,23 @@ import json
 import numpy as np
 import pytest
 
+from cordalg import pipeline
 from cordalg.energy import find_critical_points
+from cordalg.errors import (
+    GenericityExhausted,
+    GenericityViolation,
+    InvariantLost,
+    SpecError,
+    UnsupportedFraming,
+)
 from cordalg.knots import build_curve, build_framing, ellipse_points
-from cordalg.pipeline import compare, compute_cord_algebra, genericity_check, simplify
+from cordalg.pipeline import (
+    compare,
+    compute_cord_algebra,
+    derive_seifert_rules,
+    genericity_check,
+    simplify,
+)
 from cordalg.ring import Presentation, parse, serialize
 
 UNKNOT_RELATION = parse("1 - u - l + l u")  # (l-1)(u-1)
@@ -106,3 +120,55 @@ def test_simplify_eliminations_are_recorded():
     assert out.generators == []
     assert "a" in out.metadata["eliminated"]
     assert "b" in out.metadata["eliminated"]
+
+
+def _forced_retries(monkeypatch, perturb_fails):
+    """Make the first attempt fail and the first ``perturb_fails`` draws
+    raise InvariantLost; record every attempt and every draw."""
+    runs, draws = [], []
+
+    def run_once(curve, *args):
+        runs.append(curve)
+        if len(runs) == 1:
+            raise GenericityViolation("forced", reason="knot")
+        return "result"
+
+    def perturb_for(reason, curve, framing, magnitude, seed):
+        draws.append((magnitude, seed))
+        if len(draws) <= perturb_fails:
+            raise InvariantLost("forced")
+        return f"perturbed-{seed}", framing, reason
+
+    monkeypatch.setattr(pipeline, "_run_once", run_once)
+    monkeypatch.setattr(pipeline, "_perturb_for", perturb_for)
+    return runs, draws
+
+
+def test_invariant_lost_redraws_without_rerunning(monkeypatch):
+    runs, draws = _forced_retries(monkeypatch, perturb_fails=1)
+    out = compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1}, seed=5)
+    assert out == "result"
+    # the unchanged input is not rerun: one failed attempt, one on the
+    # second draw, which is half as large and uses the next seed
+    assert len(runs) == 2 and runs[1] == "perturbed-7"
+    m = draws[0][0]
+    assert draws == [(m, 6), (m / 2, 7)]
+
+
+def test_invariant_lost_redraws_spend_the_budget(monkeypatch):
+    from cordalg.tolerances import Tolerances
+    runs, draws = _forced_retries(monkeypatch, perturb_fails=99)
+    with pytest.raises(GenericityExhausted, match="forced"):
+        compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1},
+                             tol=Tolerances(max_perturb=3))
+    assert len(runs) == 1
+    assert [seed for _m, seed in draws] == [1, 2, 3, 4]
+
+
+def test_seifert_rules_refuse_non_braid_layout():
+    curve = build_curve({"type": "ellipse", "a": 2, "b": 1})
+    assert curve.metadata.get("layout") != "braid"
+    assert derive_seifert_rules(curve, None, 0) == []
+    assert issubclass(UnsupportedFraming, SpecError)
+    with pytest.raises(UnsupportedFraming, match="lk = -3"):
+        derive_seifert_rules(curve, None, -3)
