@@ -244,15 +244,24 @@ def cmd_check(args):
         lk2 = linking_number(curve, frame, eps=frame.eps / 2)
         return lk1 == lk2, f"lk = {lk1}"
 
+    # the census and genericity checks share one census run, or its error
+    try:
+        points, census_error = find_critical_points(curve, tol), None
+    except CordAlgError as exc:
+        points, census_error = None, exc
+
+    def critical_points():
+        if census_error is not None:
+            raise census_error
+        return points
+
     def census():
-        points = find_critical_points(curve, tol)
-        counts = [sum(1 for p in points if p.index == i) for i in range(3)]
+        counts = [sum(1 for p in critical_points() if p.index == i) for i in range(3)]
         ok = counts[0] - counts[1] + counts[2] == 0
         return ok, f"census {counts}"
 
     def genericity():
-        points = find_critical_points(curve, tol)
-        report = genericity_check(curve, frame, points, tol)
+        report = genericity_check(curve, frame, critical_points(), tol)
         return not report, "; ".join(f"{a}:{b}" for a, b, _ in report)
 
     record("arclength parametrization", arclength)

@@ -128,7 +128,8 @@ def _newton_polish(curve, seeds, tol, iters=60):
 def find_critical_points(curve, tol=DEFAULT_TOL, label=True):
     """All nondegenerate off-diagonal critical points of E.
 
-    Seeds from an escalating dense grid, polishes by Newton, merges
+    Seeds from the local minima of |grad E|^2 on an escalating dense grid
+    (evaluated on its axis, see ``_grid_grad_sq``), polishes by Newton, merges
     duplicates, rejects the diagonal tube, classifies by the Hessian, and
     requires the Euler count n0 - n1 + n2 = 0 (chi(T^2) = 0 with the
     diagonal contributing m and M) as a completeness certificate before
@@ -139,10 +140,7 @@ def find_critical_points(curve, tol=DEFAULT_TOL, label=True):
     n_grid = tol.grid_start
     last_err = None
     while n_grid <= tol.grid_max:
-        axis = np.arange(n_grid) * (L / n_grid)
-        S, T = np.meshgrid(axis, axis, indexing="ij")
-        g = gradient(curve, S.ravel(), T.ravel())
-        g2 = (g * g).sum(axis=1).reshape(n_grid, n_grid)
+        axis, g2 = _grid_grad_sq(curve, n_grid)
         local_min = np.ones_like(g2, dtype=bool)
         for ds in (-1, 0, 1):
             for dt in (-1, 0, 1):
@@ -171,6 +169,17 @@ def find_critical_points(curve, tol=DEFAULT_TOL, label=True):
     raise last_err if last_err else SeedingInsufficient("no critical points found")
 
 
+def _grid_grad_sq(curve, n):
+    """|grad E|^2 on the n x n grid over the axis k L / n, k < n; the spline
+    is evaluated once on the axis and the pair differences are broadcast."""
+    axis = np.arange(n) * (curve.L / n)
+    P, V = curve.point(axis), curve.tangent(axis)
+    d = P[:, None, :] - P[None, :, :]
+    gs = np.einsum("ijk,ik->ij", d, V)
+    gt = -np.einsum("ijk,jk->ij", d, V)
+    return axis, gs * gs + gt * gt
+
+
 def _collect(curve, seeds, tol, cluster_dist=0.0):
     L = curve.L
     if len(seeds) == 0:
@@ -188,30 +197,20 @@ def _collect(curve, seeds, tol, cluster_dist=0.0):
     if len(polished) == 0:
         return []
 
-    merged = []
-    merged_gn = []
-    r = tol.merge_tol * L
-    for p, gnorm in zip(polished, gn):
-        dup = False
-        for q in merged:
-            if curve.circ_dist(p[0], q[0]) < r and curve.circ_dist(p[1], q[1]) < r:
-                dup = True
-                break
-        if not dup:
-            merged.append(p)
-            merged_gn.append(gnorm)
-    merged = np.array(merged)
+    # greedy first-come merge: drop each point near an earlier kept one
+    near = _close_pairs(curve, polished, tol.merge_tol * L)
+    kept = np.ones(len(polished), dtype=bool)
+    for i in range(len(polished)):
+        if kept[i]:
+            kept[i + 1:] &= ~near[i + 1:, i]
+    merged, merged_gn = polished[kept], gn[kept]
 
     # isolated criticals cannot sit at grid scale from each other; a cluster
     # of converged points along a valley is a Bott-degenerate family
-    if cluster_dist > 0:
-        for i in range(len(merged)):
-            for j in range(i + 1, len(merged)):
-                if (curve.circ_dist(merged[i, 0], merged[j, 0]) < cluster_dist
-                        and curve.circ_dist(merged[i, 1], merged[j, 1]) < cluster_dist):
-                    raise DegenerateCritical(
-                        "critical points cluster at grid scale (Bott family)"
-                    )
+    if cluster_dist > 0 and np.triu(_close_pairs(curve, merged, cluster_dist), 1).any():
+        raise DegenerateCritical(
+            "critical points cluster at grid scale (Bott family)"
+        )
 
     H = hessian(curve, merged[:, 0], merged[:, 1])
     eigvals, eigvecs = np.linalg.eigh(H)
@@ -235,6 +234,13 @@ def _collect(curve, seeds, tol, cluster_dist=0.0):
         ))
     out.sort(key=lambda cp: (cp.index, cp.energy, cp.s))
     return out
+
+
+def _close_pairs(curve, pts, r):
+    """near[i, j]: pts[i] and pts[j] lie within r of each other in s and in t."""
+    near = curve.circ_dist(pts[:, None, 0], pts[None, :, 0]) < r
+    near &= curve.circ_dist(pts[:, None, 1], pts[None, :, 1]) < r
+    return near
 
 
 # ---------------------------------------------------------------------------

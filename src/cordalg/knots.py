@@ -54,10 +54,8 @@ class PeriodicSpline:
             out = (3.0 * c[0] * dx[:, None] + 2.0 * c[1]) * dx[:, None] + c[2]
         elif d == 2:
             out = 6.0 * c[0] * dx[:, None] + 2.0 * c[1]
-        elif d == 3:
-            out = 6.0 * np.broadcast_to(c[0], (len(s), c.shape[-1])).copy()
         else:
-            raise ValueError("derivative order must be 0..3")
+            raise ValueError("derivative order must be 0..2")
         return out[0] if scalar else out
 
     def eval_multi(self, s, ders=(0, 1)):
@@ -76,7 +74,7 @@ class PeriodicSpline:
             elif d == 2:
                 out.append(6.0 * c0 * dx + 2.0 * c1)
             else:
-                out.append(6.0 * np.broadcast_to(c0, (len(s), c0.shape[-1])).copy())
+                raise ValueError("derivative order must be 0..2")
         return out
 
 
@@ -134,28 +132,27 @@ def _min_clearance(points, ratio=0.7):
     mask = np.triu(dist < ratio * arc, k=1)
     if not mask.any():
         return float(np.max(dist))
-    cand = np.argwhere(mask & (dist < dist[mask].min() + 2 * step))
-    best = np.inf
-    for i, j in cand:
-        best = min(best, _segment_distance(a[i], b[i], a[j], b[j]))
-    return best
+    i, j = np.nonzero(mask & (dist < dist[mask].min() + 2 * step))
+    return float(np.min(_segment_distances(a[i], b[i], a[j], b[j])))
 
 
-def _segment_distance(p1, p2, q1, q2):
+def _segment_distances(p1, p2, q1, q2):
+    """Closest distance between the segments p1p2 and q1q2, row by row."""
     u = p2 - p1
     v = q2 - q1
     w = p1 - q1
-    a, b, c = u @ u, u @ v, v @ v
-    d, e = u @ w, v @ w
+    # one BLAS dot per row, as ``x @ y`` of two 3-vectors computes it
+    dot = lambda x, y: np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+    a, b, c = dot(u, u), dot(u, v), dot(v, v)
+    d, e = dot(u, w), dot(v, w)
     denom = a * c - b * b
-    if denom < 1e-14 * max(a * c, 1e-30):
-        s = 0.0
-        t = np.clip(e / c, 0.0, 1.0) if c > 0 else 0.0
-    else:
-        s = np.clip((b * e - c * d) / denom, 0.0, 1.0)
-        t = np.clip((a * e - b * d) / denom, 0.0, 1.0) if c > 0 else 0.0
-        s = np.clip((b * t - d) / a, 0.0, 1.0) if a > 0 else 0.0
-    return float(np.linalg.norm(p1 + s * u - (q1 + t * v)))
+    parallel = denom < 1e-14 * np.maximum(a * c, 1e-30)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(parallel, e / c, (a * e - b * d) / denom)
+        t = np.where(c > 0, np.clip(t, 0.0, 1.0), 0.0)
+        s = np.where(~parallel & (a > 0), np.clip((b * t - d) / a, 0.0, 1.0), 0.0)
+    gap = p1 + s[:, None] * u - (q1 + t[:, None] * v)
+    return np.sqrt(dot(gap, gap))
 
 
 class KnotCurve:
@@ -178,9 +175,6 @@ class KnotCurve:
 
     def second(self, s):
         return self.spline(s, d=2)
-
-    def third(self, s):
-        return self.spline(s, d=3)
 
     def unit_tangent(self, s):
         t = self.spline(s, d=1)
@@ -278,16 +272,6 @@ class Framing:
             v = np.cos(angle)[:, None] * v + np.sin(angle)[:, None] * w
         return v[0] if scalar else v
 
-    def nu_dot(self, s, h=None):
-        h = h or 1e-6 * self.curve.L
-        return (self.nu(np.atleast_1d(s) + h) - self.nu(np.atleast_1d(s) - h)) / (2 * h)
-
-    def pushoff_points(self, params=None):
-        if params is None:
-            n = len(self.curve.samples)
-            params = np.arange(n) * (self.curve.L / n)
-        return self.curve.point(params) + self.eps * self.nu(params)
-
     def _table_copy(self):
         if self.kind == "blackboard":
             return None
@@ -319,45 +303,43 @@ def build_framing(curve, kind="blackboard", table=None, rotation=0.0, winding=0)
 # Gauss linking number (exact for polylines, Klenin-Langowski style)
 # ---------------------------------------------------------------------------
 
-def _solid_angle_quads(p1, p2, q1, q2):
-    r13 = q1 - p1
-    r14 = q2 - p1
-    r23 = q1 - p2
-    r24 = q2 - p2
-    r12 = p2 - p1
-    r34 = q2 - q1
+def _unit_cross(x, y):
+    c = np.cross(x, y)
+    n = np.linalg.norm(c, axis=-1, keepdims=True)
+    return c / np.where(n < 1e-300, 1.0, n)
 
-    def unit_cross(x, y):
-        c = np.cross(x, y)
-        n = np.linalg.norm(c, axis=-1, keepdims=True)
-        n = np.where(n < 1e-300, 1.0, n)
-        return c / n
 
-    n1 = unit_cross(r13, r14)
-    n2 = unit_cross(r14, r24)
-    n3 = unit_cross(r24, r23)
-    n4 = unit_cross(r23, r13)
-
-    def asin_dot(a, b):
-        return np.arcsin(np.clip(np.einsum("...i,...i->...", a, b), -1.0, 1.0))
-
-    omega = asin_dot(n1, n2) + asin_dot(n2, n3) + asin_dot(n3, n4) + asin_dot(n4, n1)
-    sign = np.sign(np.einsum("...i,...i->...", np.cross(r34, r12), r13))
-    return omega * sign / (4.0 * math.pi)
+def _asin_dot(a, b, sign=1.0):
+    dot = sign * np.einsum("...i,...i->...", a, b)
+    return np.arcsin(np.clip(dot, -1.0, 1.0))
 
 
 def gauss_linking(points_a, points_b):
-    """Exact polyline linking number contribution sum (float)."""
-    a1 = np.asarray(points_a)
-    a2 = np.roll(a1, -1, axis=0)
-    b1 = np.asarray(points_b)
-    b2 = np.roll(b1, -1, axis=0)
+    """Exact polyline linking number contribution sum (float).
+
+    Quad (i, j), segment i of a against segment j of b, adds the solid angle
+    spanned by its unit normals n1..n4.  Neighbouring quads share normals,
+    n3(i, j) = -n1(i+1, j) and n2(i, j) = -n4(i, j+1), so each row block
+    computes n1 (on one extra row) and n4 only.
+    """
+    a = np.asarray(points_a)
+    b1 = np.asarray(points_b)[None, :, :]
+    b2 = np.roll(b1, -1, axis=1)
+    r34 = b2 - b1
     total = 0.0
     block = 64
-    for i in range(0, len(a1), block):
-        p1 = a1[i:i + block, None, :]
-        p2 = a2[i:i + block, None, :]
-        total += float(np.sum(_solid_angle_quads(p1, p2, b1[None, :, :], b2[None, :, :])))
+    for i in range(0, len(a), block):
+        rows = np.arange(i, min(i + block, len(a)) + 1) % len(a)
+        p = a[rows, None, :]
+        r1 = b1 - p  # q1 - p1, rows i .. i + block
+        n1 = _unit_cross(r1, b2 - p)
+        n4 = _unit_cross(r1[1:], r1[:-1])
+        m2 = np.roll(n4, -1, axis=1)  # -n2
+        n1, m3 = n1[:-1], n1[1:]  # -n3
+        omega = (_asin_dot(n1, m2, -1.0) + _asin_dot(m2, m3)
+                 + _asin_dot(m3, n4, -1.0) + _asin_dot(n4, n1))
+        sign = np.sign(np.einsum("...i,...i->...", np.cross(r34, p[1:] - p[:-1]), r1[:-1]))
+        total += float(np.sum(omega * sign / (4.0 * math.pi)))
     return total
 
 
@@ -366,7 +348,7 @@ def linking_number(curve, framing, eps=None, n=1024):
     params = np.arange(n) * (curve.L / n)
     base = curve.point(params)
     eps = eps if eps is not None else framing.eps
-    push = curve.point(params) + eps * framing.nu(params)
+    push = base + eps * framing.nu(params)
     raw = gauss_linking(base, push)
     nearest = round(raw)
     if abs(raw - nearest) > 0.1:

@@ -226,7 +226,8 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL,
     frame = build_framing(curve, kind="blackboard", rotation=rotation)
 
     attempt = 0
-    magnitude = curve.clearance / 4.0
+    # perturb_curve refuses magnitudes from clearance / 4 up
+    magnitude = curve.clearance / 8.0
     last = None
     while attempt <= tol.max_perturb:
         try:

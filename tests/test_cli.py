@@ -1,10 +1,14 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from cordalg import cli
 from cordalg.cli import main
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 @pytest.fixture()
@@ -77,6 +81,20 @@ def test_check_passes_on_ellipse(ellipse_spec, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "6/6 invariants hold" in out
+
+
+def test_check_runs_the_census_once(monkeypatch, capsys):
+    calls = []
+    census = cli.find_critical_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return census(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_critical_points", counted)
+    assert main(["check", str(SPECS / "ellipse.json")]) == 0
+    assert "6/6 invariants hold" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_sets_export(ellipse_spec, capsys):

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import cordalg.energy as energy_mod
 from cordalg.energy import (
     CordPoint,
+    _grid_grad_sq,
     diagonal_data,
     energy,
     find_critical_points,
@@ -126,6 +128,32 @@ def test_ellipse_census_and_brute_force(ellipse):
 def test_circle_is_degenerate():
     with pytest.raises(DegenerateCritical):
         find_critical_points(build_curve({"type": "circle", "r": 1}))
+
+
+def test_circle_census_escalates_through_every_grid_level(monkeypatch):
+    curve = build_curve({"type": "circle", "r": 1})
+    grids = []
+    collect = energy_mod._collect
+
+    def spy(curve, seeds, tol, cluster_dist=0.0):
+        grids.append(round(3.0 * curve.L / cluster_dist))
+        return collect(curve, seeds, tol, cluster_dist)
+
+    monkeypatch.setattr(energy_mod, "_collect", spy)
+    with pytest.raises(DegenerateCritical, match="Bott family"):
+        find_critical_points(curve)
+    assert grids == [64, 128, 256, 512, 1024]
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", ["ellipse", "trefoil"])
+def test_grid_grad_sq_matches_per_cell_gradient(name, n, request):
+    curve = request.getfixturevalue(name)
+    axis, g2 = _grid_grad_sq(curve, n)
+    assert np.array_equal(axis, np.arange(n) * (curve.L / n))
+    S, T = np.meshgrid(axis, axis, indexing="ij")
+    g = gradient(curve, S.ravel(), T.ravel())
+    assert np.array_equal(g2, (g * g).sum(axis=1).reshape(n, n))
 
 
 def test_trefoil_census(trefoil):

@@ -8,9 +8,12 @@ import pytest
 from cordalg.errors import DegenerateSpec, InvariantLost, SpecError
 from cordalg.knots import (
     BraidLayoutSpec,
+    _min_clearance,
+    _segment_distances,
     build_curve,
     build_framing,
     ellipse_points,
+    gauss_linking,
     linking_number,
     perturb_basepoint,
     perturb_curve,
@@ -155,3 +158,98 @@ def test_perturb_framing_keeps_class(trefoil):
 def test_torus_knot_builds():
     c = build_curve({"type": "torus_knot", "p": 2, "q": 3})
     assert c.validate() is c
+
+
+# ---------------------------------------------------------------------------
+# references: the per-pair clearance and the per-quad solid angle, kept
+# scalar so that the batched kernels can be checked against them
+# ---------------------------------------------------------------------------
+
+def _segment_distance(p1, p2, q1, q2):
+    u = p2 - p1
+    v = q2 - q1
+    w = p1 - q1
+    a, b, c = u @ u, u @ v, v @ v
+    d, e = u @ w, v @ w
+    denom = a * c - b * b
+    if denom < 1e-14 * max(a * c, 1e-30):
+        s = 0.0
+        t = np.clip(e / c, 0.0, 1.0) if c > 0 else 0.0
+    else:
+        t = np.clip((a * e - b * d) / denom, 0.0, 1.0) if c > 0 else 0.0
+        s = np.clip((b * t - d) / a, 0.0, 1.0) if a > 0 else 0.0
+    return float(np.linalg.norm(p1 + s * u - (q1 + t * v)))
+
+
+def _min_clearance_reference(points, ratio=0.7):
+    a = np.asarray(points)
+    n = len(a)
+    b = np.roll(a, -1, axis=0)
+    mids = 0.5 * (a + b)
+    step = float(np.mean(np.linalg.norm(b - a, axis=1)))
+    dist = np.linalg.norm(mids[:, None, :] - mids[None, :, :], axis=2)
+    idx = np.arange(n)
+    circ = np.abs(idx[:, None] - idx[None, :])
+    mask = np.triu(dist < ratio * np.minimum(circ, n - circ) * step, k=1)
+    if not mask.any():
+        return float(np.max(dist))
+    cand = np.argwhere(mask & (dist < dist[mask].min() + 2 * step))
+    return min(_segment_distance(a[i], b[i], a[j], b[j]) for i, j in cand)
+
+
+def _solid_angle_quads(p1, p2, q1, q2):
+    r13, r14, r23, r24 = q1 - p1, q2 - p1, q1 - p2, q2 - p2
+    r12, r34 = p2 - p1, q2 - q1
+
+    def unit_cross(x, y):
+        c = np.cross(x, y)
+        n = np.linalg.norm(c, axis=-1, keepdims=True)
+        return c / np.where(n < 1e-300, 1.0, n)
+
+    n1 = unit_cross(r13, r14)
+    n2 = unit_cross(r14, r24)
+    n3 = unit_cross(r24, r23)
+    n4 = unit_cross(r23, r13)
+
+    def asin_dot(x, y):
+        return np.arcsin(np.clip(np.einsum("...i,...i->...", x, y), -1.0, 1.0))
+
+    omega = asin_dot(n1, n2) + asin_dot(n2, n3) + asin_dot(n3, n4) + asin_dot(n4, n1)
+    sign = np.sign(np.einsum("...i,...i->...", np.cross(r34, r12), r13))
+    return omega * sign / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("name", ["circle", "ellipse", "trefoil", "perturbed"])
+def test_min_clearance_matches_scalar_reference(name, ellipse, trefoil):
+    curve = {
+        "circle": lambda: build_curve({"type": "circle", "r": 1}),
+        "ellipse": lambda: ellipse,
+        "trefoil": lambda: trefoil,
+        "perturbed": lambda: perturb_curve(ellipse, ellipse.clearance / 8, seed=2),
+    }[name]()
+    pts = curve.samples[:: max(1, len(curve.samples) // 512)]
+    assert _min_clearance(pts) == _min_clearance_reference(pts)
+
+
+def test_segment_distances_match_scalar_reference():
+    rng = np.random.default_rng(4)
+    p1, p2, q1 = rng.normal(size=(3, 200, 3))
+    q2 = q1 + rng.normal(size=(200, 3))
+    q2[::4] = q1[::4] + 0.5 * (p2 - p1)[::4]  # parallel pairs
+    q2[1::8] = q1[1::8]  # a degenerate segment
+    ref = [_segment_distance(*row) for row in zip(p1, p2, q1, q2)]
+    assert np.array_equal(_segment_distances(p1, p2, q1, q2), ref)
+
+
+def test_gauss_linking_matches_quad_sum(trefoil):
+    f = build_framing(trefoil, rotation=0.15)
+    params = np.arange(1024) * (trefoil.L / 1024)
+    base = trefoil.point(params)
+    push = base + f.eps * f.nu(params)
+    base2, push2 = np.roll(base, -1, axis=0), np.roll(push, -1, axis=0)
+    direct = sum(float(np.sum(_solid_angle_quads(
+        base[i:i + 128, None, :], base2[i:i + 128, None, :],
+        push[None, :, :], push2[None, :, :]))) for i in range(0, 1024, 128))
+    raw = gauss_linking(base, push)
+    assert abs(raw - direct) < 1e-12
+    assert round(raw) == 3 == linking_number(trefoil, f)

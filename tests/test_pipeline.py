@@ -165,6 +165,33 @@ def test_invariant_lost_redraws_spend_the_budget(monkeypatch):
     assert [seed for _m, seed in draws] == [1, 2, 3, 4]
 
 
+def test_first_knot_perturbation_is_accepted(monkeypatch):
+    runs, draws = [], []
+    perturb_for = pipeline._perturb_for
+
+    def run_once(curve, *args):
+        runs.append(curve)
+        if len(runs) == 1:
+            raise GenericityViolation("forced", reason="knot")
+        return "result"
+
+    def spy(reason, curve, framing, magnitude, seed):
+        try:
+            out = perturb_for(reason, curve, framing, magnitude, seed)
+        except InvariantLost:
+            draws.append((magnitude, "refused"))
+            raise
+        draws.append((magnitude, "accepted"))
+        return out
+
+    monkeypatch.setattr(pipeline, "_run_once", run_once)
+    monkeypatch.setattr(pipeline, "_perturb_for", spy)
+    assert compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1}) == "result"
+    assert [outcome for _m, outcome in draws] == ["accepted"]
+    assert draws[0][0] < runs[0].clearance / 4
+    assert runs[1] is not runs[0]
+
+
 def test_seifert_rules_refuse_non_braid_layout():
     curve = build_curve({"type": "ellipse", "a": 2, "b": 1})
     assert curve.metadata.get("layout") != "braid"
