@@ -35,7 +35,12 @@ from .errors import (
     TangentialContact,
     ZeroProjection,
 )
-from .incidence import ChordScreen, framing_event, signed_crossing_value
+from .incidence import (
+    ChordScreen,
+    _refine_hits,
+    framing_event,
+    signed_crossing_value,
+)
 from .ring import AlgebraElement
 from .tolerances import DEFAULT_TOL
 
@@ -442,43 +447,46 @@ class _Tracer:
         if float(chord @ chord) < (1.8 * excl) ** 2:
             return []
         cand = ctx.screen.candidates(y[0], y[1], 4.0 * ctx.screen.step)
-        branches = []
         if len(cand) == 0:
-            return branches
-        for g in _group_contiguous(cand, len(ctx.screen.params)):
-            u0 = ctx.screen.params[g[len(g) // 2]]
-            res = self._branch_value(y, u0, excl)
-            if res is not None:
-                branches.append(res)
-        return branches
+            return []
+        groups = _group_contiguous(cand, len(ctx.screen.params))
+        seeds = ctx.screen.params[[g[len(g) // 2] for g in groups]]
+        return [res for res in self._branch_values(y, seeds, excl)
+                if res is not None]
 
-    def _branch_value(self, y, u0, excl):
+    def _branch_values(self, y, seeds, excl):
+        """(u, value, tau, n_hat, dist) of the branch near each seed, or None.
+
+        One batched Newton refinement serves every seed; a flat distance
+        minimum gives None for its own seed only (flat but distant minima
+        are harmless).
+        """
         ctx = self.ctx
         curve = ctx.curve
-        if (curve.circ_dist(u0, y[0]) < excl or curve.circ_dist(u0, y[1]) < excl):
-            return None
+        seeds = np.asarray(seeds, dtype=float)
+        out = [None] * len(seeds)
+        live = np.nonzero(~((curve.circ_dist(seeds, y[0]) < excl)
+                            | (curve.circ_dist(seeds, y[1]) < excl)))[0]
+        if len(live) == 0:
+            return out
         p = curve.point(y[0])
         d = curve.point(y[1]) - p
-        from .incidence import _refine_hit
-        try:
-            res = _refine_hit(curve, p, d, u0, ctx.tol)
-        except TangentialContact:
-            return None  # flat but distant minima are harmless
-        if res is None:
-            return None
-        u, tau_frac, dist = res
-        if dist > 6.0 * ctx.screen.step:
-            return None
-        if (curve.circ_dist(u, y[0]) < excl or curve.circ_dist(u, y[1]) < excl):
-            return None
-        try:
-            val, tau_frac, n_hat = signed_crossing_value(curve, y[0], y[1], u)
-        except TangentialContact:
-            if dist < 4.0 * ctx.tol.intersect_tol * curve.L:
-                raise GenericityViolation("tangential chord/knot contact",
-                                          reason="knot")
-            return None
-        return (u, val, tau_frac, n_hat, dist)
+        u, _tau, dist, flat = _refine_hits(curve, p, d, seeds[live])
+        for k, i in enumerate(live):
+            if flat[k] or not np.isfinite(dist[k]) or dist[k] > 6.0 * ctx.screen.step:
+                continue
+            if (curve.circ_dist(u[k], y[0]) < excl
+                    or curve.circ_dist(u[k], y[1]) < excl):
+                continue
+            try:
+                val, tau_frac, n_hat = signed_crossing_value(curve, y[0], y[1], u[k])
+            except TangentialContact:
+                if dist[k] < 4.0 * ctx.tol.intersect_tol * curve.L:
+                    raise GenericityViolation("tangential chord/knot contact",
+                                              reason="knot")
+                continue
+            out[i] = (u[k], val, tau_frac, n_hat, float(dist[k]))
+        return out
 
     def _bracket_s(self, step, branches0, y1, cut=None):
         branches1 = self._s_branches(y1)
@@ -518,7 +526,7 @@ class _Tracer:
         lo, hi = 0.0, 1.0
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            res = self._branch_value(step.at(mid), u_seed, excl)
+            res = self._branch_values(step.at(mid), [u_seed], excl)[0]
             if res is None:
                 return None
             val = res[1] if float(res[3] @ n_ref) >= 0.0 else -res[1]
@@ -529,7 +537,7 @@ class _Tracer:
             if (hi - lo) * step.h < ctx.tol.event_tol * L:
                 break
         frac = 0.5 * (lo + hi)
-        res = self._branch_value(step.at(frac), u_seed, excl)
+        res = self._branch_values(step.at(frac), [u_seed], excl)[0]
         if res is None:
             return None
         return frac, res[0], res[2], res[4]

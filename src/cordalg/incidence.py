@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TangentialContact, ZeroProjection
+from .knots import row_dots
 from .tolerances import DEFAULT_TOL
 
 
@@ -79,8 +80,10 @@ class ChordScreen:
         self.curve = curve
         n = n or len(curve.samples)
         self.params = np.arange(n) * (curve.L / n)
-        self.a = curve.point(self.params)
-        self.b = np.roll(self.a, -1, axis=0)
+        a = curve.point(self.params)
+        b = np.roll(a, -1, axis=0)
+        self.mid = 0.5 * (a + b)
+        self.half = 0.5 * np.linalg.norm(b - a, axis=1)
         self.step = curve.L / n
 
     def candidates(self, s, t, radius):
@@ -91,12 +94,10 @@ class ChordScreen:
         dd = float(d @ d)
         if dd < 1e-300:
             return np.empty(0, dtype=int)
-        mid_seg = 0.5 * (self.a + self.b)
-        half = 0.5 * np.linalg.norm(self.b - self.a, axis=1)
         # distance from segment midpoints to the chord segment
-        u = np.clip(((mid_seg - p) @ d) / dd, 0.0, 1.0)
+        u = np.clip(((self.mid - p) @ d) / dd, 0.0, 1.0)
         closest = p + u[:, None] * d
-        dist = np.linalg.norm(mid_seg - closest, axis=1) - half
+        dist = np.linalg.norm(self.mid - closest, axis=1) - self.half
         return np.nonzero(dist < radius)[0]
 
 
@@ -108,7 +109,7 @@ def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None,
     Hits within endpoint_margin of either endpoint parameter, or with tau
     outside (tau_floor, 1 - tau_floor), belong to the endpoint contact zone
     and are excluded.  Raises TangentialContact on a flat (non-transverse)
-    minimum.
+    minimum at any candidate.
     """
     L = curve.L
     screen = screen or ChordScreen(curve)
@@ -118,54 +119,74 @@ def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None,
         return []
     p = curve.point(s)
     d = curve.point(t) - p
+    u, tau, dist, flat = _refine_hits(curve, p, d,
+                                      screen.params[cand] + 0.5 * screen.step)
+    if flat.any():
+        raise TangentialContact("flat distance minimum along the chord")
+    margin = tol.endpoint_margin * L
+    keep = ((dist <= tol.intersect_tol * L)
+            & (tol.tau_floor < tau) & (tau < 1.0 - tol.tau_floor)
+            & ~(curve.circ_dist(u, s) < margin)
+            & ~(curve.circ_dist(u, t) < margin))
     hits = []
-    for idx in cand:
-        u0 = screen.params[idx] + 0.5 * screen.step
-        res = _refine_hit(curve, p, d, u0, tol)
-        if res is None:
+    for uk, tk in zip(u[keep], tau[keep]):
+        if any(curve.circ_dist(uk, u2) < 4.0 * margin for u2, _ in hits):
             continue
-        u, tau, dist = res
-        if dist > tol.intersect_tol * L:
-            continue
-        if not (tol.tau_floor < tau < 1.0 - tol.tau_floor):
-            continue
-        if curve.circ_dist(u, s) < tol.endpoint_margin * L:
-            continue
-        if curve.circ_dist(u, t) < tol.endpoint_margin * L:
-            continue
-        if any(curve.circ_dist(u, u2) < 4.0 * tol.endpoint_margin * L
-               for u2, _ in hits):
-            continue
-        hits.append((float(u), float(tau)))
+        hits.append((float(uk), float(tk)))
     hits.sort(key=lambda h: h[1])
     return hits
 
 
-def _refine_hit(curve, p, d, u0, tol, iters=40):
-    """Newton on the closest-point system between curve point and chord line."""
+def _refine_hits(curve, p, d, u0, iters=40):
+    """Newton on the closest-point system between the curve and the chord line.
+
+    Refines every seed in ``u0`` together, one spline evaluation per
+    iteration on the seeds still moving; a seed stops once its step falls
+    below 1e-13 L.  Returns the arrays (u, tau, dist, flat): the refined
+    parameters, their chord fractions and distances to the chord line, and
+    the seeds whose distance minimum went flat (|h| < 1e-12), which stop
+    where they are.  A non-finite distance marks a lost seed.
+    """
+    L = curve.L
     dd = float(d @ d)
-    u = u0
+    u = np.array(u0, dtype=float)
+    flat = np.zeros(len(u), dtype=bool)
+    active = np.arange(len(u))
     for _ in range(iters):
-        x = curve.point(u)
-        v = curve.tangent(u)
-        tau = float((x - p) @ d) / dd
-        r = x - (p + tau * d)
-        g = float(r @ v)
-        h = float(v @ v - ((v @ d) ** 2) / dd + r @ curve.second(u))
-        if abs(h) < 1e-12:
-            raise TangentialContact("flat distance minimum along the chord")
-        step = g / h
-        step = max(-0.25, min(0.25, step))
-        u = (u - step) % curve.L
-        if abs(step) < 1e-13 * curve.L:
+        if len(active) == 0:
             break
-    x = curve.point(u)
-    tau = float((x - p) @ d) / dd
-    r = x - (p + tau * d)
-    dist = float(np.linalg.norm(r))
-    if not np.isfinite(dist):
+        x, v, acc = curve.spline.eval_multi(u[active], (0, 1, 2))
+        tau = row_dots(x - p, d) / dd
+        r = x - (p + tau[:, None] * d)
+        g = row_dots(r, v)
+        # (v.d)^2 through libm pow, which rounds as a scalar ``** 2`` does
+        # (a product differs in the last bit)
+        h = (row_dots(v, v) - np.float_power(row_dots(v, d), 2.0) / dd
+             + row_dots(r, acc))
+        is_flat = np.abs(h) < 1e-12
+        flat[active[is_flat]] = True
+        ok = ~is_flat
+        moving = active[ok]
+        step = np.clip(g[ok] / h[ok], -0.25, 0.25)
+        u[moving] = (u[moving] - step) % L
+        active = moving[~(np.abs(step) < 1e-13 * L)]
+    x = curve.spline.eval_multi(u, (0,))[0]
+    tau = row_dots(x - p, d) / dd
+    r = x - (p + tau[:, None] * d)
+    return u, tau, np.sqrt(row_dots(r, r)), flat
+
+
+def _refine_hit(curve, p, d, u0, tol, iters=40):
+    """One seed of `_refine_hits`: (u, tau, dist), or None for a lost seed.
+
+    Raises TangentialContact on a flat distance minimum.
+    """
+    u, tau, dist, flat = _refine_hits(curve, p, d, [u0], iters)
+    if flat[0]:
+        raise TangentialContact("flat distance minimum along the chord")
+    if not np.isfinite(dist[0]):
         return None
-    return u, tau, dist
+    return u[0], float(tau[0]), float(dist[0])
 
 
 def signed_crossing_value(curve, s, t, u):

@@ -136,15 +136,24 @@ def _min_clearance(points, ratio=0.7):
     return float(np.min(_segment_distances(a[i], b[i], a[j], b[j])))
 
 
+def row_dots(x, y):
+    """Dot product of each row of ``x`` with the matching row of ``y``.
+
+    Each row takes one BLAS dot, as ``x @ y`` of two 3-vectors computes it
+    (fused multiply-adds on most hosts), so batched kernels reproduce scalar
+    code bit for bit; explicit sums and ``einsum`` round differently.  ``y``
+    may be a single vector, which every row is dotted with.
+    """
+    return np.matmul(x[:, None, :], y[..., :, None])[:, 0, 0]
+
+
 def _segment_distances(p1, p2, q1, q2):
     """Closest distance between the segments p1p2 and q1q2, row by row."""
     u = p2 - p1
     v = q2 - q1
     w = p1 - q1
-    # one BLAS dot per row, as ``x @ y`` of two 3-vectors computes it
-    dot = lambda x, y: np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-    a, b, c = dot(u, u), dot(u, v), dot(v, v)
-    d, e = dot(u, w), dot(v, w)
+    a, b, c = row_dots(u, u), row_dots(u, v), row_dots(v, v)
+    d, e = row_dots(u, w), row_dots(v, w)
     denom = a * c - b * b
     parallel = denom < 1e-14 * np.maximum(a * c, 1e-30)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -152,7 +161,7 @@ def _segment_distances(p1, p2, q1, q2):
         t = np.where(c > 0, np.clip(t, 0.0, 1.0), 0.0)
         s = np.where(~parallel & (a > 0), np.clip((b * t - d) / a, 0.0, 1.0), 0.0)
     gap = p1 + s[:, None] * u - (q1 + t[:, None] * v)
-    return np.sqrt(dot(gap, gap))
+    return np.sqrt(row_dots(gap, gap))
 
 
 class KnotCurve:

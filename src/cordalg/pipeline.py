@@ -228,8 +228,7 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL,
     attempt = 0
     # perturb_curve refuses magnitudes from clearance / 4 up
     magnitude = curve.clearance / 8.0
-    last = None
-    while attempt <= tol.max_perturb:
+    while True:
         try:
             return _run_once(curve, frame, spec, framing, tol, conventions,
                              simplify_result, seifert_rules, seed)
@@ -243,9 +242,12 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL,
                 reason = "knot"
         # a perturbation that breaks an invariant is redrawn smaller with the
         # next seed, without rerunning the unchanged input; each draw spends
-        # one attempt
+        # one attempt, and none is drawn once the budget is spent
         redrawn = False
-        while not redrawn and attempt <= tol.max_perturb:
+        while not redrawn:
+            if attempt >= tol.max_perturb:
+                raise GenericityExhausted(
+                    f"perturb-and-retry budget exhausted: {last}")
             attempt += 1
             try:
                 curve, frame, _ = _perturb_for(reason, curve, frame,
@@ -254,7 +256,6 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL,
             except InvariantLost as exc:
                 last = exc.with_traceback(None)
             magnitude *= 0.5
-    raise GenericityExhausted(f"perturb-and-retry budget exhausted: {last}")
 
 
 def _run_once(curve, frame, spec, framing, tol, conventions, simplify_result,

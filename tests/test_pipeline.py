@@ -1,6 +1,7 @@
 """End-to-end pipeline on the unknot family and genericity machinery."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,7 +163,8 @@ def test_invariant_lost_redraws_spend_the_budget(monkeypatch):
         compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1},
                              tol=Tolerances(max_perturb=3))
     assert len(runs) == 1
-    assert [seed for _m, seed in draws] == [1, 2, 3, 4]
+    # the fourth draw could never be run, so it is not made
+    assert [seed for _m, seed in draws] == [1, 2, 3]
 
 
 def test_first_knot_perturbation_is_accepted(monkeypatch):
@@ -190,6 +192,30 @@ def test_first_knot_perturbation_is_accepted(monkeypatch):
     assert [outcome for _m, outcome in draws] == ["accepted"]
     assert draws[0][0] < runs[0].clearance / 4
     assert runs[1] is not runs[0]
+
+
+def test_no_draw_after_budget_spent(monkeypatch):
+    """The degenerate circle spends the whole budget: eight censuses, eight
+    draws, and no ninth draw that no census would use."""
+    runs, draws = [], []
+    run_once, perturb_for = pipeline._run_once, pipeline._perturb_for
+
+    def run_spy(*args):
+        runs.append(args[0])
+        return run_once(*args)
+
+    def perturb_spy(*args):
+        draws.append(args[-1])
+        return perturb_for(*args)
+
+    monkeypatch.setattr(pipeline, "_run_once", run_spy)
+    monkeypatch.setattr(pipeline, "_perturb_for", perturb_spy)
+    spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
+                       / "circle.json").read_text())
+    with pytest.raises(GenericityExhausted):
+        compute_cord_algebra(spec)
+    assert draws == list(range(1, 9))
+    assert len(runs) == 8
 
 
 def test_seifert_rules_refuse_non_braid_layout():
