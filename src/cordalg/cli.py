@@ -13,13 +13,15 @@ import sys
 
 import numpy as np
 
-from .energy import diagonal_data, energy, find_critical_points
+from .energy import diagonal_data, find_critical_points
 from .errors import CordAlgError, GenericityExhausted, SpecError
 from .flow import DEFAULT_CONVENTIONS, FlowContext, _Tracer, dhat_of_trace, \
     terminal_generator_values
-from .incidence import chord_knot_intersections, f_start_value, framing_event
-from .knots import build_curve, build_framing, linking_number
-from .pipeline import compute_cord_algebra, genericity_check
+from .incidence import ChordScreen, chord_knot_intersections, framing_event
+# build_curve is re-exported: perfbench/layers.py wraps it here and in
+# pipeline, where setup_knot calls it
+from .knots import build_curve, linking_number  # noqa: F401
+from .pipeline import compute_cord_algebra, genericity_check, setup_knot
 from .ring import serialize
 from .tolerances import DEFAULT_TOL
 
@@ -59,19 +61,11 @@ def _tol(args):
     return tol
 
 
-def _curve_and_framing(spec, tol):
-    rotation = float(spec.get("framing_rotation", 0.0))
-    curve = build_curve(spec, tol=tol)
-    if curve.metadata.get("layout") == "braid" and rotation == 0.0:
-        rotation = 0.15
-    framing_spec = spec.get("framing", {})
-    frame = build_framing(
-        curve,
-        kind=framing_spec.get("kind", "blackboard"),
-        table=framing_spec.get("table"),
-        rotation=framing_spec.get("rotation", rotation),
-    )
-    return curve, frame
+def _setup(args):
+    """Tolerances, curve and framing of the spec file named in ``args``."""
+    tol = _tol(args)
+    curve, frame, _rules = setup_knot(_load_spec(args.spec), tol)
+    return tol, curve, frame
 
 
 def cmd_compute(args):
@@ -101,9 +95,7 @@ def cmd_compute(args):
 
 
 def cmd_analyze(args):
-    spec = _load_spec(args.spec)
-    tol = _tol(args)
-    curve, frame = _curve_and_framing(spec, tol)
+    tol, curve, frame = _setup(args)
     points = find_critical_points(curve, tol)
     rows = [{
         "label": p.label, "index": p.index, "s": p.s, "t": p.t,
@@ -133,27 +125,25 @@ def cmd_analyze(args):
 
 
 def cmd_sets(args):
-    spec = _load_spec(args.spec)
-    tol = _tol(args)
-    curve, frame = _curve_and_framing(spec, tol)
+    tol, curve, frame = _setup(args)
     n = args.resolution
     axis = np.arange(n) * (curve.L / n)
     doc = {"L": curve.L, "B": [[0.0, "full-s-line"], [0.0, "full-t-line"]]}
-    for name, endpoint in (("F_s", "start"), ("F_e", "end")):
-        pts = []
-        for s in axis:
-            for t in axis:
-                if curve.circ_dist(s, t) < tol.diag_tube * curve.L:
-                    continue
-                try:
-                    ev = framing_event(curve, frame, s, t, endpoint)
-                except CordAlgError:
-                    continue
-                if ev.positive and abs(ev.value) < 2.5 / n:
-                    pts.append([float(s), float(t)])
-        doc[name] = pts
+    f_start = []
+    for s in axis:
+        for t in axis:
+            if curve.circ_dist(s, t) < tol.diag_tube * curve.L:
+                continue
+            try:
+                ev = framing_event(curve, frame, s, t, "start")
+            except CordAlgError:
+                continue
+            if ev.positive and abs(ev.value) < 2.5 / n:
+                f_start.append([float(s), float(t)])
+    doc["F_s"] = f_start
+    # F-end at (s, t) is F-start at (t, s): same base point, same chord
+    doc["F_e"] = sorted([t, s] for s, t in f_start)
     s_pts = []
-    from .incidence import ChordScreen
     screen = ChordScreen(curve)
     for s in axis:
         for t in axis:
@@ -171,9 +161,7 @@ def cmd_sets(args):
 
 
 def cmd_trace(args):
-    spec = _load_spec(args.spec)
-    tol = _tol(args)
-    curve, frame = _curve_and_framing(spec, tol)
+    tol, curve, frame = _setup(args)
     s, t = (float(x) for x in args.cord.split(","))
     points = find_critical_points(curve, tol)
     ctx = FlowContext(curve, frame, points, tol, DEFAULT_CONVENTIONS)
@@ -208,9 +196,7 @@ def cmd_trace(args):
 
 
 def cmd_check(args):
-    spec = _load_spec(args.spec)
-    tol = _tol(args)
-    curve, frame = _curve_and_framing(spec, tol)
+    tol, curve, frame = _setup(args)
     checks = []
 
     def record(name, fn):

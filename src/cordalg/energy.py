@@ -9,10 +9,12 @@ every knot, so no numerical perturbation is ever constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateCritical, SeedingInsufficient
+from .knots import row_dots
 from .ring import AlgebraElement
 from .tolerances import DEFAULT_TOL
 
@@ -59,46 +61,68 @@ class CriticalPoint:
         return replace(self, label=label)
 
 
-def energy(curve, s, t=None):
+class CordTerms(NamedTuple):
+    """E, grad E and the Hessian at k cords, with the spline values they use."""
+
+    E: np.ndarray         # (k,)
+    grad: np.ndarray      # (k, 2)
+    hess: np.ndarray      # (k, 2, 2)
+    points: np.ndarray    # (2k, 3): gamma(s_1..s_k), then gamma(t_1..t_k)
+    tangents: np.ndarray  # (2k, 3): gamma' at the same parameters
+
+
+def cord_terms(curve, s, t):
+    """E, grad E and the Hessian of E at the cords (s_i, t_i); s and t are
+    scalars or arrays of one length.
+
+    One spline call evaluates both endpoints of every cord, and each dot
+    product rounds like a scalar ``x @ y`` (``row_dots``), so a cord gets
+    the same bits alone or in a batch:
+
+        E = |d|^2 / 2 with d = gamma(s) - gamma(t),
+        grad E = (<d, gamma'(s)>, -<d, gamma'(t)>),
+        H = [[|gamma'(s)|^2 + <d, gamma''(s)>, -<gamma'(s), gamma'(t)>],
+             [-<gamma'(s), gamma'(t)>, |gamma'(t)|^2 - <d, gamma''(t)>]].
+    """
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    k = len(s)
+    x, v, a = curve.spline.eval_multi(np.concatenate([s, t]), (0, 1, 2))
+    d = x[:k] - x[k:]
+    # all eight dot families in one call, k rows each: d.d, d.v(s), d.v(t),
+    # d.a(s), d.a(t), v(s).v(s), v(t).v(t), v(s).v(t)
+    dd, dvs, dvt, das, dat, vsvs, vtvt, vsvt = row_dots(
+        np.concatenate([d, d, d, d, d, v, v[:k]]),
+        np.concatenate([d, v, a, v, v[k:]])).reshape(8, k)
+    grad = np.empty((k, 2))
+    grad[:, 0], grad[:, 1] = dvs, -dvt
+    hess = np.empty((k, 2, 2))
+    hess[:, 0, 0], hess[:, 1, 1] = vsvs + das, vtvt - dat
+    hess[:, 0, 1] = hess[:, 1, 0] = -vsvt
+    return CordTerms(E=0.5 * dd, grad=grad, hess=hess, points=x, tangents=v)
+
+
+def _terms(curve, s, t):
+    """cord_terms of (s, t), or of the CordPoint s, and whether s is scalar."""
     if t is None:
         s, t = s.s, s.t
-    d = curve.point(np.atleast_1d(t)) - curve.point(np.atleast_1d(s))
-    out = 0.5 * np.sum(d * d, axis=-1)
-    return float(out[0]) if np.ndim(s) == 0 else out
+    return cord_terms(curve, s, t), np.ndim(s) == 0
+
+
+def energy(curve, s, t=None):
+    terms, scalar = _terms(curve, s, t)
+    return float(terms.E[0]) if scalar else terms.E
 
 
 def gradient(curve, s, t=None):
     """grad E = (<gamma(s)-gamma(t), gamma'(s)>, <gamma(t)-gamma(s), gamma'(t)>)."""
-    if t is None:
-        s, t = s.s, s.t
-    scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, float))
-    t = np.atleast_1d(np.asarray(t, float))
-    ps, pt = curve.point(s), curve.point(t)
-    vs, vt = curve.tangent(s), curve.tangent(t)
-    d = ps - pt
-    g = np.stack([np.einsum("ij,ij->i", d, vs), -np.einsum("ij,ij->i", d, vt)], axis=-1)
-    return g[0] if scalar else g
+    terms, scalar = _terms(curve, s, t)
+    return terms.grad[0] if scalar else terms.grad
 
 
 def hessian(curve, s, t=None):
-    if t is None:
-        s, t = s.s, s.t
-    scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, float))
-    t = np.atleast_1d(np.asarray(t, float))
-    ps, pt = curve.point(s), curve.point(t)
-    vs, vt = curve.tangent(s), curve.tangent(t)
-    as_, at = curve.second(s), curve.second(t)
-    d = ps - pt
-    h11 = np.einsum("ij,ij->i", vs, vs) + np.einsum("ij,ij->i", d, as_)
-    h22 = np.einsum("ij,ij->i", vt, vt) - np.einsum("ij,ij->i", d, at)
-    h12 = -np.einsum("ij,ij->i", vs, vt)
-    H = np.empty((len(s), 2, 2))
-    H[:, 0, 0] = h11
-    H[:, 1, 1] = h22
-    H[:, 0, 1] = H[:, 1, 0] = h12
-    return H[0] if scalar else H
+    terms, scalar = _terms(curve, s, t)
+    return terms.hess[0] if scalar else terms.hess
 
 
 def _newton_polish(curve, seeds, tol, iters=60):
@@ -106,11 +130,11 @@ def _newton_polish(curve, seeds, tol, iters=60):
     pts = np.array(seeds, dtype=float)
     L = curve.L
     for _ in range(iters):
-        g = gradient(curve, pts[:, 0], pts[:, 1])
+        terms = cord_terms(curve, pts[:, 0], pts[:, 1])
+        g, H = terms.grad, terms.hess
         gn = np.linalg.norm(g, axis=1)
         if np.all(gn < tol.newton_tol * L):
             break
-        H = hessian(curve, pts[:, 0], pts[:, 1])
         det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
         bad = np.abs(det) < 1e-14
         det = np.where(bad, 1.0, det)
@@ -173,10 +197,10 @@ def _grid_grad_sq(curve, n):
     """|grad E|^2 on the n x n grid over the axis k L / n, k < n; the spline
     is evaluated once on the axis and the pair differences are broadcast."""
     axis = np.arange(n) * (curve.L / n)
-    P, V = curve.point(axis), curve.tangent(axis)
+    P, V = curve.spline.eval_multi(axis, (0, 1))
     d = P[:, None, :] - P[None, :, :]
-    gs = np.einsum("ijk,ik->ij", d, V)
-    gt = -np.einsum("ijk,jk->ij", d, V)
+    gs = row_dots(d, V[:, None, :])
+    gt = -row_dots(d, V[None, :, :])
     return axis, gs * gs + gt * gt
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import CriticalPoint, energy, gradient, hessian, make_cord
+from .energy import cord_terms, energy, make_cord
 from .errors import (
     GenericityViolation,
     MaxSplits,
@@ -38,6 +38,7 @@ from .errors import (
 from .incidence import (
     ChordScreen,
     _refine_hits,
+    cord_events,
     framing_event,
     signed_crossing_value,
 )
@@ -130,21 +131,16 @@ class FlowContext:
         angles = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
         ring = center[None, :] + r * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         pts = np.vstack([center, ring])
-        H = hessian(self.curve, pts[:, 0], pts[:, 1])
-        eig = np.linalg.eigvalsh(H)
+        terms = cord_terms(self.curve, pts[:, 0], pts[:, 1])
+        eig = np.linalg.eigvalsh(terms.hess)
         if np.any(eig <= 0):
             return False
-        names = ("F-start", "F-end", "B-start", "B-end")
-        vals = {n: [] for n in names}
-        for s, t in pts:
-            try:
-                row = _event_values(self, s, t)
-            except (ZeroProjection, TangentialContact):
-                return False
-            for n in names:
-                vals[n].append(row[n])
-        for n in names:
-            arr = np.array(vals[n])
+        try:
+            rows = _events_each(self, pts, terms)
+        except (ZeroProjection, TangentialContact):
+            return False
+        for n in ("F-start", "F-end", "B-start", "B-end"):
+            arr = np.array([row[n] for row in rows])
             if np.any(np.abs(arr) < 1e-6) or (np.min(arr) < 0 < np.max(arr)):
                 return False
         for s, t in pts[::4]:
@@ -155,60 +151,33 @@ class FlowContext:
         return True
 
 
-def _event_values(ctx, s, t):
-    """The four scalar event functions at a cord (s, t), one batched pass.
+def _events(ctx, y, pts, tans):
+    """The event values the flow brackets at the cord y.
 
-    The framing is evaluated inline (blackboard projection plus the constant
-    normal-plane rotation); custom-table framings fall back to Framing.nu.
+    ``pts`` and ``tans`` hold gamma and gamma' at both ends of y (see
+    ``cord_events``).  An F value off the +nu side is replaced by its sign,
+    so it cannot bracket a crossing there.
     """
-    curve, framing = ctx.curve, ctx.framing
-    L = curve.L
-    half = L / 2.0
-    st = np.array([s % L, t % L])
-    pts, tans = curve.spline.eval_multi(st, (0, 1))
-    (px, py, pz), (qx, qy, qz) = pts.tolist()
-    rows = tans.tolist()
-    out = {
-        "B-start": (s + half) % L - half,
-        "B-end": (t + half) % L - half,
-    }
-    inline = framing.kind == "blackboard" and not framing.winding
-    if not inline:
-        nus_arr = framing.nu(st).tolist()
-    ca, sa = math.cos(framing.rotation), math.sin(framing.rotation)
-    cx, cy, cz = qx - px, qy - py, qz - pz
-    for kind, i, sign in (("F-start", 0, 1.0), ("F-end", 1, -1.0)):
-        tx, ty, tz = rows[i]
-        tn = math.sqrt(tx * tx + ty * ty + tz * tz)
-        tx, ty, tz = tx / tn, ty / tn, tz / tn
-        if inline:
-            nx, ny, nz = -tz * tx, -tz * ty, 1.0 - tz * tz
-            nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-            if nn < 1e-12:
-                raise ZeroProjection("tangent parallel to the vertical")
-            nx, ny, nz = nx / nn, ny / nn, nz / nn
-            if framing.rotation:
-                wx = ty * nz - tz * ny
-                wy = tz * nx - tx * nz
-                wz = tx * ny - ty * nx
-                nx, ny, nz = ca * nx + sa * wx, ca * ny + sa * wy, ca * nz + sa * wz
-        else:
-            nx, ny, nz = nus_arr[i]
-        vx, vy, vz = sign * cx, sign * cy, sign * cz
-        dot_t = vx * tx + vy * ty + vz * tz
-        wx, wy, wz = vx - dot_t * tx, vy - dot_t * ty, vz - dot_t * tz
-        norm = math.sqrt(wx * wx + wy * wy + wz * wz)
-        if norm < 1e-9 * max(math.sqrt(vx * vx + vy * vy + vz * vz), 1e-300):
-            raise ZeroProjection("chord parallel to the tangent")
-        wx, wy, wz = wx / norm, wy / norm, wz / norm
-        # (tangent x nu)-coordinate of the normalized projected chord
-        gx = ty * nz - tz * ny
-        gy = tz * nx - tx * nz
-        gz = tx * ny - ty * nx
-        val = wx * gx + wy * gy + wz * gz
-        pos = wx * nx + wy * ny + wz * nz
-        out[kind] = val if pos > 0.0 else math.copysign(1.0, val)
-    return out
+    ev = cord_events(ctx.framing, y[0], y[1], pts, tans)
+    for kind in ("F-start", "F-end"):
+        val, alpha = ev[kind]
+        ev[kind] = val if alpha > 0.0 else math.copysign(1.0, val)
+    return ev
+
+
+def _events_each(ctx, ys, terms):
+    """``_events`` at every cord of ys, read off their ``cord_terms``."""
+    k = len(ys)
+    return [_events(ctx, ys[i], terms.points[i::k], terms.tangents[i::k])
+            for i in range(k)]
+
+
+def _state(ctx, y):
+    """f = -grad E, E, the Hessian entries (h11, h12, h22) and the
+    ``cord_terms`` at the cord y, from one spline call."""
+    terms = cord_terms(ctx.curve, y[:1], y[1:])
+    h11, h12, _h21, h22 = terms.hess.ravel().tolist()
+    return -terms.grad[0], float(terms.E[0]), (h11, h12, h22), terms
 
 
 def _interior_hits(ctx, s, t):
@@ -219,18 +188,6 @@ def _interior_hits(ctx, s, t):
 # ---------------------------------------------------------------------------
 # the integrator
 # ---------------------------------------------------------------------------
-
-def _rhs_energy_hessian(curve, y):
-    """Flow right-hand side f = -grad E, energy and Hessian entries at y."""
-    pts, tans, secs = curve.spline.eval_multi(np.asarray(y, dtype=float), (0, 1, 2))
-    d = pts[0] - pts[1]
-    f = np.array([-float(d @ tans[0]), float(d @ tans[1])])
-    e = 0.5 * float(d @ d)
-    h11 = float(tans[0] @ tans[0]) + float(d @ secs[0])
-    h22 = float(tans[1] @ tans[1]) - float(d @ secs[1])
-    h12 = -float(tans[0] @ tans[1])
-    return f, e, (h11, h12, h22)
-
 
 class _Step:
     """One linearly implicit (Rosenbrock-Euler) step from y0 with length h.
@@ -274,9 +231,10 @@ class _Tracer:
         curve = ctx.curve
         L = curve.L
         y = np.array([float(s) % L, float(t) % L])
+        f, e_prev, H, terms = _state(ctx, y)
         trace = FlowTrace(
             initial=(y[0], y[1]), events=[], terminal="", left=(0, 0),
-            right=(0, 0), splits=[], energy_drop=(energy(curve, y[0], y[1]), 0.0),
+            right=(0, 0), splits=[], energy_drop=(e_prev, 0.0),
         )
 
         trace.path.append((0.0, float(y[0]), float(y[1])))
@@ -284,17 +242,15 @@ class _Tracer:
         if term:
             trace.terminal = term
             trace.terminal_state = (float(y[0]), float(y[1]))
-            trace.energy_drop = (trace.energy_drop[0], energy(curve, y[0], y[1]))
+            trace.energy_drop = (e_prev, e_prev)
             return trace
 
-        ev_prev = _event_values(ctx, y[0], y[1])
+        ev_prev = _events(ctx, y, terms.points, terms.tangents)
         s_branches = self._s_branches(y)
         tau = 0.0
         h_min = 1e-15 * L
         disp_cap = 2e-3 * L
-        e_prev = energy(curve, y[0], y[1])
 
-        f, _e, H = _rhs_energy_hessian(curve, y)
         for _ in range(tol.max_steps):
             # the near-Bott valleys make the flow stiff; the linearly
             # implicit step has no stability limit, so the step is capped by
@@ -316,13 +272,13 @@ class _Tracer:
             while True:
                 step = _Step(y, h, f, H, L)
                 y_new = step.at(1.0)
-                f_new, e_new, H_new = _rhs_energy_hessian(curve, y_new)
+                f_new, e_new, H_new, terms = _state(ctx, y_new)
                 if e_new < e_prev:
                     break
                 h *= 0.5
                 if h < h_min:
                     raise StepCollapse("step collapsed during flow")
-            ev_new = _event_values(ctx, y_new[0], y_new[1])
+            ev_new = _events(ctx, y_new, terms.points, terms.tangents)
             crossings = self._bracket_events(step, ev_prev, ev_new)
             term, t_term = self._terminal_in_step(step, y_new)
             if term:
@@ -417,7 +373,7 @@ class _Tracer:
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
             ym = step.at(mid)
-            v = _event_values(ctx, ym[0], ym[1])[kind]
+            v = _events(ctx, ym, *ctx.curve.spline.eval_multi(ym, (0, 1)))[kind]
             if math.copysign(1.0, v) == sign0:
                 lo = mid
             else:
@@ -651,11 +607,7 @@ class _Tracer:
         against nu(u) (orientation-independent).
         """
         curve = self.ctx.curve
-        d = curve.point(y[1]) - curve.point(y[0])
-        d_hat = d / np.linalg.norm(d)
-        sdot, tdot = -gradient(curve, y[0], y[1])
-        v = (1.0 - tau_frac) * curve.tangent(y[0]) * sdot \
-            + tau_frac * curve.tangent(y[1]) * tdot
+        d_hat, v = _chord_motion(curve, y, tau_frac)
         nu = self.ctx.framing.nu(u)
         tang = curve.unit_tangent(u)
         pi_d = d_hat - tang * float(d_hat @ tang)
@@ -668,17 +620,22 @@ class _Tracer:
 
     def _split_sign(self, y, u, tau_frac):
         """Raw orientation sign of a transverse crossing (before kappa)."""
-        ctx = self.ctx
-        curve = ctx.curve
-        d = curve.point(y[1]) - curve.point(y[0])
-        d_hat = d / np.linalg.norm(d)
-        sdot, tdot = -gradient(curve, y[0], y[1])
-        v = (1.0 - tau_frac) * curve.tangent(y[0]) * sdot \
-            + tau_frac * curve.tangent(y[1]) * tdot
+        curve = self.ctx.curve
+        d_hat, v = _chord_motion(curve, y, tau_frac)
         w = float(curve.tangent(u) @ np.cross(d_hat, v))
         if w == 0.0:
             raise GenericityViolation("degenerate split orientation", reason="knot")
         return int(math.copysign(1, w))
+
+
+def _chord_motion(curve, y, tau_frac):
+    """Unit direction of the chord of cord y, and the velocity under the
+    flow of its point at fraction tau_frac."""
+    terms = cord_terms(curve, y[:1], y[1:])
+    (p, q), (vs, vt) = terms.points, terms.tangents
+    sdot, tdot = -terms.grad[0]
+    d = q - p
+    return d / np.linalg.norm(d), (1.0 - tau_frac) * vs * sdot + tau_frac * vt * tdot
 
 
 def _torus_delta(y, p, L):
@@ -817,8 +774,10 @@ def select_k_pm(curve, framing, k, ctx):
     for _ in range(40):
         plus = (center + h * e) % L
         minus = (center - h * e) % L
-        drop_ok = (energy(curve, *plus) < e_val - 0.2 * lam * h * h / 2
-                   and energy(curve, *minus) < e_val - 0.2 * lam * h * h / 2)
+        e_plus, e_minus = cord_terms(curve, [plus[0], minus[0]],
+                                     [plus[1], minus[1]]).E
+        drop_ok = (e_plus < e_val - 0.2 * lam * h * h / 2
+                   and e_minus < e_val - 0.2 * lam * h * h / 2)
         if drop_ok and self_consistent_window(ctx, center, e, h):
             return (tuple(plus), tuple(minus), flagged)
         h *= 1.5
@@ -832,13 +791,11 @@ def self_consistent_window(ctx, center, e, h):
     """No event-function sign change on the segments [k, k +- h e]."""
     fracs = np.linspace(-1.0, 1.0, 17)
     L = ctx.curve.L
-    rows = []
-    for fr in fracs:
-        p = (center + fr * h * e) % L
-        try:
-            rows.append(_event_values(ctx, p[0], p[1]))
-        except (ZeroProjection, TangentialContact):
-            return False
+    ys = (center + fracs[:, None] * h * e) % L
+    try:
+        rows = _events_each(ctx, ys, cord_terms(ctx.curve, ys[:, 0], ys[:, 1]))
+    except (ZeroProjection, TangentialContact):
+        return False
     for kind in ("F-start", "F-end", "B-start", "B-end"):
         vals = np.array([r[kind] for r in rows])
         if kind.startswith("B"):

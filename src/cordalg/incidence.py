@@ -21,46 +21,84 @@ from .tolerances import DEFAULT_TOL
 
 @dataclass(frozen=True)
 class EventFunctionValue:
-    kind: str            # B-start | B-end | F-start | F-end | S
+    kind: str            # F-start | F-end
     value: float         # signed; zero crossing = event
     positive: bool = True  # F events only count on the +nu side
-    aux: tuple = ()
 
 
 # ---------------------------------------------------------------------------
 # B and F
 # ---------------------------------------------------------------------------
 
-def basepoint_event(curve, s, endpoint="start"):
-    """Signed circular distance of the endpoint parameter to the basepoint 0."""
-    val = (s + curve.L / 2.0) % curve.L - curve.L / 2.0
-    return EventFunctionValue(kind=f"B-{endpoint}", value=float(val))
+def cord_events(framing, s, t, pts, tans):
+    """The event functions B-start, B-end, F-start and F-end at a cord (s, t).
+
+    ``pts`` and ``tans`` are (2, 3) arrays holding gamma and gamma' at s and
+    at t, evaluated by the caller.  The B values are the signed circular
+    distances of s and t to the basepoint 0.  The F values are pairs
+    (value, alpha): in the oriented basis (nu, tangent x nu) of the normal
+    plane at the endpoint, value is the (tangent x nu)-coordinate of the
+    normalized projected chord towards the other endpoint, and alpha its
+    nu-coordinate.  A zero crossing of value with alpha > 0 is an F event.
+    The arithmetic is scalar: the flow evaluates it at every step.
+    """
+    L = framing.curve.L
+    half = L / 2.0
+    (px, py, pz), (qx, qy, qz) = pts.tolist()
+    ts, tt = tans.tolist()
+    cx, cy, cz = qx - px, qy - py, qz - pz
+    return {
+        "B-start": (s + half) % L - half,
+        "B-end": (t + half) % L - half,
+        "F-start": _framing_coordinates(framing, s, ts, cx, cy, cz),
+        "F-end": _framing_coordinates(framing, t, tt, -cx, -cy, -cz),
+    }
+
+
+def _framing_coordinates(framing, base, tangent, vx, vy, vz):
+    """(value, alpha) of the chord v at the endpoint ``base``; see cord_events."""
+    tx, ty, tz = tangent
+    tn = math.sqrt(tx * tx + ty * ty + tz * tz)
+    tx, ty, tz = tx / tn, ty / tn, tz / tn
+    # nu: the vertical projected onto the normal plane, then turned by the
+    # framing's angle there, as Framing.nu does
+    nx, ny, nz = -tz * tx, -tz * ty, 1.0 - tz * tz
+    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+    if nn < 1e-12:
+        raise ZeroProjection("tangent parallel to the vertical")
+    nx, ny, nz = nx / nn, ny / nn, nz / nn
+    angle = framing.rotation
+    if framing.winding:
+        angle -= 2.0 * math.pi * framing.winding * base / framing.curve.L
+    if angle:
+        ca, sa = math.cos(angle), math.sin(angle)
+        wx = ty * nz - tz * ny
+        wy = tz * nx - tx * nz
+        wz = tx * ny - ty * nx
+        nx, ny, nz = ca * nx + sa * wx, ca * ny + sa * wy, ca * nz + sa * wz
+    dot_t = vx * tx + vy * ty + vz * tz
+    wx, wy, wz = vx - dot_t * tx, vy - dot_t * ty, vz - dot_t * tz
+    norm = math.sqrt(wx * wx + wy * wy + wz * wz)
+    if norm < 1e-9 * max(math.sqrt(vx * vx + vy * vy + vz * vz), 1e-300):
+        raise ZeroProjection("chord parallel to the tangent")
+    wx, wy, wz = wx / norm, wy / norm, wz / norm
+    gx = ty * nz - tz * ny
+    gy = tz * nx - tx * nz
+    gz = tx * ny - ty * nx
+    return wx * gx + wy * gy + wz * gz, wx * nx + wy * ny + wz * nz
 
 
 def framing_event(curve, framing, s, t, endpoint="start"):
-    """Signed transverse coordinate of the projected chord against nu.
+    """F-start or F-end at the cord (s, t), from one spline call.
 
-    In the oriented basis (nu, tangent x nu) of the normal plane, the value
-    is the (tangent x nu)-coordinate of the normalized projected chord; a
-    zero crossing with positive nu-coordinate is a genuine F event.
+    The value is ``cord_events``' signed transverse coordinate of the
+    projected chord against nu; ``positive`` marks the +nu side, where a
+    zero crossing is a genuine F event.
     """
-    if endpoint == "start":
-        base, chord = s, curve.point(t) - curve.point(s)
-    else:
-        base, chord = t, curve.point(s) - curve.point(t)
-    tang = curve.unit_tangent(base)
-    w = chord - tang * float(chord @ tang)
-    norm = np.linalg.norm(w)
-    if norm < 1e-9 * max(np.linalg.norm(chord), 1e-300):
-        raise ZeroProjection("chord parallel to the tangent")
-    w = w / norm
-    nu = framing.nu(base)
-    cross = np.cross(tang, nu)
-    return EventFunctionValue(
-        kind=f"F-{endpoint}",
-        value=float(w @ cross),
-        positive=bool(w @ nu > 0.0),
-    )
+    pts, tans = curve.spline.eval_multi(np.array([s, t], dtype=float), (0, 1))
+    value, alpha = cord_events(framing, s, t, pts, tans)[f"F-{endpoint}"]
+    return EventFunctionValue(kind=f"F-{endpoint}", value=value,
+                              positive=alpha > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ reparametrization of the same geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -34,33 +34,23 @@ class PeriodicSpline:
         n = len(values)
         grid = np.linspace(0.0, period, n + 1)
         closed = np.vstack([values, values[:1]])
-        self._cs = CubicSpline(grid, closed, bc_type="periodic", axis=0)
-        self._coeffs = self._cs.c  # (4, n, dim)
-        self._packed = np.ascontiguousarray(np.moveaxis(self._cs.c, 0, 1))  # (n, 4, dim)
+        c = CubicSpline(grid, closed, bc_type="periodic", axis=0).c  # (4, n, dim)
+        self._packed = np.ascontiguousarray(np.moveaxis(c, 0, 1))  # (n, 4, dim)
         self._h = period / n
         self._n = n
         self.period = period
 
     def __call__(self, s, d=0):
         s = np.asarray(s, dtype=float)
-        scalar = s.ndim == 0
-        s = np.atleast_1d(s) % self.period
-        idx = np.minimum((s / self._h).astype(int), self._n - 1)
-        dx = s - idx * self._h
-        c = self._coeffs[:, idx, :]
-        if d == 0:
-            out = ((c[0] * dx[:, None] + c[1]) * dx[:, None] + c[2]) * dx[:, None] + c[3]
-        elif d == 1:
-            out = (3.0 * c[0] * dx[:, None] + 2.0 * c[1]) * dx[:, None] + c[2]
-        elif d == 2:
-            out = 6.0 * c[0] * dx[:, None] + 2.0 * c[1]
-        else:
-            raise ValueError("derivative order must be 0..2")
-        return out[0] if scalar else out
+        out = self._horner(np.atleast_1d(s), (d,))[0]
+        return out[0] if s.ndim == 0 else out
 
     def eval_multi(self, s, ders=(0, 1)):
         """Several derivative orders from one knot-index computation."""
-        s = np.asarray(s, dtype=float) % self.period
+        return self._horner(np.asarray(s, dtype=float), ders)
+
+    def _horner(self, s, ders):
+        s = s % self.period
         idx = np.minimum((s / self._h).astype(int), self._n - 1)
         dx = (s - idx * self._h)[:, None]
         c = self._packed[idx]  # (k, 4, dim)
@@ -141,10 +131,11 @@ def row_dots(x, y):
 
     Each row takes one BLAS dot, as ``x @ y`` of two 3-vectors computes it
     (fused multiply-adds on most hosts), so batched kernels reproduce scalar
-    code bit for bit; explicit sums and ``einsum`` round differently.  ``y``
-    may be a single vector, which every row is dotted with.
+    code bit for bit; explicit sums and ``einsum`` round differently.  The
+    leading axes broadcast, so ``y`` may be a single vector, which every row
+    is dotted with.
     """
-    return np.matmul(x[:, None, :], y[..., :, None])[:, 0, 0]
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
 def _segment_distances(p1, p2, q1, q2):
@@ -226,52 +217,37 @@ class KnotCurve:
 # ---------------------------------------------------------------------------
 
 class Framing:
-    """Unit normal field nu along a knot curve.
+    """Blackboard framing: a unit normal field nu along a knot curve.
 
-    ``kind`` is one of blackboard | custom; ``rotation`` is an extra constant
-    angle applied in the oriented normal plane (used to keep F away from the
-    near-vertical inter-strand cords of braid layouts), and ``winding`` adds
-    full turns of nu along the curve (changes the framing homotopy class by
-    -winding in the linking number).
+    nu is the vertical direction projected onto the normal planes.
+    ``rotation`` is an extra constant angle applied in the oriented normal
+    plane (used to keep F away from the near-vertical inter-strand cords of
+    braid layouts), and ``winding`` adds full turns of nu along the curve
+    (changes the framing homotopy class by -winding in the linking number).
     """
 
-    def __init__(self, curve, kind="blackboard", table=None, rotation=0.0,
-                 winding=0, eps=None):
+    def __init__(self, curve, rotation=0.0, winding=0, eps=None):
         self.curve = curve
-        self.kind = kind
         self.rotation = float(rotation)
         self.winding = int(winding)
         self.eps = eps if eps is not None else 0.1 * curve.clearance
-        if kind == "custom":
-            if table is None:
-                raise SpecError("custom framing needs a table of samples")
-            self._table_spline = PeriodicSpline(np.asarray(table, float), curve.L)
-        elif kind == "blackboard":
-            self._table_spline = None
-        else:
-            raise SpecError(f"unknown framing kind {kind!r}")
         self._check_defined()
 
     def _check_defined(self):
         probe = np.linspace(0.0, self.curve.L, 512, endpoint=False)
         t = self.curve.unit_tangent(probe)
-        if self.kind == "blackboard":
-            proj = VERTICAL - t * (t @ VERTICAL)[:, None]
-            if np.any(np.linalg.norm(proj, axis=1) < 1e-8):
-                raise VerticalTangent("tangent parallel to the vertical direction")
+        proj = VERTICAL - t * t[:, 2:]
+        if np.any(np.linalg.norm(proj, axis=1) < 1e-8):
+            raise VerticalTangent("tangent parallel to the vertical direction")
 
     def nu(self, s):
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
         t = self.curve.unit_tangent(s)
-        if self.kind == "blackboard":
-            raw = np.broadcast_to(VERTICAL, t.shape)
-        else:
-            raw = self._table_spline(s)
-        v = raw - t * np.einsum("ij,ij->i", t, raw)[:, None]
+        v = VERTICAL - t * t[:, 2:]
         norms = np.linalg.norm(v, axis=1)
         if np.any(norms < 1e-10):
-            raise VerticalTangent("framing table parallel to tangent")
+            raise VerticalTangent("tangent parallel to the vertical direction")
         v = v / norms[:, None]
         if self.winding or self.rotation:
             # positive winding turns clockwise seen along the orientation,
@@ -281,15 +257,8 @@ class Framing:
             v = np.cos(angle)[:, None] * v + np.sin(angle)[:, None] * w
         return v[0] if scalar else v
 
-    def _table_copy(self):
-        if self.kind == "blackboard":
-            return None
-        n = len(self.curve.samples)
-        return self._table_spline(np.arange(n) * (self.curve.L / n))
-
     def with_winding(self, extra):
-        return Framing(self.curve, self.kind, self._table_copy(),
-                       self.rotation, self.winding + extra, self.eps)
+        return Framing(self.curve, self.rotation, self.winding + extra, self.eps)
 
     def validate(self, tol=DEFAULT_TOL):
         probe = np.linspace(0.0, self.curve.L, 1024, endpoint=False)
@@ -302,10 +271,11 @@ class Framing:
         return self
 
 
-def build_framing(curve, kind="blackboard", table=None, rotation=0.0, winding=0):
-    """Construct a framing; blackboard projects the vertical onto normal planes."""
-    return Framing(curve, kind=kind, table=table, rotation=rotation,
-                   winding=winding).validate()
+def build_framing(curve, kind="blackboard", rotation=0.0, winding=0):
+    """Construct the blackboard framing, the only ``kind`` there is."""
+    if kind != "blackboard":
+        raise SpecError(f"unknown framing kind {kind!r}")
+    return Framing(curve, rotation=rotation, winding=winding).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +534,9 @@ def build_curve(spec, n_resample=None, tol=DEFAULT_TOL):
     """Build a validated KnotCurve from a knot-spec record (dict or object).
 
     Spec types: samples | circle | ellipse | torus_knot | braid.  Optional
-    fields: basepoint_shift (fraction of L), seed.
+    field: basepoint_shift (fraction of L).  The framing fields
+    (framing_rotation, seifert_rules) are read by ``pipeline.setup_knot``,
+    which also refuses a ``framing`` key.
     """
     if isinstance(spec, BraidLayoutSpec):
         spec = {"type": "braid", "braid": spec,
@@ -698,5 +670,5 @@ def perturb_framing(framing, magnitude, seed=0):
     """Seeded rotation-angle change of the framing (homotopy class preserved)."""
     rng = np.random.default_rng(seed)
     delta = magnitude * (0.5 + 0.5 * rng.random()) * (1 if rng.random() < 0.5 else -1)
-    return Framing(framing.curve, framing.kind, framing._table_copy(),
-                   framing.rotation + delta, framing.winding, framing.eps)
+    return Framing(framing.curve, framing.rotation + delta, framing.winding,
+                   framing.eps)

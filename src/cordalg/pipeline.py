@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .energy import diagonal_data, find_critical_points
 from .errors import (
     DegenerateCritical,
@@ -13,13 +11,13 @@ from .errors import (
     GenericityViolation,
     InvariantLost,
     SeedingInsufficient,
+    SpecError,
     UnsupportedFraming,
 )
 from .flow import (
     DEFAULT_CONVENTIONS,
     FlowContext,
     boundary_D,
-    terminal_generator_values,
 )
 from .incidence import chord_knot_intersections, framing_event
 from .knots import (
@@ -41,7 +39,13 @@ from .ring import (
     relations_equivalent,
     serialize,
 )
+from .seifert import winding_sweep_rules
 from .tolerances import DEFAULT_TOL
+
+# constant normal-plane rotation of the blackboard framing on braid layouts:
+# pure vertical projection puts the whole inter-strand cord family inside F,
+# and a rotation restores genericity without changing the framing class
+BRAID_ROTATION = 0.15
 
 
 def _solvable_candidates(relations):
@@ -194,43 +198,54 @@ def _perturb_for(reason, curve, framing, magnitude, seed):
     if reason == "framing":
         return curve, perturb_framing(framing, 0.3, seed), "framing"
     new_curve = perturb_curve(curve, magnitude, seed)
-    return new_curve, build_framing(new_curve, kind=framing.kind,
-                                    rotation=framing.rotation,
+    return new_curve, build_framing(new_curve, rotation=framing.rotation,
                                     winding=framing.winding), "knot"
+
+
+def setup_knot(spec, tol=DEFAULT_TOL):
+    """The curve, its blackboard framing and the explicit Seifert rules of a
+    knot spec dict, as (curve, framing, seifert_rules or None).
+
+    ``framing_rotation`` rotates the framing in the normal planes; braid
+    layouts default to ``BRAID_ROTATION``.  Every computation runs with this
+    framing, so a ``framing`` key, which would ask for another one, raises
+    SpecError.
+    """
+    if "framing" in spec:
+        raise SpecError("the spec key 'framing' is not supported: computations"
+                        " use the blackboard framing, rotated by"
+                        " 'framing_rotation'")
+    rotation = float(spec.get("framing_rotation", 0.0))
+    rules = spec.get("seifert_rules")
+    if rules is not None:
+        rules = [(g, parse(txt)) for g, txt in rules]
+    curve = build_curve(spec, tol=tol)
+    if curve.metadata.get("layout") == "braid" and rotation == 0.0:
+        rotation = BRAID_ROTATION
+    return curve, build_framing(curve, kind="blackboard", rotation=rotation), rules
 
 
 def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL,
                          conventions=DEFAULT_CONVENTIONS, simplify_result=True,
                          seifert_rules=None):
-    """Full pipeline: curve -> criticals -> flows -> presentation.
+    """Full pipeline: knot spec dict -> criticals -> flows -> presentation.
 
     ``framing`` selects the output framing: computations always run with the
     blackboard framing; 'seifert' applies the change-of-framing transform
-    l -> l u^lk plus the winding sweep rules afterwards.  Genericity failures
-    trigger seeded perturbation with retries (geometrically shrinking
-    magnitude).
+    l -> l u^lk plus the winding sweep rules afterwards.  ``seifert_rules``
+    overrides the spec's.  Genericity failures trigger seeded perturbation
+    with retries (geometrically shrinking magnitude).
     """
-    if isinstance(spec, dict):
-        spec = dict(spec)
-        rotation = float(spec.pop("framing_rotation", 0.0))
-        if seifert_rules is None and "seifert_rules" in spec:
-            seifert_rules = [(g, parse(txt)) for g, txt in spec.pop("seifert_rules")]
-    else:
-        rotation = 0.0
-    curve = build_curve(spec, tol=tol)
-    if curve.metadata.get("layout") == "braid" and rotation == 0.0:
-        # pure vertical projection puts the whole inter-strand cord family
-        # inside F; a constant normal-plane rotation restores genericity
-        # without changing the framing class
-        rotation = 0.15
-    frame = build_framing(curve, kind="blackboard", rotation=rotation)
+    curve, frame, spec_rules = setup_knot(spec, tol)
+    if seifert_rules is None:
+        seifert_rules = spec_rules
 
     attempt = 0
     # perturb_curve refuses magnitudes from clearance / 4 up
     magnitude = curve.clearance / 8.0
     while True:
         try:
-            return _run_once(curve, frame, spec, framing, tol, conventions,
+            return _run_once(curve, frame, framing, tol, conventions,
                              simplify_result, seifert_rules, seed)
         except (GenericityViolation, DegenerateCritical, SeedingInsufficient,
                 InvariantLost) as exc:
@@ -258,7 +273,7 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL,
             magnitude *= 0.5
 
 
-def _run_once(curve, frame, spec, framing, tol, conventions, simplify_result,
+def _run_once(curve, frame, framing, tol, conventions, simplify_result,
               seifert_rules, seed):
     critical = find_critical_points(curve, tol)
     report = genericity_check(curve, frame, critical, tol)
@@ -337,12 +352,6 @@ def derive_seifert_rules(curve, ctx, lk):
         raise UnsupportedFraming(
             f"no Seifert winding-sweep rules for layout {layout!r} with lk = {lk};"
             " pass seifert_rules explicitly or use the blackboard framing")
-    # see calibration notes: implemented after the golden layout is pinned
-    return _winding_sweep_rules(curve, ctx, lk)
-
-
-def _winding_sweep_rules(curve, ctx, lk):
-    from .seifert import winding_sweep_rules
     return winding_sweep_rules(curve, ctx, lk)
 
 

@@ -5,7 +5,7 @@ and scaled once at construction, so a single ``tol_scale`` knob rescales the
 numerics coherently.  Values marked ``abs`` are dimensionless.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,6 @@ class Tolerances:
     event_tol: float = 1e-9          # event time/location refinement        (*L)
     basin_frac: float = 0.02         # index-0 basin ball radius             (*L)
     trajectory_tol: float = 1e-3     # index-1 saddle-connection ball        (*L)
-    split_offset: float = 1e-8       # child advance before event re-arming  (*L)
     min_split_decrease: float = 1e-6 # both children shorter by at least     (*L)
     max_splits: int = 64
     max_steps: int = 200_000
@@ -47,7 +46,7 @@ class Tolerances:
         scale_fields = (
             "tol_arc", "embedding_floor", "newton_tol", "merge_tol",
             "intersect_tol", "endpoint_margin", "tau_floor", "boundary_tol",
-            "event_tol", "trajectory_tol", "split_offset", "min_split_decrease",
+            "event_tol", "trajectory_tol", "min_split_decrease",
         )
         return replace(self, **{f: getattr(self, f) * factor for f in scale_fields})
 

@@ -105,6 +105,17 @@ def test_sets_export(ellipse_spec, capsys):
     assert doc["S"] == []  # convex planar curve: no interior intersections
 
 
+@pytest.mark.parametrize("command", [
+    ["compute"], ["analyze"], ["sets", "--resolution", "6"],
+    ["trace", "--cord", "1.0,4.5"], ["check"]], ids=lambda c: c[0])
+def test_framing_key_is_rejected(command, tmp_path, capsys):
+    spec = tmp_path / "framed.json"
+    spec.write_text(json.dumps({"type": "ellipse", "a": 2, "b": 1,
+                                "framing": {"kind": "blackboard"}}))
+    assert main([command[0], str(spec)] + command[1:]) == 2
+    assert "spec error" in capsys.readouterr().err
+
+
 def test_spec_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"type": "dodecahedron"}))

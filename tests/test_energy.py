@@ -156,6 +156,29 @@ def test_grid_grad_sq_matches_per_cell_gradient(name, n, request):
     assert np.array_equal(g2, (g * g).sum(axis=1).reshape(n, n))
 
 
+@pytest.mark.parametrize("name", ["ellipse", "trefoil"])
+def test_cord_terms_same_bits_alone_or_in_batch(name, request):
+    """E, grad E and H of a cord do not depend on the batch around it, and
+    match scalar ``@`` arithmetic on the spline values bit for bit."""
+    curve = request.getfixturevalue(name)
+    rng = np.random.default_rng(4)
+    S, T = rng.random((2, 200)) * curve.L
+    E, G, H = energy(curve, S, T), gradient(curve, S, T), hessian(curve, S, T)
+    for i in range(200):
+        s, t = S[i], T[i]
+        assert energy(curve, s, t) == E[i]
+        assert np.array_equal(gradient(curve, s, t), G[i])
+        assert np.array_equal(hessian(curve, s, t), H[i])
+        (ps, pt), (vs, vt), (a_s, a_t) = curve.spline.eval_multi(
+            np.array([s, t]), (0, 1, 2))
+        d = ps - pt
+        assert E[i] == 0.5 * float(d @ d)
+        assert G[i].tolist() == [float(d @ vs), -float(d @ vt)]
+        assert H[i].tolist() == [
+            [float(vs @ vs) + float(d @ a_s), -float(vs @ vt)],
+            [-float(vs @ vt), float(vt @ vt) - float(d @ a_t)]]
+
+
 def test_trefoil_census(trefoil):
     pts = find_critical_points(trefoil)
     counts = [sum(1 for p in pts if p.index == k) for k in range(3)]

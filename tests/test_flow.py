@@ -11,7 +11,7 @@ from cordalg.flow import (
     FlowTrace,
     _Step,
     _Tracer,
-    _rhs_energy_hessian,
+    _state,
     _torus_delta,
     boundary_D,
     dhat_of_trace,
@@ -139,7 +139,7 @@ def test_interpolant_endpoint_is_the_accepted_step(unknot):
     k = next(p for p in ctx.saddles if p.label == "h1_s")
     _plus, minus, _ = select_k_pm(curve, framing, k, ctx)
     y0 = np.array(minus)
-    f, _e, (h11, h12, h22) = _rhs_energy_hessian(curve, y0)
+    f, _e, (h11, h12, h22), _terms = _state(ctx, y0)
     h = 0.7
     step = _Step(y0, h, f, (h11, h12, h22), L)
     # Rosenbrock-Euler: y0 + h (I + h H)^-1 f at theta = 1, y0 at theta = 0
@@ -152,7 +152,7 @@ def test_interpolant_endpoint_is_the_accepted_step(unknot):
     assert len(tr.path) > 2
     for (tau0, s0, t0), (tau1, s1, t1) in zip(tr.path, tr.path[1:]):
         ya = np.array([s0, t0])
-        fa, _ea, Ha = _rhs_energy_hessian(curve, ya)
+        fa, _ea, Ha, _terms = _state(ctx, ya)
         yb = _Step(ya, tau1 - tau0, fa, Ha, L).at(1.0)
         assert np.hypot(*_torus_delta(yb, (s1, t1), L)) < 1e-9 * L
 

@@ -6,13 +6,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from cordalg.energy import cord_terms
 from cordalg.errors import TangentialContact
+from cordalg.flow import _events
 from cordalg.incidence import (
     ChordScreen,
     _refine_hit,
     _refine_hits,
-    basepoint_event,
     chord_knot_intersections,
+    cord_events,
     f_start_value,
     framing_event,
     tangent_boundary_cords,
@@ -35,6 +37,14 @@ def trefoil():
 @pytest.fixture(scope="module")
 def trefoil_framing(trefoil):
     return build_framing(trefoil, rotation=0.15)
+
+
+def basepoint_event(curve, s):
+    """B-start at the cord (s, s + L/3), read off the event kernel."""
+    t = (s + curve.L / 3.0) % curve.L
+    pts, tans = curve.spline.eval_multi(np.array([s, t]), (0, 1))
+    value = cord_events(build_framing(curve), s, t, pts, tans)["B-start"]
+    return SimpleNamespace(value=value)
 
 
 def test_basepoint_event_values(ellipse):
@@ -77,10 +87,33 @@ def test_f_symmetry_start_end(trefoil, trefoil_framing):
             continue
         a = framing_event(trefoil, trefoil_framing, s, t, "start")
         b = framing_event(trefoil, trefoil_framing, t, s, "end")
-        assert abs(a.value - b.value) < 1e-12
+        assert a.value == b.value
         assert a.positive == b.positive
         n_checked += 1
     assert n_checked > 900
+
+
+def test_flow_f_values_are_framing_event_values(trefoil, trefoil_framing):
+    """The F values the flow brackets, read off the same spline call as its
+    energy terms, are framing_event's bits on the +nu side and the sign of
+    the value elsewhere."""
+    ctx = SimpleNamespace(framing=trefoil_framing)
+    rng = np.random.default_rng(12)
+    n_positive = 0
+    for _ in range(200):
+        y = rng.random(2) * trefoil.L
+        if trefoil.circ_dist(y[0], y[1]) < 0.3:
+            continue
+        terms = cord_terms(trefoil, y[:1], y[1:])
+        flow_ev = _events(ctx, y, terms.points, terms.tangents)
+        for endpoint in ("start", "end"):
+            ev = framing_event(trefoil, trefoil_framing, y[0], y[1], endpoint)
+            if ev.positive:
+                assert flow_ev[f"F-{endpoint}"] == ev.value
+                n_positive += 1
+            else:
+                assert flow_ev[f"F-{endpoint}"] == math.copysign(1.0, ev.value)
+    assert n_positive > 20
 
 
 def test_ellipse_has_no_interior_hits(ellipse):

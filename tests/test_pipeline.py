@@ -218,6 +218,24 @@ def test_no_draw_after_budget_spent(monkeypatch):
     assert len(runs) == 8
 
 
+def test_setup_rotates_braid_framings_once():
+    curve, frame, rules = pipeline.setup_knot({"type": "braid", "word": [1, 1, 1]})
+    assert curve.metadata["layout"] == "braid"
+    assert frame.rotation == 0.15 and rules is None
+    spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
+                       / "trefoil.json").read_text())
+    _curve, frame, _rules = pipeline.setup_knot(spec)
+    assert frame.rotation == -0.15
+    _curve, frame, _rules = pipeline.setup_knot({"type": "ellipse", "a": 2, "b": 1})
+    assert frame.rotation == 0.0
+
+
+def test_setup_refuses_a_framing_key():
+    with pytest.raises(SpecError, match="framing"):
+        compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1,
+                              "framing": {"kind": "custom", "table": []}})
+
+
 def test_seifert_rules_refuse_non_braid_layout():
     curve = build_curve({"type": "ellipse", "a": 2, "b": 1})
     assert curve.metadata.get("layout") != "braid"
