@@ -1,7 +1,8 @@
 """Command line entry point.
 
-Subcommands: compute | analyze | sets | trace | check.  All file output is
-UTF-8 JSON; exit status 0 on success, 1 on genericity exhaustion, 2 on spec
+Subcommands: compute | analyze | sets | trace | check.  Each accepts only
+the options it honours.  Output goes to stdout, or as UTF-8 to the ``-o``
+file; exit status 0 on success, 1 on genericity exhaustion, 2 on spec
 errors.
 """
 
@@ -15,8 +16,7 @@ import numpy as np
 
 from .energy import diagonal_data, find_critical_points
 from .errors import CordAlgError, GenericityExhausted, SpecError
-from .flow import DEFAULT_CONVENTIONS, FlowContext, _Tracer, dhat_of_trace, \
-    terminal_generator_values
+from .flow import FlowContext, _Tracer, dhat_of_trace, terminal_generator_values
 from .incidence import ChordScreen, chord_knot_intersections, framing_event
 # build_curve is re-exported: perfbench/layers.py wraps it here and in
 # pipeline, where setup_knot calls it
@@ -34,13 +34,17 @@ def _load_spec(path):
         raise SpecError(f"cannot read knot spec {path}: {exc}") from exc
 
 
-def _emit(data, args):
-    text = json.dumps(data, indent=2, sort_keys=True, default=_jsonable)
-    if getattr(args, "output", None):
+def _write(text, args):
+    """Write ``text`` and a newline to the ``-o`` file, or print it."""
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(data, args):
+    _write(json.dumps(data, indent=2, sort_keys=True, default=_jsonable), args)
 
 
 def _jsonable(x):
@@ -83,12 +87,7 @@ def cmd_compute(args):
                  f"generators: {', '.join(doc['generators']) or '(none)'}",
                  "relations:"]
         lines += [f"  {r}" for r in doc["relations"]]
-        text = "\n".join(lines)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(lines), args)
     else:
         _emit(doc, args)
     return 0
@@ -113,12 +112,7 @@ def cmd_analyze(args):
         lines = ["label\tindex\ts\tt\tenergy"]
         lines += [f"{r['label']}\t{r['index']}\t{r['s']:.9f}\t{r['t']:.9f}"
                   f"\t{r['energy']:.9f}" for r in rows]
-        text = "\n".join(lines)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        _write("\n".join(lines), args)
     else:
         _emit(doc, args)
     return 0
@@ -164,7 +158,7 @@ def cmd_trace(args):
     tol, curve, frame = _setup(args)
     s, t = (float(x) for x in args.cord.split(","))
     points = find_critical_points(curve, tol)
-    ctx = FlowContext(curve, frame, points, tol, DEFAULT_CONVENTIONS)
+    ctx = FlowContext(curve, frame, points, tol)
     trace = _Tracer(ctx).run(s, t)
     value = dhat_of_trace(trace, terminal_generator_values(ctx))
 
@@ -186,10 +180,11 @@ def cmd_trace(args):
 
     doc = {"trace": trace_doc(trace), "value": serialize(value)}
     if args.format == "text":
-        print(f"cord ({s}, {t}) -> {trace.terminal}")
-        for e in trace.events:
-            print(f"  t={e.time:10.4f}  {e.kind:8s} dir={e.sigma:+d} exp={e.exponent:+d}")
-        print(f"value: {serialize(value)}")
+        lines = [f"cord ({s}, {t}) -> {trace.terminal}"]
+        lines += [f"  t={e.time:10.4f}  {e.kind:8s} dir={e.sigma:+d}"
+                  f" exp={e.exponent:+d}" for e in trace.events]
+        lines.append(f"value: {serialize(value)}")
+        _write("\n".join(lines), args)
     else:
         _emit(doc, args)
     return 0
@@ -267,37 +262,36 @@ def build_parser():
         description="Cord algebra of knots via Morse theory on linear cords")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, fn, help, formats=(), output=True):
+        p = sub.add_parser(name, help=help)
         p.add_argument("spec", help="knot spec JSON file")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0)
-        p.add_argument("--format", choices=("json", "text", "tsv"), default="json")
-        p.add_argument("-o", "--output", default=None)
+        if formats:
+            p.add_argument("--format", choices=formats, default=formats[0])
+        if output:
+            p.add_argument("-o", "--output", default=None)
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("compute", help="full cord algebra presentation")
-    common(p)
+    p = command("compute", cmd_compute, "full cord algebra presentation",
+                formats=("json", "text"))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--framing", choices=("blackboard", "seifert"),
                    default="seifert")
     p.add_argument("--max-perturb", dest="max_perturb", type=int, default=None)
-    p.set_defaults(fn=cmd_compute)
 
-    p = sub.add_parser("analyze", help="critical point table")
-    common(p)
-    p.set_defaults(fn=cmd_analyze)
+    command("analyze", cmd_analyze, "critical point table",
+            formats=("json", "tsv"))
 
-    p = sub.add_parser("sets", help="export B/F/S polylines on the torus")
-    common(p)
+    p = command("sets", cmd_sets, "export B/F/S polylines on the torus")
     p.add_argument("--resolution", type=int, default=128)
-    p.set_defaults(fn=cmd_sets)
 
-    p = sub.add_parser("trace", help="event log of one cord's flow")
-    common(p)
+    p = command("trace", cmd_trace, "event log of one cord's flow",
+                formats=("json", "text"))
     p.add_argument("--cord", required=True, help="s,t parameters")
-    p.set_defaults(fn=cmd_trace)
 
-    p = sub.add_parser("check", help="invariant suite with pass/fail summary")
-    common(p)
-    p.set_defaults(fn=cmd_check)
+    command("check", cmd_check, "invariant suite with pass/fail summary",
+            output=False)
     return ap
 
 

@@ -149,7 +149,7 @@ def _newton_polish(curve, seeds, tol, iters=60):
     return pts
 
 
-def find_critical_points(curve, tol=DEFAULT_TOL, label=True):
+def find_critical_points(curve, tol=DEFAULT_TOL):
     """All nondegenerate off-diagonal critical points of E.
 
     Seeds from the local minima of |grad E|^2 on an escalating dense grid
@@ -157,8 +157,9 @@ def find_critical_points(curve, tol=DEFAULT_TOL, label=True):
     duplicates, rejects the diagonal tube, classifies by the Hessian, and
     requires the Euler count n0 - n1 + n2 = 0 (chi(T^2) = 0 with the
     diagonal contributing m and M) as a completeness certificate before
-    returning.  Raises SeedingInsufficient if the count never closes and
-    DegenerateCritical for Bott-type degeneracy.
+    returning the points named by ``assign_labels``.  Raises
+    SeedingInsufficient if the count never closes and DegenerateCritical for
+    Bott-type degeneracy.
     """
     L = curve.L
     n_grid = tol.grid_start
@@ -183,9 +184,7 @@ def find_critical_points(curve, tol=DEFAULT_TOL, label=True):
             continue
         n_by_index = [sum(1 for p in points if p.index == k) for k in range(3)]
         if n_by_index[0] - n_by_index[1] + n_by_index[2] == 0 and points:
-            if label:
-                points = assign_labels(curve, points)
-            return points
+            return assign_labels(curve, points)
         last_err = SeedingInsufficient(
             f"Euler count open at grid {n_grid}: {n_by_index}"
         )

@@ -25,10 +25,6 @@ class VerticalTangent(CordAlgError):
     """Blackboard framing undefined: tangent parallel to the vertical direction."""
 
 
-class GenericityFailure(CordAlgError):
-    """A genericity condition could not be restored after the retry budget."""
-
-
 class NumericalAmbiguity(CordAlgError):
     """A quantity that must be an integer came out too far from one."""
 
@@ -71,13 +67,6 @@ class MaxSplits(CordAlgError):
 
 class StepCollapse(CordAlgError):
     """Integrator step size collapsed below the floor."""
-
-
-class ShortChild(GenericityViolation):
-    """A split produced a child too short to continue (near-endpoint hit)."""
-
-    def __init__(self, message):
-        super().__init__(message, reason="knot")
 
 
 class SelfReference(CordAlgError):

@@ -15,9 +15,14 @@ a knot branch is near the cord), it is kept where I + hH stays positive
 definite, and it is halved until the energy decreases.  Events are located
 on the step's own interpolant, whose endpoint is the accepted step.
 
-Sign conventions that the paper only fixes through its figures (which side
-of a crossing contributes mu versus mu^-1, and the split sign) enter through
-``Conventions``; the defaults are pinned by the worked trefoil example.
+The paper fixes the sign rules only through its figures; they are pinned
+here by the worked unknot and trefoil.  An event with crossing direction
+sigma (the sign of the event function's time derivative) contributes
+x^sigma on the left at the start point and x^-sigma on the right at the
+end point, x = mu for framing and lambda for basepoint crossings
+(``_EVENT_RULES``).  A split carries the opposite of its raw orientation
+sign, and its middle factor is mu^-1 exactly when the forward child heads
+into the +nu half-plane at the crossing point, else 1.
 """
 
 from __future__ import annotations
@@ -46,30 +51,14 @@ from .ring import AlgebraElement
 from .tolerances import DEFAULT_TOL
 
 
-@dataclass(frozen=True)
-class Conventions:
-    """Global sign calibration for the figure-borne exponent rules.
-
-    sigma is the sign of the time derivative of the signed event function at
-    the crossing; exponents are kappa * sigma, applied on the left for
-    start-point events and on the right for end-point events.  A split whose
-    forward child heads into the (birth_side * nu)-half-plane at the crossing
-    point carries an extra middle factor mu^birth_exp between the two child
-    values (the framing must be bent out of the way on exactly one side of a
-    split, which strikes one child with a meridian).  The defaults reproduce
-    the worked unknot and trefoil traces.
-    """
-
-    kappa_f_start: int = 1
-    kappa_f_end: int = -1
-    kappa_b_start: int = 1
-    kappa_b_end: int = -1
-    kappa_split: int = -1
-    birth_side: int = 1
-    birth_exp: int = -1
-
-
-DEFAULT_CONVENTIONS = Conventions()
+# side of the trace, exponent sign against sigma, and (lambda, mu) unit of
+# each crossing kind
+_EVENT_RULES = {
+    "F-start": ("left", 1, (0, 1)),
+    "F-end": ("right", -1, (0, 1)),
+    "B-start": ("left", 1, (1, 0)),
+    "B-end": ("right", -1, (1, 0)),
+}
 
 
 @dataclass
@@ -101,12 +90,10 @@ class FlowTrace:
 # ---------------------------------------------------------------------------
 
 class FlowContext:
-    def __init__(self, curve, framing, critical_points, tol=DEFAULT_TOL,
-                 conventions=DEFAULT_CONVENTIONS):
+    def __init__(self, curve, framing, critical_points, tol=DEFAULT_TOL):
         self.curve = curve
         self.framing = framing
         self.tol = tol
-        self.conventions = conventions
         self.screen = ChordScreen(curve, n=min(len(curve.samples), 1024))
         self.minima = [p for p in critical_points if p.index == 0]
         self.saddles = [p for p in critical_points if p.index == 1]
@@ -503,7 +490,6 @@ class _Tracer:
     def _apply_events(self, trace, tau, step, events, depth):
         ctx = self.ctx
         L = ctx.curve.L
-        conv = ctx.conventions
         h = step.h
         for i, (frac, kind, sigma, aux) in enumerate(events):
             if i + 1 < len(events):
@@ -517,25 +503,18 @@ class _Tracer:
             if kind == "split":
                 self._do_split(trace, tau + frac * h, ym, depth, aux)
                 continue
-            side, kappa, sym = {
-                "F-start": ("left", conv.kappa_f_start, "mu"),
-                "F-end": ("right", conv.kappa_f_end, "mu"),
-                "B-start": ("left", conv.kappa_b_start, "lambda"),
-                "B-end": ("right", conv.kappa_b_end, "lambda"),
-            }[kind]
+            side, kappa, (la, mu) = _EVENT_RULES[kind]
             expo = kappa * sigma
-            la, mu = (1, 0) if sym == "lambda" else (0, 1)
-            delta = (la * expo, mu * expo)
             if side == "left":
-                trace.left = (trace.left[0] + delta[0], trace.left[1] + delta[1])
+                trace.left = (trace.left[0] + la * expo, trace.left[1] + mu * expo)
             else:
-                trace.right = (trace.right[0] + delta[0], trace.right[1] + delta[1])
+                trace.right = (trace.right[0] + la * expo, trace.right[1] + mu * expo)
             trace.events.append(TraceEvent(
                 time=tau + frac * h, kind=kind, sigma=sigma, exponent=expo,
                 state=(float(ym[0]), float(ym[1])),
             ))
 
-    def _do_split(self, trace, at_time, y, depth, aux=None):
+    def _do_split(self, trace, at_time, y, depth, aux):
         ctx = self.ctx
         if ctx.split_budget <= 0:
             raise MaxSplits("split budget exhausted")
@@ -544,27 +523,17 @@ class _Tracer:
             raise MaxSplits("split recursion too deep")
         curve = ctx.curve
         tol = ctx.tol
-        if aux is not None:
-            u, tau_frac, dist = aux
-            if not (tol.tau_floor < tau_frac < 1.0 - tol.tau_floor) or \
-                    curve.circ_dist(u, y[0]) < tol.endpoint_margin * curve.L or \
-                    curve.circ_dist(u, y[1]) < tol.endpoint_margin * curve.L:
-                raise GenericityViolation("crossing inside the endpoint zone",
-                                          reason="knot")
-            others = [hit for hit in _interior_hits(ctx, y[0], y[1])
-                      if curve.circ_dist(hit[0], u) > 4.0 * tol.endpoint_margin * curve.L]
-            if others:
-                raise GenericityViolation("cord met the knot twice (S2)",
-                                          reason="knot")
-        else:
-            hits = _interior_hits(ctx, y[0], y[1])
-            if not hits:
-                raise GenericityViolation(
-                    "bracketed interior crossing lost on refinement", reason="knot")
-            if len(hits) > 1:
-                raise GenericityViolation("cord met the knot twice (S2)",
-                                          reason="knot")
-            u, tau_frac = hits[0]
+        u, tau_frac, _dist = aux
+        if not (tol.tau_floor < tau_frac < 1.0 - tol.tau_floor) or \
+                curve.circ_dist(u, y[0]) < tol.endpoint_margin * curve.L or \
+                curve.circ_dist(u, y[1]) < tol.endpoint_margin * curve.L:
+            raise GenericityViolation("crossing inside the endpoint zone",
+                                      reason="knot")
+        others = [hit for hit in _interior_hits(ctx, y[0], y[1])
+                  if curve.circ_dist(hit[0], u) > 4.0 * tol.endpoint_margin * curve.L]
+        if others:
+            raise GenericityViolation("cord met the knot twice (S2)",
+                                      reason="knot")
         parent_len = make_cord(curve, y[0], y[1]).length
         c1 = (y[0], u)
         c2 = (u, y[1])
@@ -574,18 +543,14 @@ class _Tracer:
         if len1 > parent_len - floor or len2 > parent_len - floor:
             raise GenericityViolation("split child not shorter than parent",
                                       reason="knot")
-        raw_sign = self._split_sign(y, u, tau_frac)
-        sign = ctx.conventions.kappa_split * raw_sign
-        q_side, sigma_nu = self._split_framing_side(y, u, tau_frac)
+        sign = -self._split_sign(y, u, tau_frac)
+        birth_mu = -1 if self._split_framing_side(y, u, tau_frac) > 0 else 0
         child1 = _Tracer(ctx).run(*c1, depth=depth + 1)
         child2 = _Tracer(ctx).run(*c2, depth=depth + 1)
         trace.splits.append({
             "time": at_time,
             "sign": sign,
-            "raw_sign": raw_sign,
-            "q_side": q_side,
-            "sigma_nu": sigma_nu,
-            "birth_mu": _birth_exponent(ctx.conventions, q_side, sigma_nu),
+            "birth_mu": birth_mu,
             "left": trace.left,
             "right": trace.right,
             "children": (child1, child2),
@@ -599,12 +564,11 @@ class _Tracer:
         ))
 
     def _split_framing_side(self, y, u, tau_frac):
-        """Position of the framing relative to the split pieces.
+        """The forward child's heading against nu(u), q.
 
-        q_side: sign of the forward child's heading against nu(u) (flips
-        under cord reversal, so exactly one orientation of a crossing carries
-        the birth meridian).  sigma_nu: sign of the knot's crossing velocity
-        against nu(u) (orientation-independent).
+        q flips under cord reversal, so exactly one orientation of a crossing
+        carries the birth meridian.  A heading or a knot crossing velocity
+        orthogonal to nu(u) is degenerate.
         """
         curve = self.ctx.curve
         d_hat, v = _chord_motion(curve, y, tau_frac)
@@ -612,14 +576,14 @@ class _Tracer:
         tang = curve.unit_tangent(u)
         pi_d = d_hat - tang * float(d_hat @ tang)
         q = float(pi_d @ nu)
-        s_nu = float(v @ nu)
-        if q == 0.0 or s_nu == 0.0:
+        if q == 0.0 or float(v @ nu) == 0.0:
             raise GenericityViolation("split framing side degenerate",
                                       reason="framing")
-        return int(math.copysign(1, q)), int(math.copysign(1, s_nu))
+        return q
 
     def _split_sign(self, y, u, tau_frac):
-        """Raw orientation sign of a transverse crossing (before kappa)."""
+        """Raw orientation sign of a transverse crossing; the split carries
+        its opposite."""
         curve = self.ctx.curve
         d_hat, v = _chord_motion(curve, y, tau_frac)
         w = float(curve.tangent(u) @ np.cross(d_hat, v))
@@ -661,13 +625,6 @@ def _group_contiguous(indices, n):
 # public operations
 # ---------------------------------------------------------------------------
 
-def _birth_exponent(conventions, q_side, _sigma_nu):
-    """Middle meridian exponent of a split (0 when the framing is clear)."""
-    if conventions.birth_exp and q_side == conventions.birth_side:
-        return conventions.birth_exp
-    return 0
-
-
 def dhat_of_trace(trace, terminal_values):
     """Fold a FlowTrace into its algebra value.
 
@@ -696,46 +653,6 @@ def dhat_of_trace(trace, terminal_values):
 
 def _mono(exps):
     return AlgebraElement.monomial(exps[0], exps[1])
-
-
-def refold_trace(trace, conventions):
-    """Recompute a finished trace's monomial bookkeeping under different sign
-    conventions (the recorded event geometry is convention-independent)."""
-    kappa = {
-        "F-start": ("left", conventions.kappa_f_start, (0, 1)),
-        "F-end": ("right", conventions.kappa_f_end, (0, 1)),
-        "B-start": ("left", conventions.kappa_b_start, (1, 0)),
-        "B-end": ("right", conventions.kappa_b_end, (1, 0)),
-    }
-    items = [("ev", e.time, e) for e in trace.events if e.kind != "split"]
-    items += [("sp", sp["time"], sp) for sp in trace.splits]
-    items.sort(key=lambda x: x[1])
-    left = (0, 0)
-    right = (0, 0)
-    new_splits = []
-    for tag, _t, obj in items:
-        if tag == "sp":
-            sp = dict(obj)
-            sp["left"], sp["right"] = left, right
-            sp["sign"] = conventions.kappa_split * sp["raw_sign"]
-            if "q_side" in sp:
-                sp["birth_mu"] = _birth_exponent(conventions, sp["q_side"],
-                                                 sp["sigma_nu"])
-            sp["children"] = tuple(refold_trace(c, conventions)
-                                   for c in obj["children"])
-            new_splits.append(sp)
-        else:
-            side, k, (la, mu) = kappa[obj.kind]
-            e = k * obj.sigma
-            if side == "left":
-                left = (left[0] + la * e, left[1] + mu * e)
-            else:
-                right = (right[0] + la * e, right[1] + mu * e)
-    return FlowTrace(
-        initial=trace.initial, events=trace.events, terminal=trace.terminal,
-        left=left, right=right, splits=new_splits,
-        energy_drop=trace.energy_drop, flagged=list(trace.flagged),
-    )
 
 
 def terminal_generator_values(ctx):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TangentialContact, ZeroProjection
-from .knots import row_dots
+from .knots import VERTICAL_FLOOR, row_dots
 from .tolerances import DEFAULT_TOL
 
 
@@ -64,7 +64,7 @@ def _framing_coordinates(framing, base, tangent, vx, vy, vz):
     # framing's angle there, as Framing.nu does
     nx, ny, nz = -tz * tx, -tz * ty, 1.0 - tz * tz
     nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if nn < 1e-12:
+    if nn < VERTICAL_FLOOR:
         raise ZeroProjection("tangent parallel to the vertical")
     nx, ny, nz = nx / nn, ny / nn, nz / nn
     angle = framing.rotation

@@ -25,6 +25,9 @@ from .errors import (
 from .tolerances import DEFAULT_TOL
 
 VERTICAL = np.array([0.0, 0.0, 1.0])
+# the blackboard framing is undefined where the vertical's projection onto
+# the normal plane is shorter than this
+VERTICAL_FLOOR = 1e-8
 
 
 class PeriodicSpline:
@@ -202,10 +205,7 @@ class KnotCurve:
         """Move the basepoint by ``delta`` along the curve (geometry unchanged)."""
         n = len(self.samples)
         s_new = (np.arange(n) * (self.L / n) + delta) % self.L
-        pts = self.spline(s_new)
-        meta = dict(self.metadata)
-        meta["basepoint_shift_total"] = meta.get("basepoint_shift_total", 0.0) + delta
-        return KnotCurve(pts, self.L, self.clearance, meta)
+        return KnotCurve(self.spline(s_new), self.L, self.clearance, self.metadata)
 
     def circ_dist(self, s1, s2):
         d = np.abs((s1 - s2) % self.L)
@@ -231,14 +231,6 @@ class Framing:
         self.rotation = float(rotation)
         self.winding = int(winding)
         self.eps = eps if eps is not None else 0.1 * curve.clearance
-        self._check_defined()
-
-    def _check_defined(self):
-        probe = np.linspace(0.0, self.curve.L, 512, endpoint=False)
-        t = self.curve.unit_tangent(probe)
-        proj = VERTICAL - t * t[:, 2:]
-        if np.any(np.linalg.norm(proj, axis=1) < 1e-8):
-            raise VerticalTangent("tangent parallel to the vertical direction")
 
     def nu(self, s):
         scalar = np.ndim(s) == 0
@@ -246,7 +238,7 @@ class Framing:
         t = self.curve.unit_tangent(s)
         v = VERTICAL - t * t[:, 2:]
         norms = np.linalg.norm(v, axis=1)
-        if np.any(norms < 1e-10):
+        if np.any(norms < VERTICAL_FLOOR):
             raise VerticalTangent("tangent parallel to the vertical direction")
         v = v / norms[:, None]
         if self.winding or self.rotation:
@@ -400,7 +392,6 @@ class BraidLayoutSpec:
     modulation: float = 0.3
     theta_S: float = math.radians(265.0)
     quarter: tuple = (math.radians(272.0), math.radians(358.0))
-    basepoint_shift: float = 0.0   # fraction of total length
     inplane_ratio: float = 1.0     # swap-circle in-plane amplitude / spacing;
                                    # 1.0 keeps the strand pair at constant
                                    # separation through the crossings so the
@@ -444,17 +435,13 @@ class BraidLayoutSpec:
     def d_of_theta(self, theta):
         return self.spacing * (1.0 + self.modulation * np.cos(theta - self.theta_S))
 
-    @property
-    def theta_s(self):
-        return (self.theta_S + math.pi) % (2.0 * math.pi)
-
 
 def braid_layout_points(spec):
     """Dense points along the braid closure, plus layout metadata.
 
-    Returns (points, metadata); metadata records which braid position the
-    curve occupies at each sample and where the crossing slots sit, which the
-    labeler and the Seifert winding-rule derivation consume later.
+    Returns (points, metadata); metadata records the strand count, spacing
+    and modulation, which the labeler reads, and the ellipse axes, crossing
+    slots and loop count, which the Seifert winding-rule derivation reads.
     """
     n_str = spec.strands
     loops = n_str  # single-cycle closure passes the ellipse once per strand
@@ -510,17 +497,11 @@ def braid_layout_points(spec):
 
     meta = {
         "layout": "braid",
-        "word": list(spec.word),
         "strands": n_str,
         "axes": (spec.a, spec.b),
         "spacing": spec.spacing,
         "modulation": spec.modulation,
-        "theta_S": spec.theta_S,
-        "theta_s": spec.theta_s,
-        "quarter": tuple(spec.quarter),
         "slots": slots,
-        "Theta_grid": Theta,
-        "position_grid": pos,
         "loops": loops,
     }
     return pts, meta
@@ -530,55 +511,48 @@ def braid_layout_points(spec):
 # build_curve + knot specs
 # ---------------------------------------------------------------------------
 
-def build_curve(spec, n_resample=None, tol=DEFAULT_TOL):
-    """Build a validated KnotCurve from a knot-spec record (dict or object).
+def build_curve(spec, tol=DEFAULT_TOL):
+    """Build a validated KnotCurve from a knot spec dict.
 
     Spec types: samples | circle | ellipse | torus_knot | braid.  Optional
     field: basepoint_shift (fraction of L).  The framing fields
     (framing_rotation, seifert_rules) are read by ``pipeline.setup_knot``,
     which also refuses a ``framing`` key.
     """
-    if isinstance(spec, BraidLayoutSpec):
-        spec = {"type": "braid", "braid": spec,
-                "basepoint_shift": spec.basepoint_shift}
     kind = spec.get("type")
     meta = {}
     if kind == "samples":
         pts = np.asarray(spec["points"], dtype=float)
         if len(pts) < 12:
             raise DegenerateSpec("need at least 12 sample points")
-        n_out = n_resample or max(512, len(pts))
+        n_out = max(512, len(pts))
     elif kind == "circle":
         pts = ellipse_points(spec["r"], spec["r"], n=spec.get("n", 1024))
-        n_out = n_resample or 512
+        n_out = 512
     elif kind == "ellipse":
         pts = ellipse_points(spec["a"], spec["b"], n=spec.get("n", 1024),
                              tilt=spec.get("tilt"))
-        n_out = n_resample or 512
+        n_out = 512
     elif kind == "torus_knot":
         pts = torus_knot_points(spec["p"], spec["q"], spec.get("R", 3.0),
                                 spec.get("r", 1.0))
-        n_out = n_resample or 1024
+        n_out = 1024
     elif kind == "braid":
-        braid = spec.get("braid")
-        if braid is None:
-            keys = ("strands", "a", "b", "spacing", "modulation", "theta_S",
-                    "quarter", "basepoint_shift", "inplane_ratio",
-                    "samples_per_loop")
-            kwargs = {k: spec[k] for k in keys if k in spec}
-            if "quarter" in kwargs:
-                kwargs["quarter"] = tuple(kwargs["quarter"])
-            braid = BraidLayoutSpec(word=list(spec["word"]), **kwargs)
-        pts, meta = braid_layout_points(braid)
-        meta["braid_spec"] = braid
-        n_out = n_resample or 2048
+        keys = ("strands", "a", "b", "spacing", "modulation", "theta_S",
+                "quarter", "inplane_ratio", "samples_per_loop")
+        kwargs = {k: spec[k] for k in keys if k in spec}
+        if "quarter" in kwargs:
+            kwargs["quarter"] = tuple(kwargs["quarter"])
+        pts, meta = braid_layout_points(
+            BraidLayoutSpec(word=list(spec["word"]), **kwargs))
+        n_out = 2048
     else:
         raise SpecError(f"unknown knot spec type {kind!r}")
 
     samples, L = _resample_arclength(pts, n_out)
     clearance = _min_clearance(samples[:: max(1, len(samples) // 512)])
     curve = KnotCurve(samples, L, clearance, meta).validate(tol)
-    shift = float(spec.get("basepoint_shift", 0.0)) if isinstance(spec, dict) else 0.0
+    shift = float(spec.get("basepoint_shift", 0.0))
     if shift:
         curve = curve.shift_basepoint(shift * L).validate(tol)
     return curve

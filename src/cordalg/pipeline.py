@@ -14,11 +14,7 @@ from .errors import (
     SpecError,
     UnsupportedFraming,
 )
-from .flow import (
-    DEFAULT_CONVENTIONS,
-    FlowContext,
-    boundary_D,
-)
+from .flow import FlowContext, boundary_D
 from .incidence import chord_knot_intersections, framing_event
 from .knots import (
     build_curve,
@@ -225,28 +221,24 @@ def setup_knot(spec, tol=DEFAULT_TOL):
     return curve, build_framing(curve, kind="blackboard", rotation=rotation), rules
 
 
-def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL,
-                         conventions=DEFAULT_CONVENTIONS, simplify_result=True,
-                         seifert_rules=None):
+def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
     """Full pipeline: knot spec dict -> criticals -> flows -> presentation.
 
     ``framing`` selects the output framing: computations always run with the
     blackboard framing; 'seifert' applies the change-of-framing transform
-    l -> l u^lk plus the winding sweep rules afterwards.  ``seifert_rules``
-    overrides the spec's.  Genericity failures trigger seeded perturbation
-    with retries (geometrically shrinking magnitude).
+    l -> l u^lk plus the winding sweep rules afterwards, which the spec's
+    ``seifert_rules`` key overrides.  The presentation is simplified.
+    Genericity failures trigger seeded perturbation with retries
+    (geometrically shrinking magnitude).
     """
-    curve, frame, spec_rules = setup_knot(spec, tol)
-    if seifert_rules is None:
-        seifert_rules = spec_rules
+    curve, frame, seifert_rules = setup_knot(spec, tol)
 
     attempt = 0
     # perturb_curve refuses magnitudes from clearance / 4 up
     magnitude = curve.clearance / 8.0
     while True:
         try:
-            return _run_once(curve, frame, framing, tol, conventions,
-                             simplify_result, seifert_rules, seed)
+            return _run_once(curve, frame, framing, tol, seifert_rules, seed)
         except (GenericityViolation, DegenerateCritical, SeedingInsufficient,
                 InvariantLost) as exc:
             # drop the traceback: it would pin the failed attempt's frames
@@ -273,15 +265,14 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL,
             magnitude *= 0.5
 
 
-def _run_once(curve, frame, framing, tol, conventions, simplify_result,
-              seifert_rules, seed):
+def _run_once(curve, frame, framing, tol, seifert_rules, seed):
     critical = find_critical_points(curve, tol)
     report = genericity_check(curve, frame, critical, tol)
     if report:
         kind = report[0][1][0]
         reason = {"B": "basepoint", "F": "framing", "S": "knot"}[kind]
         raise GenericityViolation(f"genericity check: {report}", reason=reason)
-    ctx = FlowContext(curve, frame, critical, tol, conventions)
+    ctx = FlowContext(curve, frame, critical, tol)
     boundary_values = {}
     traces = {}
     for k in ctx.saddles:
@@ -314,7 +305,7 @@ def _run_once(curve, frame, framing, tol, conventions, simplify_result,
     raw = Presentation(list(pres.generators),
                        [r for r in pres.relations],
                        pres.ring, dict(pres.metadata))
-    out = simplify(pres, tol.reduce_cap) if simplify_result else pres
+    out = simplify(pres, tol.reduce_cap)
     return ComputeResult(
         presentation=out,
         raw=raw,
@@ -351,7 +342,7 @@ def derive_seifert_rules(curve, ctx, lk):
     if layout != "braid":
         raise UnsupportedFraming(
             f"no Seifert winding-sweep rules for layout {layout!r} with lk = {lk};"
-            " pass seifert_rules explicitly or use the blackboard framing")
+            " give the spec 'seifert_rules' or use the blackboard framing")
     return winding_sweep_rules(curve, ctx, lk)
 
 

@@ -5,10 +5,12 @@ basepoint (the l -> l u^lk substitution) and then slides them along the knot
 to the crossing sites.  A winding sweeping past an endpoint of an index-0
 cord multiplies that generator by a mu factor on the corresponding side.
 
-The travel direction and which passage of each crossing receives its
-winding are conventions the paper fixes only in its figures; they are
-pinned here by the worked trefoil example (rules s^s -> u^-1 s^s,
-s^t -> s^t u).
+The paper fixes the sweep only in its figures; the rule here is pinned by
+the worked trefoil (rules s^s -> u^-1 s^s, s^t -> s^t u).  The windings
+travel along the orientation from the basepoint, each settles on the
+over-strand passage of its crossing, and every winding that a cord endpoint
+lies before gives u^-1 on the left at the start point and u on the right at
+the end point.
 """
 
 from __future__ import annotations
@@ -17,18 +19,12 @@ import math
 
 import numpy as np
 
-# calibration constants (pinned by the trefoil golden)
-SWEEP_DIRECTION = 1     # +1: windings travel along the orientation
-PASSAGE_MODE = "over"   # winding settles on the over-strand at its crossing
-SWEEP_SIGN = -1         # start-side exponent of a single sweep
 
+def crossing_passage_params(curve):
+    """Arclength parameter of each crossing's over-strand passage.
 
-def crossing_passage_params(curve, which=PASSAGE_MODE):
-    """Arclength parameters of each crossing's chosen strand passage.
-
-    ``over`` picks, per crossing, the passage whose strand runs on the
-    outside of the swap (the over-strand of the radial diagram); ``first``
-    and ``last`` pick by parameter order.
+    Per crossing, the passage whose strand runs on the outside of the swap
+    (the over-strand of the radial diagram).
     """
     meta = curve.metadata
     slots = meta["slots"]
@@ -50,25 +46,19 @@ def crossing_passage_params(curve, which=PASSAGE_MODE):
                 hits.append(p)
             if len(hits) == loops:
                 break
-        hits.sort()
-        if which == "first":
-            chosen.append(hits[0])
-        elif which == "last":
-            chosen.append(hits[-1])
-        else:
-            radial = []
-            for p in hits:
-                x, y, _z = curve.point(p)
-                th = math.atan2(y / b, x / a)
-                n_hat = np.array([b * math.cos(th), a * math.sin(th), 0.0])
-                n_hat /= np.linalg.norm(n_hat)
-                base = np.array([a * math.cos(th), b * math.sin(th), 0.0])
-                radial.append(float((curve.point(p) - base) @ n_hat))
-            chosen.append(hits[int(np.argmax(radial))])
+        radial = []
+        for p in hits:
+            x, y, _z = curve.point(p)
+            th = math.atan2(y / b, x / a)
+            n_hat = np.array([b * math.cos(th), a * math.sin(th), 0.0])
+            n_hat /= np.linalg.norm(n_hat)
+            base = np.array([a * math.cos(th), b * math.sin(th), 0.0])
+            radial.append(float((curve.point(p) - base) @ n_hat))
+        chosen.append(hits[int(np.argmax(radial))])
     return chosen
 
 
-def winding_sweep_rules(curve, ctx, lk, direction=None, passage=None, sign=None):
+def winding_sweep_rules(curve, ctx, lk):
     """Substitution rules from sliding lk windings to the crossing sites.
 
     Returns a list of (generator label, AlgebraElement) pairs; labels not
@@ -76,35 +66,26 @@ def winding_sweep_rules(curve, ctx, lk, direction=None, passage=None, sign=None)
     """
     from .ring import AlgebraElement
 
-    direction = SWEEP_DIRECTION if direction is None else direction
-    passage = PASSAGE_MODE if passage is None else passage
-    sign = SWEEP_SIGN if sign is None else sign
-
-    targets = crossing_passage_params(curve, passage)
+    targets = crossing_passage_params(curve)
     if len(targets) < abs(lk):
         # more windings than crossings (or vice versa): spread them evenly
         targets = (targets * (abs(lk) // max(len(targets), 1) + 1))[: abs(lk)]
     else:
         targets = targets[: abs(lk)]
 
+    # a winding sweeps past every parameter between the basepoint and its
+    # target
     L = curve.L
-
-    def swept(q, target):
-        if direction > 0:
-            return (q % L) < (target % L)
-        return (q % L) > (target % L)
-
+    ends = [tgt % L for tgt in targets]
     rules = []
     for p in ctx.minima:
-        n_start = sum(1 for tgt in targets if swept(p.s, tgt))
-        n_end = sum(1 for tgt in targets if swept(p.t, tgt))
+        n_start = sum(1 for end in ends if p.s % L < end)
+        n_end = sum(1 for end in ends if p.t % L < end)
         if n_start == 0 and n_end == 0:
             continue
-        e_left = sign * n_start
-        e_right = -sign * n_end
         rules.append((
             p.label,
-            AlgebraElement.mu(e_left) * AlgebraElement.gen(p.label)
-            * AlgebraElement.mu(e_right),
+            AlgebraElement.mu(-n_start) * AlgebraElement.gen(p.label)
+            * AlgebraElement.mu(n_end),
         ))
     return rules

@@ -9,6 +9,7 @@ import json
 import math
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cordalg.incidence import f_arc_terminates_at, framing_event, tangent_bounda
 from cordalg.knots import build_curve, build_framing
 from cordalg.pipeline import compare, compute_cord_algebra
 from cordalg.ring import parse, serialize
+from cordalg.seifert import winding_sweep_rules
 from cordalg.tolerances import DEFAULT_TOL, Tolerances
 
 _SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -124,6 +126,18 @@ def test_criterion_2c_trefoil_final_presentation(trefoil_result):
     assert trefoil_result.metadata["runtime"] < 300.0
     print("\n[pass] criterion 2c: trefoil three-relation presentation "
           f"({trefoil_result.metadata['runtime']:.0f}s)")
+
+
+def test_trefoil_seifert_sweep_rules(trefoil_result):
+    """The pinned winding sweep gives the worked example's rules on the
+    trefoil census: s_s -> u^-1 s_s and s_t -> s_t u."""
+    curve = build_curve(dict(TREFOIL_SPEC))
+    minima = [p for p in trefoil_result.critical_points if p.index == 0]
+    rules = winding_sweep_rules(curve, SimpleNamespace(minima=minima),
+                                trefoil_result.linking)
+    assert [(g, serialize(e)) for g, e in rules] == [
+        ("s_s", "u^-1 s_s"), ("s_t", "s_t u")]
+    print("\n[pass] trefoil Seifert rules s_s -> u^-1 s_s, s_t -> s_t u")
 
 
 def test_criterion_3_DM_zero(unknot_result, trefoil_result):

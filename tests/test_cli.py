@@ -76,6 +76,28 @@ def test_trace_json(ellipse_spec, capsys):
     assert "value" in doc
 
 
+def test_trace_text_honours_output(ellipse_spec, tmp_path, capsys):
+    out = tmp_path / "trace.txt"
+    code = main(["trace", ellipse_spec, "--cord", "1.0,4.5", "--format", "text",
+                 "-o", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == ""
+    text = out.read_text()
+    assert text.startswith("cord (1.0, 4.5) -> ")
+    assert text.endswith("\n") and "value:" in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["sets", "--seed", "1"], ["check", "--format", "json"], ["check", "-o", "x"],
+    ["compute", "--format", "tsv"], ["analyze", "--format", "text"]],
+    ids=" ".join)
+def test_options_a_command_ignores_are_refused(argv, ellipse_spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], ellipse_spec] + argv[1:])
+    assert exc.value.code == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_check_passes_on_ellipse(ellipse_spec, capsys):
     code = main(["check", ellipse_spec])
     out = capsys.readouterr().out

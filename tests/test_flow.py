@@ -6,7 +6,6 @@ import pytest
 from cordalg.energy import energy, find_critical_points
 from cordalg.errors import GenericityViolation
 from cordalg.flow import (
-    Conventions,
     FlowContext,
     FlowTrace,
     _Step,
@@ -15,7 +14,6 @@ from cordalg.flow import (
     _torus_delta,
     boundary_D,
     dhat_of_trace,
-    refold_trace,
     select_k_pm,
     terminal_generator_values,
 )
@@ -95,7 +93,7 @@ def test_dhat_fold_with_synthetic_split():
     parent = FlowTrace(
         initial=(0, 0), events=[], terminal="g2", left=(0, 0), right=(1, 0),
         splits=[{
-            "time": 1.0, "sign": -1, "raw_sign": -1,
+            "time": 1.0, "sign": -1,
             "left": (0, -1), "right": (0, 0),
             "children": (child1, child2), "hit": (0, 0.5), "lengths": (3, 1, 1),
         }],
@@ -109,17 +107,17 @@ def test_dhat_fold_with_synthetic_split():
     assert got == expect
 
 
-def test_refold_flips_lambda_convention(unknot):
+def test_end_point_basepoint_crossing_gives_inverse_lambda(unknot):
+    """The pinned rule: an end-point event with direction sigma contributes
+    lambda^-sigma on the right."""
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, minus, _ = select_k_pm(curve, framing, k, ctx)
+    _plus, minus, _ = select_k_pm(curve, framing, k, ctx)
     trm = _Tracer(ctx, origin_saddle=k).run(*minus)
+    assert [(e.kind, e.sigma, e.exponent) for e in trm.events] == [("B-end", 1, -1)]
+    assert (trm.left, trm.right) == ((0, 0), (-1, 0))
     vals = terminal_generator_values(ctx)
-    base = dhat_of_trace(trm, vals)
-    flipped = dhat_of_trace(
-        refold_trace(trm, Conventions(kappa_b_end=1)), vals)
-    assert base == (A.one() - A.mu()) * A.lam(-1)
-    assert flipped == (A.one() - A.mu()) * A.lam(1)
+    assert dhat_of_trace(trm, vals) == (A.one() - A.mu()) * A.lam(-1)
 
 
 def test_contractible_value_is_one_minus_mu(unknot):

@@ -236,6 +236,14 @@ def test_setup_refuses_a_framing_key():
                               "framing": {"kind": "custom", "table": []}})
 
 
+def test_spec_seifert_rules_replace_the_derivation():
+    """The spec's seifert_rules key is the one way to override the sweep."""
+    res = compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1,
+                                "seifert_rules": [["g1_s", "u g1_s"]]})
+    assert res.raw.metadata["framing_transform"]["rules"] == {"g1_s": "u g1_s"}
+    assert res.presentation.relations == [UNKNOT_RELATION]
+
+
 def test_seifert_rules_refuse_non_braid_layout():
     curve = build_curve({"type": "ellipse", "a": 2, "b": 1})
     assert curve.metadata.get("layout") != "braid"
