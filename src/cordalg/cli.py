@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,6 +33,28 @@ def _load_spec(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read knot spec {path}: {exc}") from exc
+
+
+def _cord(text):
+    """The ``--cord`` value: exactly two finite floats "s,t"."""
+    try:
+        s, t = (float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected two numbers s,t, got {text!r}") from None
+    if not (math.isfinite(s) and math.isfinite(t)):
+        raise argparse.ArgumentTypeError(f"cord parameters must be finite: {text!r}")
+    return s, t
+
+
+def _positive_int(text):
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    return n
 
 
 def _write(text, args):
@@ -156,7 +179,7 @@ def cmd_sets(args):
 
 def cmd_trace(args):
     tol, curve, frame = _setup(args)
-    s, t = (float(x) for x in args.cord.split(","))
+    s, t = args.cord
     points = find_critical_points(curve, tol)
     ctx = FlowContext(curve, frame, points, tol)
     trace = _Tracer(ctx).run(s, t)
@@ -284,11 +307,11 @@ def build_parser():
             formats=("json", "tsv"))
 
     p = command("sets", cmd_sets, "export B/F/S polylines on the torus")
-    p.add_argument("--resolution", type=int, default=128)
+    p.add_argument("--resolution", type=_positive_int, default=128)
 
     p = command("trace", cmd_trace, "event log of one cord's flow",
                 formats=("json", "text"))
-    p.add_argument("--cord", required=True, help="s,t parameters")
+    p.add_argument("--cord", required=True, type=_cord, help="s,t parameters")
 
     command("check", cmd_check, "invariant suite with pass/fail summary",
             output=False)

@@ -42,10 +42,9 @@ from .errors import (
 )
 from .incidence import (
     ChordScreen,
-    _refine_hits,
+    _refine_crossings,
     cord_events,
     framing_event,
-    signed_crossing_value,
 )
 from .ring import AlgebraElement
 from .tolerances import DEFAULT_TOL
@@ -233,7 +232,7 @@ class _Tracer:
             return trace
 
         ev_prev = _events(ctx, y, terms.points, terms.tangents)
-        s_branches = self._s_branches(y)
+        s_branches = self._s_branches(y, terms.points)
         tau = 0.0
         h_min = 1e-15 * L
         disp_cap = 2e-3 * L
@@ -271,7 +270,7 @@ class _Tracer:
             if term:
                 crossings = [c for c in crossings if c[0] < t_term]
             s_crossings, s_branches_new = self._bracket_s(
-                step, s_branches, y_new, cut=t_term if term else None)
+                step, s_branches, y_new, terms.points, cut=t_term if term else None)
             all_events = sorted(crossings + s_crossings, key=lambda c: c[0])
             self._apply_events(trace, tau, step, all_events, depth)
 
@@ -378,61 +377,58 @@ class _Tracer:
 
     # -- S events ---------------------------------------------------------------
 
-    def _s_branches(self, y):
-        """Signed crossing values of nearby knot branches as (u, value, tau)."""
+    def _s_branches(self, y, ends):
+        """Signed crossing values of nearby knot branches as
+        (u, value, tau, n_hat, dist); ``ends`` holds gamma at both ends of y."""
         ctx = self.ctx
         curve = ctx.curve
         excl = max(ctx.tol.endpoint_margin * curve.L, 3.0 * ctx.screen.step)
         # a chord shorter than the endpoint exclusion zones cannot carry a
         # valid interior hit; skip the screen entirely (the long family
         # sweeps of short cords dominate the step count)
-        chord = curve.point(y[1]) - curve.point(y[0])
+        chord = ends[1] - ends[0]
         if float(chord @ chord) < (1.8 * excl) ** 2:
             return []
-        cand = ctx.screen.candidates(y[0], y[1], 4.0 * ctx.screen.step)
+        cand = ctx.screen.candidates(y[0], y[1], 4.0 * ctx.screen.step, ends)
         if len(cand) == 0:
             return []
-        groups = _group_contiguous(cand, len(ctx.screen.params))
-        seeds = ctx.screen.params[[g[len(g) // 2] for g in groups]]
-        return [res for res in self._branch_values(y, seeds, excl)
+        seeds = ctx.screen.params[_group_midpoints(cand, len(ctx.screen.params))]
+        return [res for res in self._branch_values(y, ends, seeds, excl)
                 if res is not None]
 
-    def _branch_values(self, y, seeds, excl):
+    def _branch_values(self, y, ends, seeds, excl):
         """(u, value, tau, n_hat, dist) of the branch near each seed, or None.
 
-        One batched Newton refinement serves every seed; a flat distance
-        minimum gives None for its own seed only (flat but distant minima
-        are harmless).
+        One batched Newton refinement serves every seed that lies outside
+        the endpoint zones; a flat distance minimum gives None for its own
+        seed only (flat but distant minima are harmless).
         """
         ctx = self.ctx
         curve = ctx.curve
-        seeds = np.asarray(seeds, dtype=float)
         out = [None] * len(seeds)
         live = np.nonzero(~((curve.circ_dist(seeds, y[0]) < excl)
                             | (curve.circ_dist(seeds, y[1]) < excl)))[0]
         if len(live) == 0:
             return out
-        p = curve.point(y[0])
-        d = curve.point(y[1]) - p
-        u, _tau, dist, flat = _refine_hits(curve, p, d, seeds[live])
+        p = ends[0]
+        u, tau, dist, flat, value, n_hat, parallel = _refine_crossings(
+            curve, p, ends[1] - p, seeds[live])
         for k, i in enumerate(live):
             if flat[k] or not np.isfinite(dist[k]) or dist[k] > 6.0 * ctx.screen.step:
                 continue
             if (curve.circ_dist(u[k], y[0]) < excl
                     or curve.circ_dist(u[k], y[1]) < excl):
                 continue
-            try:
-                val, tau_frac, n_hat = signed_crossing_value(curve, y[0], y[1], u[k])
-            except TangentialContact:
+            if parallel[k]:
                 if dist[k] < 4.0 * ctx.tol.intersect_tol * curve.L:
                     raise GenericityViolation("tangential chord/knot contact",
                                               reason="knot")
                 continue
-            out[i] = (u[k], val, tau_frac, n_hat, float(dist[k]))
+            out[i] = (u[k], value[k], tau[k], n_hat[k], float(dist[k]))
         return out
 
-    def _bracket_s(self, step, branches0, y1, cut=None):
-        branches1 = self._s_branches(y1)
+    def _bracket_s(self, step, branches0, y1, ends1, cut=None):
+        branches1 = self._s_branches(y1, ends1)
         window = 8.0 * self.ctx.screen.step
         out = []
         for (u1, v1, tau1, n1, d1) in branches1:
@@ -466,10 +462,17 @@ class _Tracer:
         ctx = self.ctx
         L = ctx.curve.L
         excl = max(ctx.tol.endpoint_margin * L, 3.0 * ctx.screen.step)
+        seed = np.array([u_seed])
+
+        def branch(frac):
+            ym = step.at(frac)
+            ends = ctx.curve.spline.eval_multi(ym, (0,))[0]
+            return self._branch_values(ym, ends, seed, excl)[0]
+
         lo, hi = 0.0, 1.0
         for _ in range(iters):
             mid = 0.5 * (lo + hi)
-            res = self._branch_values(step.at(mid), [u_seed], excl)[0]
+            res = branch(mid)
             if res is None:
                 return None
             val = res[1] if float(res[3] @ n_ref) >= 0.0 else -res[1]
@@ -480,7 +483,7 @@ class _Tracer:
             if (hi - lo) * step.h < ctx.tol.event_tol * L:
                 break
         frac = 0.5 * (lo + hi)
-        res = self._branch_values(step.at(frac), [u_seed], excl)[0]
+        res = branch(frac)
         if res is None:
             return None
         return frac, res[0], res[2], res[4]
@@ -608,17 +611,18 @@ def _torus_delta(y, p, L):
     return d0, d1
 
 
-def _group_contiguous(indices, n):
-    """Group sorted indices into circularly contiguous runs."""
-    if len(indices) == 0:
-        return []
-    indices = np.sort(indices)
-    breaks = np.nonzero(np.diff(indices) > 4)[0]
-    groups = np.split(indices, breaks + 1)
-    if len(groups) > 1 and (indices[0] + n - indices[-1]) <= 4:
-        groups[0] = np.concatenate([groups[-1], groups[0] + 0])
-        groups = groups[:-1]
-    return [list(g) for g in groups]
+def _group_midpoints(indices, n):
+    """Middle index of each run of the sorted indices ``indices`` of an
+    n-cycle; a gap of more than 4 ends a run.  A run across the wrap is
+    listed first and its middle counted from its start near n."""
+    starts = np.flatnonzero(np.diff(indices) > 4) + 1
+    lo = np.concatenate([[0], starts])
+    hi = np.concatenate([starts, [len(indices)]])
+    if len(starts) and indices[0] + n - indices[-1] <= 4:
+        # negative positions index the tail of the last run
+        lo[0] = lo[-1] - len(indices)
+        lo, hi = lo[:-1], hi[:-1]
+    return indices[lo + (hi - lo) // 2]
 
 
 # ---------------------------------------------------------------------------

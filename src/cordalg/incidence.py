@@ -124,10 +124,15 @@ class ChordScreen:
         self.half = 0.5 * np.linalg.norm(b - a, axis=1)
         self.step = curve.L / n
 
-    def candidates(self, s, t, radius):
-        """Segment indices whose distance to the chord is below ``radius``."""
-        p = self.curve.point(s)
-        q = self.curve.point(t)
+    def candidates(self, s, t, radius, points=None):
+        """Segment indices whose distance to the chord is below ``radius``.
+
+        ``points`` holds gamma(s) and gamma(t) when the caller has them.
+        """
+        if points is None:
+            points = self.curve.spline.eval_multi(np.array([s, t], dtype=float),
+                                                  (0,))[0]
+        p, q = points
         d = q - p
         dd = float(d @ d)
         if dd < 1e-300:
@@ -178,19 +183,64 @@ def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None,
 def _refine_hits(curve, p, d, u0, iters=40):
     """Newton on the closest-point system between the curve and the chord line.
 
-    Refines every seed in ``u0`` together, one spline evaluation per
-    iteration on the seeds still moving; a seed stops once its step falls
-    below 1e-13 L.  Returns the arrays (u, tau, dist, flat): the refined
-    parameters, their chord fractions and distances to the chord line, and
-    the seeds whose distance minimum went flat (|h| < 1e-12), which stop
-    where they are.  A non-finite distance marks a lost seed.
+    Refines every seed in ``u0`` together (``_newton_hits``).  Returns the
+    arrays (u, tau, dist, flat): the refined parameters, their chord
+    fractions and distances to the chord line, and the seeds whose distance
+    minimum went flat (|h| < 1e-12), which stop where they are.  A
+    non-finite distance marks a lost seed.
+    """
+    u, flat = _newton_hits(curve, p, d, u0, iters)
+    x = curve.spline.eval_multi(u, (0,))[0]
+    tau, r = _chord_offsets(x, p, d)
+    return u, tau, np.sqrt(row_dots(r, r)), flat
+
+
+def _refine_crossings(curve, p, d, u0):
+    """``_refine_hits`` plus the signed crossing value of each refined point.
+
+    The last spline call also evaluates gamma' there.  Returns (u, tau,
+    dist, flat, value, n_hat, parallel): value is the offset of gamma(u)
+    from the chord line along n_hat, the unit vector of chord x tangent(u).
+    Its sign is carried by n_hat, so callers can keep the orientation
+    continuous along a flow (n_hat reverses whenever the chord rotates past
+    the branch tangent, which is not a crossing).  ``parallel`` marks the
+    seeds where the chord is parallel to the tangent, whose value means
+    nothing.
+    """
+    u, flat = _newton_hits(curve, p, d, u0, 40)
+    x, v = curve.spline.eval_multi(u, (0, 1))
+    tau, r = _chord_offsets(x, p, d)
+    n = np.cross(d, v / np.linalg.norm(v, axis=-1, keepdims=True))
+    nn = np.sqrt(row_dots(n, n))
+    parallel = nn < 1e-12
+    n_hat = n / np.where(parallel, 1.0, nn)[:, None]
+    return (u, tau, np.sqrt(row_dots(r, r)), flat, row_dots(r, n_hat), n_hat,
+            parallel)
+
+
+def _chord_offsets(x, p, d):
+    """Chord fraction of the foot of each point of x, and its offset there."""
+    tau = row_dots(x - p, d) / float(d @ d)
+    return tau, x - (p + tau[:, None] * d)
+
+
+def _newton_hits(curve, p, d, u0, iters):
+    """The Newton iteration of ``_refine_hits``; returns (u, flat).
+
+    One spline evaluation per iteration on the seeds still moving; a seed
+    stops once its step falls below 1e-13 L.  A seed whose iterate equals,
+    bit for bit, its iterate two steps back (it jumps back and forth between
+    two points, both clipped at +-0.25) would repeat the pair until the
+    budget ends, so it stops at once on the point the last iteration would
+    reach.
     """
     L = curve.L
     dd = float(d @ d)
     u = np.array(u0, dtype=float)
+    back = np.full(len(u), np.nan)  # each seed's iterate one step back
     flat = np.zeros(len(u), dtype=bool)
     active = np.arange(len(u))
-    for _ in range(iters):
+    for it in range(iters):
         if len(active) == 0:
             break
         x, v, acc = curve.spline.eval_multi(u[active], (0, 1, 2))
@@ -206,12 +256,19 @@ def _refine_hits(curve, p, d, u0, iters=40):
         ok = ~is_flat
         moving = active[ok]
         step = np.clip(g[ok] / h[ok], -0.25, 0.25)
-        u[moving] = (u[moving] - step) % L
-        active = moving[~(np.abs(step) < 1e-13 * L)]
-    x = curve.spline.eval_multi(u, (0,))[0]
-    tau = row_dots(x - p, d) / dd
-    r = x - (p + tau[:, None] * d)
-    return u, tau, np.sqrt(row_dots(r, r)), flat
+        here = u[moving]
+        there = (here - step) % L
+        u[moving] = there
+        going = ~(np.abs(step) < 1e-13 * L)
+        cycled = there == back[moving]
+        back[moving] = here
+        if cycled.any():
+            cycled &= going
+            if (iters - it) % 2 == 0:  # an odd number of iterations is left
+                u[moving[cycled]] = here[cycled]
+            going &= ~cycled
+        active = moving[going]
+    return u, flat
 
 
 def _refine_hit(curve, p, d, u0, tol, iters=40):
@@ -225,29 +282,6 @@ def _refine_hit(curve, p, d, u0, tol, iters=40):
     if not np.isfinite(dist[0]):
         return None
     return u[0], float(tau[0]), float(dist[0])
-
-
-def signed_crossing_value(curve, s, t, u):
-    """Signed offset of the knot at u relative to the chord, plus its normal.
-
-    The sign lives in the direction chord x tangent(u), returned so callers
-    can keep the orientation continuous along a flow (the raw direction
-    reverses whenever the chord rotates past the branch tangent, which is
-    not a crossing).
-    """
-    p = curve.point(s)
-    d = curve.point(t) - p
-    x = curve.point(u)
-    v = curve.unit_tangent(u)
-    n = np.cross(d, v)
-    nn = np.linalg.norm(n)
-    if nn < 1e-12:
-        raise TangentialContact("chord parallel to the knot tangent at the hit")
-    n = n / nn
-    dd = float(d @ d)
-    tau = float((x - p) @ d) / dd
-    r = x - (p + tau * d)
-    return float(r @ n), tau, n
 
 
 # ---------------------------------------------------------------------------

@@ -271,60 +271,74 @@ def build_framing(curve, kind="blackboard", rotation=0.0, winding=0):
 
 
 # ---------------------------------------------------------------------------
-# Gauss linking number (exact for polylines, Klenin-Langowski style)
+# linking number by crossing count
 # ---------------------------------------------------------------------------
 
-def _unit_cross(x, y):
-    c = np.cross(x, y)
-    n = np.linalg.norm(c, axis=-1, keepdims=True)
-    return c / np.where(n < 1e-300, 1.0, n)
+# the projection direction of ``linking_number``: tilted off the vertical,
+# along which the stacked strands of braid layouts and the blackboard
+# push-off would almost overlay
+LINKING_VIEW = np.array([0.6, 0.3, 1.0]) / math.sqrt(1.45)
+# a crossing this close to a segment end, in segment fractions, is ambiguous
+_CROSSING_MARGIN = 1e-9
 
 
-def _asin_dot(a, b, sign=1.0):
-    dot = sign * np.einsum("...i,...i->...", a, b)
-    return np.arcsin(np.clip(dot, -1.0, 1.0))
+def crossing_sums(points_a, points_b):
+    """Signed crossing counts of two closed polylines seen along ``LINKING_VIEW``.
 
-
-def gauss_linking(points_a, points_b):
-    """Exact polyline linking number contribution sum (float).
-
-    Quad (i, j), segment i of a against segment j of b, adds the solid angle
-    spanned by its unit normals n1..n4.  Neighbouring quads share normals,
-    n3(i, j) = -n1(i+1, j) and n2(i, j) = -n4(i, j+1), so each row block
-    computes n1 (on one extra row) and n4 only.
+    Returns (over, under): the sums of the crossing signs where b passes
+    over a and where b passes under a.  For closed curves both equal the
+    linking number (Rolfsen, Knots and Links, 5.D).  A crossing within
+    ``_CROSSING_MARGIN`` of a segment end makes the projection ambiguous and
+    raises ``NumericalAmbiguity``.  Segments of a are taken 64 at a time
+    against every segment of b.
     """
-    a = np.asarray(points_a)
-    b1 = np.asarray(points_b)[None, :, :]
-    b2 = np.roll(b1, -1, axis=1)
-    r34 = b2 - b1
-    total = 0.0
-    block = 64
-    for i in range(0, len(a), block):
-        rows = np.arange(i, min(i + block, len(a)) + 1) % len(a)
-        p = a[rows, None, :]
-        r1 = b1 - p  # q1 - p1, rows i .. i + block
-        n1 = _unit_cross(r1, b2 - p)
-        n4 = _unit_cross(r1[1:], r1[:-1])
-        m2 = np.roll(n4, -1, axis=1)  # -n2
-        n1, m3 = n1[:-1], n1[1:]  # -n3
-        omega = (_asin_dot(n1, m2, -1.0) + _asin_dot(m2, m3)
-                 + _asin_dot(m3, n4, -1.0) + _asin_dot(n4, n1))
-        sign = np.sign(np.einsum("...i,...i->...", np.cross(r34, p[1:] - p[:-1]), r1[:-1]))
-        total += float(np.sum(omega * sign / (4.0 * math.pi)))
-    return total
+    e1 = np.cross(LINKING_VIEW, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    frame = np.stack([e1, np.cross(LINKING_VIEW, e1), LINKING_VIEW], axis=1)
+    a = np.asarray(points_a) @ frame  # plane coordinates, then the height
+    b = np.asarray(points_b) @ frame
+    da = np.roll(a, -1, axis=0) - a
+    db = (np.roll(b, -1, axis=0) - b)[None]
+    over = under = 0
+    for i in range(0, len(a), 64):
+        r = da[i:i + 64, None]
+        w = b[None] - a[i:i + 64, None]
+        denom = r[..., 0] * db[..., 1] - r[..., 1] * db[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (w[..., 0] * db[..., 1] - w[..., 1] * db[..., 0]) / denom
+            t = (w[..., 0] * r[..., 1] - w[..., 1] * r[..., 0]) / denom
+        m = _CROSSING_MARGIN
+        near = (s > -m) & (s < 1.0 + m) & (t > -m) & (t < 1.0 + m)
+        hit = (s > m) & (s < 1.0 - m) & (t > m) & (t < 1.0 - m)
+        if np.any(near & ~hit):
+            raise NumericalAmbiguity("projected crossing at a segment end")
+        k, j = np.nonzero(hit)
+        # height of b over a at each crossing, and the crossing's sign
+        rise = (w[k, j, 2] + t[k, j] * db[0, j, 2]) - s[k, j] * r[k, 0, 2]
+        sign = np.sign(denom[k, j])
+        over -= int(np.sum(sign[rise > 0.0]))
+        under += int(np.sum(sign[rise < 0.0]))
+    return over, under
 
 
 def linking_number(curve, framing, eps=None, n=1024):
-    """Gauss linking number of K and its push-off K' = gamma + eps*nu."""
+    """Linking number of K and its push-off K' = gamma + eps*nu.
+
+    Counts the signed crossings of the two n-sample polylines in one
+    projection (``crossing_sums``).  The crossings where K' passes over K
+    and those where it passes under give the linking number independently;
+    if they disagree, or a crossing sits at a segment end, the projection is
+    not regular and ``NumericalAmbiguity`` is raised.
+    """
     params = np.arange(n) * (curve.L / n)
     base = curve.point(params)
     eps = eps if eps is not None else framing.eps
     push = base + eps * framing.nu(params)
-    raw = gauss_linking(base, push)
-    nearest = round(raw)
-    if abs(raw - nearest) > 0.1:
-        raise NumericalAmbiguity(f"linking integral {raw:.4f} too far from an integer")
-    return int(nearest)
+    over, under = crossing_sums(base, push)
+    if over != under:
+        raise NumericalAmbiguity(
+            f"crossings over and under the push-off count {over} and {under}")
+    return over
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,17 @@ def test_options_a_command_ignores_are_refused(argv, ellipse_spec, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--cord", "1.0"], ["trace", "--cord", "a,b"],
+    ["trace", "--cord", "1,2,3"], ["trace", "--cord", "nan,1"],
+    ["sets", "--resolution", "0"]], ids=" ".join)
+def test_bad_option_values_are_usage_errors(argv, ellipse_spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], ellipse_spec] + argv[1:])
+    assert exc.value.code == 2
+    assert "error: argument --" in capsys.readouterr().err
+
+
 def test_check_passes_on_ellipse(ellipse_spec, capsys):
     code = main(["check", ellipse_spec])
     out = capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Event functions for B, F and S, boundary cords, F-arc continuation."""
 
+import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 
 from cordalg.energy import cord_terms
 from cordalg.errors import TangentialContact
-from cordalg.flow import _events
+from cordalg.flow import _events, _group_midpoints
 from cordalg.incidence import (
     ChordScreen,
     _refine_hit,
@@ -20,8 +22,10 @@ from cordalg.incidence import (
     tangent_boundary_cords,
     trace_f_start_arc,
 )
-from cordalg.knots import KnotCurve, build_curve, build_framing
+from cordalg.knots import KnotCurve, build_curve, build_framing, row_dots
 from cordalg.tolerances import DEFAULT_TOL
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 @pytest.fixture(scope="module")
@@ -161,35 +165,90 @@ def test_synthetic_transverse_hit():
     assert abs(tau - 0.5) < 1e-9
 
 
+def _signed_crossing_value(curve, s, t, u):
+    """Reference: the signed offset of the knot at u from the chord (s, t),
+    its chord fraction and the unit normal chord x tangent(u) that carries
+    the sign, one scalar spline call per quantity."""
+    p = curve.point(s)
+    d = curve.point(t) - p
+    x = curve.point(u)
+    v = curve.unit_tangent(u)
+    n = np.cross(d, v)
+    nn = np.linalg.norm(n)
+    if nn < 1e-12:
+        raise TangentialContact("chord parallel to the knot tangent at the hit")
+    n = n / nn
+    dd = float(d @ d)
+    tau = float((x - p) @ d) / dd
+    r = x - (p + tau * d)
+    return float(r @ n), tau, n
+
+
+def _refine_seed_on_chords(curve, p, ds, u0, iters=40):
+    """`_refine_hit` of one seed against the chords p -> p + ds[i], all at
+    once in the kernel's arithmetic.
+
+    Returns (u, tau, ok): the refined parameter and its chord fraction per
+    chord, and whether it is a hit (not flat, not lost), each equal bit for
+    bit to `_refine_hit`.
+    """
+    L = curve.L
+    dd = row_dots(ds, ds)
+    u = np.full(len(ds), float(u0))
+    flat = np.zeros(len(ds), dtype=bool)
+    active = np.arange(len(ds))
+    for _ in range(iters):
+        if len(active) == 0:
+            break
+        d, dda = ds[active], dd[active]
+        x, v, acc = curve.spline.eval_multi(u[active], (0, 1, 2))
+        tau = row_dots(x - p, d) / dda
+        r = x - (p + tau[:, None] * d)
+        g = row_dots(r, v)
+        h = (row_dots(v, v) - np.float_power(row_dots(v, d), 2.0) / dda
+             + row_dots(r, acc))
+        is_flat = np.abs(h) < 1e-12
+        flat[active[is_flat]] = True
+        moving = active[~is_flat]
+        step = np.clip(g[~is_flat] / h[~is_flat], -0.25, 0.25)
+        u[moving] = (u[moving] - step) % L
+        active = moving[~(np.abs(step) < 1e-13 * L)]
+    x = curve.spline.eval_multi(u, (0,))[0]
+    return u, row_dots(x - p, ds) / dd, ~flat & np.isfinite(u)
+
+
 @pytest.fixture(scope="module")
 def trefoil_hit_cords(trefoil):
     """Up to five trefoil cords (s, t) with interior hits, constructed.
 
     A cord through a knot point gamma(u) is built by choosing the chord
     through gamma(u) between two other curve parameters solved to pass
-    exactly through it.
+    exactly through it.  Each draw scans t over a grid, with the Newton of
+    one seed run against every chord of the scan at once, for a sign change
+    of the branch's signed crossing value, then bisects the bracket.
     """
-    from cordalg.incidence import _refine_hit, signed_crossing_value
     from cordalg.tolerances import DEFAULT_TOL as tol
     screen = ChordScreen(trefoil)
     rng = np.random.default_rng(11)
+    t_grid = np.linspace(0, trefoil.L, 120, endpoint=False)
 
-    def branch_value(s, t2, u_seed):
-        """Signed offset of the closest branch point near u_seed."""
-        p = trefoil.point(s)
-        d = trefoil.point(t2) - p
-        try:
-            res = _refine_hit(trefoil, p, d, u_seed, tol)
-        except Exception:
-            return None
-        if res is None:
-            return None
-        u, tau, _dist = res
+    def branch_value(s, t2, u_seed, u=None):
+        """Signed offset and chord fraction of the closest branch point
+        near u_seed, or None; ``u`` is the refined point when known."""
+        if u is None:
+            p = trefoil.point(s)
+            try:
+                res = _refine_hit(trefoil, p, trefoil.point(t2) - p, u_seed, tol)
+            except TangentialContact:
+                return None
+            if res is None:
+                return None
+            u = res[0]
         if trefoil.circ_dist(u, u_seed) > 1.0:
             return None
         try:
-            v, tau, _n = signed_crossing_value(trefoil, s, t2, u)
-        except Exception:
+            v, tau, _n = _signed_crossing_value(trefoil, s, t2, u)
+        except TangentialContact:
             return None
         return v, tau
 
@@ -199,14 +258,21 @@ def trefoil_hit_cords(trefoil):
         u = rng.random() * trefoil.L
         if trefoil.circ_dist(s, u) < 1.0:
             continue
-        t_grid = np.linspace(0, trefoil.L, 120, endpoint=False)
+        scan = t_grid[~((trefoil.circ_dist(t_grid, s) < 1.0)
+                        | (trefoil.circ_dist(t_grid, u) < 1.0))]
+        p = trefoil.point(s)
+        refined, tau, ok = _refine_seed_on_chords(
+            trefoil, p, trefoil.point(scan) - p, u)
+        # the reference's chord fraction, read off first: most rows end there
+        ok &= (0.1 < tau) & (tau < 0.9)
         prev = None
         bracket = None
         for t2 in t_grid:
             if trefoil.circ_dist(t2, s) < 1.0 or trefoil.circ_dist(t2, u) < 1.0:
                 prev = None
                 continue
-            got = branch_value(s, t2, u)
+            i = int(np.searchsorted(scan, t2))
+            got = branch_value(s, t2, u, refined[i]) if ok[i] else None
             if got is None or not (0.1 < got[1] < 0.9):
                 prev = None
                 continue
@@ -376,6 +442,133 @@ def test_flat_seed_raises_but_leaves_other_seeds_valid():
     assert chord_knot_intersections(curve, 6.0, 8.0, screen=screen(1.5)) == [(2.0, 0.5)]
     with pytest.raises(TangentialContact):
         chord_knot_intersections(curve, 6.0, 8.0, screen=screen(1.5, 7.0))
+
+
+# -- the S-branch kernel of the flow ---------------------------------------------
+
+@pytest.fixture(scope="module")
+def k11_s_flow():
+    """The pinned trefoil's saddle k11_s flowed, with every branch the flow
+    read, as (cord, branch tuples), and every kernel call, as (p, d, seeds)."""
+    import cordalg.flow as flow
+    from cordalg.energy import find_critical_points
+    from cordalg.pipeline import setup_knot
+    curve, frame, _rules = setup_knot(json.loads((SPECS / "trefoil.json").read_text()))
+    ctx = flow.FlowContext(curve, frame, find_critical_points(curve))
+    branches, calls = [], []
+    read = flow._Tracer._branch_values
+    kernel = flow._refine_crossings
+
+    def branch_values(tracer, y, ends, seeds, excl):
+        out = read(tracer, y, ends, seeds, excl)
+        branches.append((tuple(y), [res for res in out if res is not None]))
+        return out
+
+    def refine_crossings(curve, p, d, u0):
+        calls.append((p, d, np.array(u0)))
+        return kernel(curve, p, d, u0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow._Tracer, "_branch_values", branch_values)
+        mp.setattr(flow, "_refine_crossings", refine_crossings)
+        k = next(p for p in ctx.saddles if p.label == "k11_s")
+        flow.boundary_D(curve, frame, k, ctx)
+    return curve, branches, calls
+
+
+def test_crossing_value_is_the_reference_formula(k11_s_flow):
+    """(value, tau, n_hat) read off the Newton's last iterate equal the
+    separate scalar formula bit for bit on every branch of the k11_s flow."""
+    curve, branches, _calls = k11_s_flow
+    n = 0
+    for (s, t), found in branches:
+        for u, value, tau, n_hat, _dist in found:
+            ref_value, ref_tau, ref_n = _signed_crossing_value(curve, s, t, u)
+            assert (value, tau) == (ref_value, ref_tau)
+            assert np.array_equal(n_hat, ref_n)
+            n += 1
+    assert n > 500
+
+
+def _cycle_start(curve, p, d, u0, iters=40):
+    """First iteration after which the scalar Newton iterate equals its
+    value two iterations back while still moving, or None."""
+    dd = float(d @ d)
+    seen = [u0]
+    for i in range(iters):
+        u = seen[-1]
+        x, v = curve.point(u), curve.tangent(u)
+        tau = float((x - p) @ d) / dd
+        r = x - (p + tau * d)
+        h = float(v @ v - ((v @ d) ** 2) / dd + r @ curve.second(u))
+        if abs(h) < 1e-12:
+            return None
+        step = max(-0.25, min(0.25, float(r @ v) / h))
+        if abs(step) < 1e-13 * curve.L:
+            return None
+        seen.append((u - step) % curve.L)
+        if i >= 1 and seen[-1] == seen[-3]:
+            return i
+    return None
+
+
+def test_two_cycling_seeds_stop_early(k11_s_flow, monkeypatch):
+    """Seeds of the k11_s flow that jump back and forth between two points
+    stop once the pair repeats, on the point the 40th iteration reaches,
+    for either parity of the iterations left."""
+    curve, _branches, calls = k11_s_flow
+    found = {}
+    for p, d, seeds in calls:
+        for u0 in seeds:
+            i = _cycle_start(curve, p, d, u0)
+            if i is not None:
+                found.setdefault((40 - i) % 2, (p, d, u0, i))
+        if len(found) == 2:
+            break
+    assert sorted(found) == [0, 1]
+    counted = []
+    eval_multi = curve.spline.eval_multi
+    monkeypatch.setattr(curve.spline, "eval_multi",
+                        lambda *a: counted.append(1) or eval_multi(*a))
+    for p, d, u0, i in found.values():
+        counted.clear()
+        u, tau, dist, flat = _refine_hits(curve, p, d, [u0])
+        # iterations 0 .. i, then the final evaluation
+        assert len(counted) == i + 2 < 41
+        assert not flat[0]
+        assert (u[0], tau[0], dist[0]) == _refine_hit_scalar(curve, p, d, u0)
+
+
+def _group_contiguous(indices, n):
+    """Reference: group sorted indices into circularly contiguous runs."""
+    if len(indices) == 0:
+        return []
+    indices = np.sort(indices)
+    breaks = np.nonzero(np.diff(indices) > 4)[0]
+    groups = np.split(indices, breaks + 1)
+    if len(groups) > 1 and (indices[0] + n - indices[-1]) <= 4:
+        groups[0] = np.concatenate([groups[-1], groups[0] + 0])
+        groups = groups[:-1]
+    return [list(g) for g in groups]
+
+
+def test_group_midpoints_match_contiguous_runs():
+    n = 1024
+    rng = np.random.default_rng(6)
+    cases = [np.arange(40, 47), np.array([5]), np.r_[0:3, 1019:1024],
+             np.r_[0:2, 200:209, 1022:1024], np.r_[3:9, 1020:1022]]
+    for k in range(300):
+        starts = rng.integers(0, n, size=rng.integers(1, 6))
+        if k % 2:
+            starts[0] = n - rng.integers(1, 10)  # a run near the wrap
+        runs = [(a + np.arange(rng.integers(1, 12))) % n for a in starts]
+        cases.append(np.unique(np.concatenate(runs)))
+    wraps = 0
+    for cand in cases:
+        groups = _group_contiguous(cand, n)
+        wraps += len(groups) > 1 and groups[0][0] > groups[0][-1]
+        assert list(_group_midpoints(cand, n)) == [g[len(g) // 2] for g in groups]
+    assert wraps > 50
 
 
 def test_tangent_boundary_cords_ellipse_empty(ellipse):

@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from cordalg.errors import DegenerateSpec, InvariantLost, SpecError
+from cordalg.errors import DegenerateSpec, InvariantLost, NumericalAmbiguity, SpecError
 from cordalg.knots import (
+    LINKING_VIEW,
     BraidLayoutSpec,
     _min_clearance,
     _segment_distances,
     build_curve,
     build_framing,
+    crossing_sums,
     ellipse_points,
-    gauss_linking,
     linking_number,
     perturb_basepoint,
     perturb_curve,
@@ -241,15 +242,41 @@ def test_segment_distances_match_scalar_reference():
     assert np.array_equal(_segment_distances(p1, p2, q1, q2), ref)
 
 
-def test_gauss_linking_matches_quad_sum(trefoil):
-    f = build_framing(trefoil, rotation=0.15)
+def test_gauss_linking_matches_quad_sum(ellipse, trefoil):
+    """The crossing count is the rounded Gauss integral of the same
+    polylines, summed quad by quad as solid angles."""
+    for curve, winding in ((ellipse, 0), (trefoil, 0), (trefoil, 1), (trefoil, 3)):
+        f = build_framing(curve, rotation=0.15 if curve is trefoil else 0.0)
+        f = f.with_winding(winding)
+        params = np.arange(1024) * (curve.L / 1024)
+        base = curve.point(params)
+        push = base + f.eps * f.nu(params)
+        base2, push2 = np.roll(base, -1, axis=0), np.roll(push, -1, axis=0)
+        direct = sum(float(np.sum(_solid_angle_quads(
+            base[i:i + 128, None, :], base2[i:i + 128, None, :],
+            push[None, :, :], push2[None, :, :]))) for i in range(0, 1024, 128))
+        assert abs(direct - round(direct)) < 1e-6
+        assert linking_number(curve, f) == round(direct)
+
+
+@pytest.mark.parametrize("winding", [0, 1, 3])
+def test_crossings_over_and_under_the_push_off_agree(trefoil, winding):
+    f = build_framing(trefoil, rotation=0.15).with_winding(winding)
     params = np.arange(1024) * (trefoil.L / 1024)
     base = trefoil.point(params)
-    push = base + f.eps * f.nu(params)
-    base2, push2 = np.roll(base, -1, axis=0), np.roll(push, -1, axis=0)
-    direct = sum(float(np.sum(_solid_angle_quads(
-        base[i:i + 128, None, :], base2[i:i + 128, None, :],
-        push[None, :, :], push2[None, :, :]))) for i in range(0, 1024, 128))
-    raw = gauss_linking(base, push)
-    assert abs(raw - direct) < 1e-12
-    assert round(raw) == 3 == linking_number(trefoil, f)
+    for eps in (f.eps, f.eps / 4):
+        over, under = crossing_sums(base, base + eps * f.nu(params))
+        assert over == under == 3 - winding
+
+
+def test_crossing_at_a_segment_end_is_ambiguous():
+    """A push-off vertex seen exactly behind a knot vertex along the view
+    makes the projection irregular."""
+    th = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    base = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=1)
+    push = base + [0.0, 0.0, 0.05]
+    assert crossing_sums(base, push) == (0, 0)
+    # move one push-off vertex onto the line of sight through a knot vertex
+    push[10] = base[30] + 0.2 * LINKING_VIEW
+    with pytest.raises(NumericalAmbiguity):
+        crossing_sums(base, push)
