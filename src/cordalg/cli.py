@@ -2,8 +2,10 @@
 
 Subcommands: compute | analyze | sets | trace | check.  Each accepts only
 the options it honours.  Output goes to stdout, or as UTF-8 to the ``-o``
-file; exit status 0 on success, 1 on genericity exhaustion, 2 on spec
-errors.
+file.  Exit status: 0 on success; 1 on genericity exhaustion, and from
+``check`` when an invariant fails; 2 on spec errors and bad option values;
+3 on numerical failures (any other package error, such as StepCollapse,
+MaxSplits or NumericalAmbiguity).
 """
 
 from __future__ import annotations
@@ -330,7 +332,7 @@ def main(argv=None):
         return 2
     except CordAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

@@ -28,9 +28,6 @@ class CordPoint:
     chord: tuple
     length: float
 
-    def as_array(self):
-        return np.array([self.s, self.t])
-
 
 def make_cord(curve, s, t):
     s = float(s) % curve.L
@@ -103,24 +100,22 @@ def cord_terms(curve, s, t):
 
 
 def _terms(curve, s, t):
-    """cord_terms of (s, t), or of the CordPoint s, and whether s is scalar."""
-    if t is None:
-        s, t = s.s, s.t
+    """cord_terms of (s, t) and whether s is scalar."""
     return cord_terms(curve, s, t), np.ndim(s) == 0
 
 
-def energy(curve, s, t=None):
+def energy(curve, s, t):
     terms, scalar = _terms(curve, s, t)
     return float(terms.E[0]) if scalar else terms.E
 
 
-def gradient(curve, s, t=None):
+def gradient(curve, s, t):
     """grad E = (<gamma(s)-gamma(t), gamma'(s)>, <gamma(t)-gamma(s), gamma'(t)>)."""
     terms, scalar = _terms(curve, s, t)
     return terms.grad[0] if scalar else terms.grad
 
 
-def hessian(curve, s, t=None):
+def hessian(curve, s, t):
     terms, scalar = _terms(curve, s, t)
     return terms.hess[0] if scalar else terms.hess
 

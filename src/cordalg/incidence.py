@@ -21,7 +21,6 @@ from .tolerances import DEFAULT_TOL
 
 @dataclass(frozen=True)
 class EventFunctionValue:
-    kind: str            # F-start | F-end
     value: float         # signed; zero crossing = event
     positive: bool = True  # F events only count on the +nu side
 
@@ -97,8 +96,7 @@ def framing_event(curve, framing, s, t, endpoint="start"):
     """
     pts, tans = curve.spline.eval_multi(np.array([s, t], dtype=float), (0, 1))
     value, alpha = cord_events(framing, s, t, pts, tans)[f"F-{endpoint}"]
-    return EventFunctionValue(kind=f"F-{endpoint}", value=value,
-                              positive=alpha > 0.0)
+    return EventFunctionValue(value=value, positive=alpha > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -293,29 +291,23 @@ def tangent_boundary_cords(curve, tol=DEFAULT_TOL, n_grid=256):
 
     Off-diagonal solutions of gamma(t) - gamma(s) parallel to gamma'(s),
     classified implicitly: tangency at the endpoint is the mirror (t, s).
+    The 200 grid cords closest to tangency seed ``_refine_tangency``.
     Returns the start-tangent list; an empty list is valid (convex planar
     curves have none).
     """
     L = curve.L
+    near_diag = 4.0 * tol.endpoint_margin * L
     axis = np.arange(n_grid) * (L / n_grid)
-    S, T = np.meshgrid(axis, axis, indexing="ij")
-    s_flat, t_flat = S.ravel(), T.ravel()
-    keep = curve.circ_dist(s_flat, t_flat) > 4.0 * tol.endpoint_margin * L
-    s_flat, t_flat = s_flat[keep], t_flat[keep]
-    chord = curve.point(t_flat) - curve.point(s_flat)
-    tang = curve.unit_tangent(s_flat)
-    resid = np.cross(chord, tang)
-    r2 = np.einsum("ij,ij->i", resid, resid) / np.maximum(
-        np.einsum("ij,ij->i", chord, chord), 1e-300)
-    order = np.argsort(r2)
-    seeds = np.stack([s_flat[order[:200]], t_flat[order[:200]]], axis=1)
+    P, V = curve.spline.eval_multi(axis, (0, 1))
+    chord = P[None, :, :] - P[:, None, :]  # [i, j]: gamma(axis_j) - gamma(axis_i)
+    resid = np.cross(chord, (V / np.linalg.norm(V, axis=1, keepdims=True))[:, None])
+    r2 = row_dots(resid, resid) / np.maximum(row_dots(chord, chord), 1e-300)
+    si, ti = np.nonzero(curve.circ_dist(axis[:, None], axis[None, :]) > near_diag)
+    order = np.argsort(r2[si, ti])[:200]
+    s, t, ok = _refine_tangency(curve, axis[si[order]], axis[ti[order]])
     out = []
-    for s0, t0 in seeds:
-        ref = _refine_tangency(curve, s0, t0, tol)
-        if ref is None:
-            continue
-        s1, t1 = ref
-        if curve.circ_dist(s1, t1) < 4.0 * tol.endpoint_margin * L:
+    for s1, t1 in zip(s[ok], t[ok]):
+        if curve.circ_dist(s1, t1) < near_diag:
             continue
         if any(curve.circ_dist(s1, a) < 1e-4 * L and curve.circ_dist(t1, b) < 1e-4 * L
                for a, b in out):
@@ -325,171 +317,89 @@ def tangent_boundary_cords(curve, tol=DEFAULT_TOL, n_grid=256):
     return out
 
 
-def _refine_tangency(curve, s, t, tol, iters=60):
-    """Newton on F(s,t) = components of chord along the normal plane at s."""
+def _tangency_residual(curve, s, t):
+    """r = (gamma(t) - gamma(s)) x gamma'(s) at the cords (s_i, t_i), and its
+    Jacobian, from one spline call.
+
+    Returns (r, J) with r of shape (k, 3) and J of shape (k, 3, 2), whose
+    columns are the exact derivatives
+    dr/ds = (gamma(t) - gamma(s)) x gamma''(s) and dr/dt = gamma'(t) x gamma'(s).
+    r vanishes exactly where the chord is tangent at its startpoint.
+    """
+    k = len(s)
+    x, v, a = curve.spline.eval_multi(np.concatenate([s, t]), (0, 1, 2))
+    chord = x[k:] - x[:k]
+    J = np.stack([np.cross(chord, a[:k]), np.cross(v[k:], v[:k])], axis=2)
+    return np.cross(chord, v[:k]), J
+
+
+def _refine_tangency(curve, s0, t0, iters=60):
+    """Gauss-Newton on r(s, t) = 0 (``_tangency_residual``) for every seed at once.
+
+    A seed stops once |r| < 1e-11 L; a step longer than 0.05 L is shortened
+    to that length.  Returns (s, t, ok): ok marks the seeds that converged
+    within ``iters`` iterations and whose unit chord is tangent at s to 1e-7;
+    a seed whose normal matrix J^T J is singular is dropped.
+    """
     L = curve.L
+    s = np.array(s0, dtype=float)
+    t = np.array(t0, dtype=float)
+    ok = np.zeros(len(s), dtype=bool)
+    active = np.arange(len(s))
     for _ in range(iters):
-        p, q = curve.point(s), curve.point(t)
-        chord = q - p
-        v = curve.unit_tangent(s)
-        acc = curve.second(s)
-        w1 = acc / max(np.linalg.norm(acc), 1e-12)
-        w1 = w1 - v * float(w1 @ v)
-        n1 = np.linalg.norm(w1)
-        if n1 < 1e-9:
-            return None
-        w1 /= n1
-        w2 = np.cross(v, w1)
-        f = np.array([chord @ w1, chord @ w2])
-        if np.linalg.norm(f) < 1e-11 * L:
+        if len(active) == 0:
             break
-        h = 1e-6 * L
-        J = np.empty((2, 2))
-        for col, (ds, dt) in enumerate(((h, 0.0), (0.0, h))):
-            p2, q2 = curve.point(s + ds), curve.point(t + dt)
-            v2 = curve.unit_tangent(s + ds)
-            a2 = curve.second(s + ds)
-            u1 = a2 / max(np.linalg.norm(a2), 1e-12)
-            u1 = u1 - v2 * float(u1 @ v2)
-            u1 /= max(np.linalg.norm(u1), 1e-12)
-            u2 = np.cross(v2, u1)
-            chord2 = q2 - p2
-            f2 = np.array([chord2 @ u1, chord2 @ u2])
-            J[:, col] = (f2 - f) / h
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if abs(det) < 1e-14:
-            return None
-        step = np.linalg.solve(J, f)
-        if np.linalg.norm(step) > 0.05 * L:
-            step *= 0.05 * L / np.linalg.norm(step)
-        s = (s - step[0]) % L
-        t = (t - step[1]) % L
-    else:
-        return None
+        r, J = _tangency_residual(curve, s[active], t[active])
+        done = np.sqrt(row_dots(r, r)) < 1e-11 * L
+        ok[active[done]] = True
+        # the Gauss-Newton step solves the normal equations J^T J step = J^T r
+        Jt = np.swapaxes(J, 1, 2)
+        JtJ = Jt @ J
+        going = ~done & (np.abs(np.linalg.det(JtJ)) >= 1e-28)
+        step = np.linalg.solve(JtJ[going], Jt[going] @ r[going, :, None])[:, :, 0]
+        norm = np.sqrt(row_dots(step, step))
+        step *= np.minimum(1.0, 0.05 * L / np.maximum(norm, 1e-300))[:, None]
+        active = active[going]
+        s[active] = (s[active] - step[:, 0]) % L
+        t[active] = (t[active] - step[:, 1]) % L
     # confirm the chord really is tangent at the startpoint
-    chord = curve.point(t) - curve.point(s)
-    v = curve.unit_tangent(s)
-    mis = np.linalg.norm(np.cross(chord / max(np.linalg.norm(chord), 1e-300), v))
-    if mis > 1e-7:
-        return None
-    return s, t
+    x, v = curve.spline.eval_multi(np.concatenate([s, t]), (0, 1))
+    k = len(s)
+    chord = x[k:] - x[:k]
+    chord /= np.maximum(np.linalg.norm(chord, axis=1, keepdims=True), 1e-300)
+    mis = np.cross(chord, v[:k] / np.linalg.norm(v[:k], axis=1, keepdims=True))
+    return s, t, ok & (np.sqrt(row_dots(mis, mis)) <= 1e-7)
 
 
 # ---------------------------------------------------------------------------
-# F^s polyline continuation (Appendix-style boundary test and `sets` export)
+# the boundary identity dF^s = d^sS, by a degree count
 # ---------------------------------------------------------------------------
 
 def f_start_value(curve, framing, s, t):
+    """``framing_event`` at the start point, or None where it is undefined."""
     try:
-        ev = framing_event(curve, framing, s, t, "start")
+        return framing_event(curve, framing, s, t, "start")
     except ZeroProjection:
         return None
-    return ev
 
 
-def trace_f_start_arc(curve, framing, s0, t0, direction, tol=DEFAULT_TOL,
-                      step=None, max_steps=4000):
-    """Follow the F^s zero curve from (s0, t0) until the positivity gate alpha
-    drops to zero (the dS boundary) or the arc leaves the patch budget.
+def f_arc_ends(curve, framing, s0, t0, radius):
+    """Number of F^s arc ends inside the circle of ``radius`` around (s0, t0).
 
-    Returns the polyline of (s, t) points visited.
+    Counts the sign changes of F-start between neighbouring points of 360
+    points on the circle, where both points lie on the +nu side.  At a d^sS
+    cord the chord is tangent at s, so the projected chord has an isolated
+    zero there and turns once around the normal plane along a small circle:
+    it points along +nu exactly once, and the count is 1.  An F^s arc that
+    only passes through the disc crosses the circle twice, so an odd count
+    means an arc ends inside.
     """
     L = curve.L
-    step = step or 2e-3 * L
-    pts = [(s0, t0)]
-    s, t = s0, t0
-    tang_prev = np.asarray(direction, float)
-    tang_prev /= np.linalg.norm(tang_prev)
-    for _ in range(max_steps):
-        g = _f_gradient(curve, framing, s, t, tol)
-        if g is None:
-            break
-        tang = np.array([-g[1], g[0]])
-        norm = np.linalg.norm(tang)
-        if norm < 1e-14:
-            break
-        tang /= norm
-        if tang @ tang_prev < 0:
-            tang = -tang
-        s_pred, t_pred = (s + step * tang[0]) % L, (t + step * tang[1]) % L
-        corr = _f_newton(curve, framing, s_pred, t_pred, tol)
-        if corr is None:
-            break
-        s, t = corr
-        ev = f_start_value(curve, framing, s, t)
-        if ev is None or not ev.positive:
-            break
-        pts.append((s, t))
-        tang_prev = tang
-    return pts
-
-
-def _f_gradient(curve, framing, s, t, tol, h=None):
-    h = h or 1e-6 * curve.L
+    angles = np.arange(360) * (2.0 * math.pi / 360)
     vals = []
-    for ds, dt in ((h, 0), (-h, 0), (0, h), (0, -h)):
-        ev = f_start_value(curve, framing, s + ds, t + dt)
-        if ev is None:
-            return None
-        vals.append(ev.value)
-    return np.array([(vals[0] - vals[1]) / (2 * h), (vals[2] - vals[3]) / (2 * h)])
-
-
-def f_arc_terminates_at(curve, framing, s0, t0, tol=DEFAULT_TOL, radius=None):
-    """Check the boundary identity at one tangency cord (s0, t0).
-
-    Looks for the gated F^s zero set on a small circle around the cord and
-    follows the arc inward; returns the closest approach of any arc endpoint
-    to the cord (the identity dF^s = d^sS predicts it ends there).
-    """
-    L = curve.L
-    radius = radius or 0.01 * L
-    angles = np.linspace(0.0, 2.0 * math.pi, 96, endpoint=False)
-    ring = [((s0 + radius * math.cos(a)) % L, (t0 + radius * math.sin(a)) % L)
-            for a in angles]
-    vals = []
-    for (s, t) in ring:
-        ev = f_start_value(curve, framing, s, t)
-        vals.append(ev.value if (ev is not None and ev.positive) else None)
-    best = math.inf
-    for i in range(len(ring)):
-        j = (i + 1) % len(ring)
-        if vals[i] is None or vals[j] is None or vals[i] * vals[j] >= 0:
-            continue
-        frac = abs(vals[i]) / (abs(vals[i]) + abs(vals[j]))
-        a = angles[i] + frac * (2.0 * math.pi / len(ring))
-        seed = _f_newton(curve, framing, (s0 + radius * math.cos(a)) % L,
-                         (t0 + radius * math.sin(a)) % L, tol)
-        if seed is None:
-            continue
-        inward = np.array([s0 - seed[0], t0 - seed[1]])
-        for direction in (inward, -inward):
-            arc = trace_f_start_arc(curve, framing, seed[0], seed[1], direction,
-                                    tol, step=radius / 12.0,
-                                    max_steps=int(20 * radius / (radius / 12.0)))
-            end = arc[-1]
-            d = math.hypot(curve.circ_dist(end[0], s0), curve.circ_dist(end[1], t0))
-            best = min(best, d)
-    return best
-
-
-def _f_newton(curve, framing, s, t, tol, iters=20):
-    L = curve.L
-    for _ in range(iters):
-        ev = f_start_value(curve, framing, s, t)
-        if ev is None:
-            return None
-        if abs(ev.value) < 1e-12:
-            return s, t
-        g = _f_gradient(curve, framing, s, t, tol)
-        if g is None:
-            return None
-        g2 = float(g @ g)
-        if g2 < 1e-18:
-            return None
-        s = (s - ev.value * g[0] / g2) % L
-        t = (t - ev.value * g[1] / g2) % L
-    ev = f_start_value(curve, framing, s, t)
-    if ev is None or abs(ev.value) > 1e-9:
-        return None
-    return s, t
+    for a in angles:
+        ev = f_start_value(curve, framing, (s0 + radius * math.cos(a)) % L,
+                           (t0 + radius * math.sin(a)) % L)
+        vals.append(ev.value if ev is not None and ev.positive else None)
+    return sum(1 for a, b in zip(vals, vals[1:] + vals[:1])
+               if a is not None and b is not None and a * b < 0.0)

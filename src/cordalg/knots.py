@@ -80,8 +80,10 @@ def _cumulative_arclength(points):
 def _resample_arclength(points, n_out, refine=4):
     """Resample a closed polyline-ish point set to uniform arclength.
 
-    Uses a provisional periodic spline and a dense arclength table; two
-    passes are enough to hit |gamma'| = 1 well inside tol_arc.
+    Each of three passes fits a provisional periodic spline, tabulates its
+    arclength densely and resamples at uniform arclength.  Three passes
+    bring |gamma'| within tol_arc on the shipped layouts, but not always for
+    a steep local bump, which ``KnotCurve.validate`` then rejects.
     """
     pts = np.asarray(points, dtype=float)
     for _ in range(3):
@@ -252,7 +254,7 @@ class Framing:
     def with_winding(self, extra):
         return Framing(self.curve, self.rotation, self.winding + extra, self.eps)
 
-    def validate(self, tol=DEFAULT_TOL):
+    def validate(self):
         probe = np.linspace(0.0, self.curve.L, 1024, endpoint=False)
         v = self.nu(probe)
         t = self.curve.unit_tangent(probe)
@@ -382,12 +384,6 @@ def _smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-# rotation direction constant: +1 makes positive braid generators produce
-# positive crossings w.r.t. the blackboard push-off (pinned by the trefoil
-# linking-number test)
-_TWIST_DIR = 1.0
-
-
 @dataclass
 class BraidLayoutSpec:
     """Braid closure drawn along an ellipse, crossings confined to one quarter.
@@ -450,12 +446,25 @@ class BraidLayoutSpec:
         return self.spacing * (1.0 + self.modulation * np.cos(theta - self.theta_S))
 
 
+def _ellipse_frame(spec, theta):
+    """The layout ellipse at the angles theta and its outward in-plane unit
+    normals, as two (k, 3) arrays."""
+    nx = spec.b * np.cos(theta)
+    ny = spec.a * np.sin(theta)
+    nn = np.hypot(nx, ny)
+    n_hat = np.stack([nx / nn, ny / nn, np.zeros_like(nx)], axis=1)
+    base = np.stack([spec.a * np.cos(theta), spec.b * np.sin(theta),
+                     np.zeros_like(theta)], axis=1)
+    return base, n_hat
+
+
 def braid_layout_points(spec):
     """Dense points along the braid closure, plus layout metadata.
 
     Returns (points, metadata); metadata records the strand count, spacing
-    and modulation, which the labeler reads, and the ellipse axes, crossing
-    slots and loop count, which the Seifert winding-rule derivation reads.
+    and modulation, which the labeler reads, and each crossing's
+    over-passage point, where the Seifert winding-rule derivation settles a
+    winding.
     """
     n_str = spec.strands
     loops = n_str  # single-cycle closure passes the ellipse once per strand
@@ -475,6 +484,9 @@ def braid_layout_points(spec):
     pos = np.array([start_pos[l] for l in loop_idx])
     alpha = np.zeros(n_total)  # vertical stack coordinate (units of d)
     beta = np.zeros(n_total)   # in-plane normal coordinate  (units of d)
+    # per crossing: the slot's middle angle and the (alpha, beta) of the
+    # strand on the outside of the swap there (its over-passage)
+    over_theta, over_ab = [], []
 
     # positions before each slot, evolved sequentially
     for k, (g, (a_k, b_k)) in enumerate(zip(spec.word, slots)):
@@ -484,14 +496,22 @@ def braid_layout_points(spec):
         lo, hi = i, i + 1
         swap_lo = after & (pos == lo)
         swap_hi = after & (pos == hi)
-        # rotation inside the slot
-        t = _smoothstep((theta - a_k) / (b_k - a_k))
-        phi = _TWIST_DIR * np.sign(g) * math.pi * t
         mid = (lo + hi) / 2.0 - (n_str - 1) / 2.0
+
+        # rotation inside the slot; positive generators give positive
+        # crossings w.r.t. the blackboard push-off
+        def slot_coords(t, sgn):
+            phi = np.sign(g) * math.pi * _smoothstep(t)
+            return (mid + sgn * np.cos(phi),
+                    sgn * spec.inplane_ratio * np.sin(phi))
+
+        t = (theta - a_k) / (b_k - a_k)
         for which, sgn in ((lo, -0.5), (hi, 0.5)):
             m = inside & (pos == which)
-            alpha[m] = mid + sgn * np.cos(phi[m])
-            beta[m] = sgn * spec.inplane_ratio * np.sin(phi[m])
+            alpha[m], beta[m] = slot_coords(t[m], sgn)
+        over_theta.append(0.5 * (a_k + b_k))
+        over_ab.append(max((slot_coords(0.5, sgn) for sgn in (-0.5, 0.5)),
+                           key=lambda ab: ab[1]))
         pos[swap_lo] = hi
         pos[swap_hi] = lo
 
@@ -501,22 +521,20 @@ def braid_layout_points(spec):
     alpha[outside] = pos[outside] - (n_str - 1) / 2.0
 
     d = spec.d_of_theta(theta)
-    nx = spec.b * np.cos(theta)
-    ny = spec.a * np.sin(theta)
-    nn = np.hypot(nx, ny)
-    n_hat = np.stack([nx / nn, ny / nn, np.zeros_like(nx)], axis=1)
-    base = np.stack([spec.a * np.cos(theta), spec.b * np.sin(theta),
-                     np.zeros_like(theta)], axis=1)
+    base, n_hat = _ellipse_frame(spec, theta)
     pts = base + (d * alpha)[:, None] * VERTICAL + (d * beta)[:, None] * n_hat
 
+    over_theta = np.array(over_theta)
+    over_ab = np.array(over_ab).reshape(-1, 2)
+    base, n_hat = _ellipse_frame(spec, over_theta)
+    over = base + spec.d_of_theta(over_theta)[:, None] * (
+        over_ab[:, :1] * VERTICAL + over_ab[:, 1:] * n_hat)
     meta = {
         "layout": "braid",
         "strands": n_str,
-        "axes": (spec.a, spec.b),
         "spacing": spec.spacing,
         "modulation": spec.modulation,
-        "slots": slots,
-        "loops": loops,
+        "over_passages": over,
     }
     return pts, meta
 
@@ -629,17 +647,15 @@ def perturb_basepoint(curve, magnitude, seed=0):
     return curve.shift_basepoint(delta)
 
 
-def perturb_curve(curve, magnitude, seed=0, center=None, direction=None,
-                  width=None, tol=DEFAULT_TOL):
+def perturb_curve(curve, magnitude, seed=0, center=None, width=None,
+                  tol=DEFAULT_TOL):
     """Seeded local bump of the knot; re-validates all invariants."""
     if magnitude >= curve.clearance / 4.0:
         raise InvariantLost("perturbation magnitude too large for the clearance")
     rng = np.random.default_rng(seed)
     center = center if center is not None else rng.random() * curve.L
     width = width or 0.05 * curve.L
-    if direction is None:
-        direction = rng.normal(size=3)
-    direction = np.asarray(direction, float)
+    direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     n = len(curve.samples)
     params = np.arange(n) * (curve.L / n)

@@ -9,10 +9,13 @@ from .errors import (
     DegenerateCritical,
     GenericityExhausted,
     GenericityViolation,
+    GrammarError,
     InvariantLost,
     SeedingInsufficient,
+    SelfReference,
     SpecError,
     UnsupportedFraming,
+    VerticalTangent,
 )
 from .flow import FlowContext, boundary_D
 from .incidence import chord_knot_intersections, framing_event
@@ -27,6 +30,7 @@ from .knots import (
 from .ring import (
     AlgebraElement,
     Presentation,
+    check_rules,
     framing_transform,
     mono_inv,
     normalize_relation,
@@ -94,7 +98,7 @@ def simplify(p, reduce_cap=400):
             * (-coeff)
         )
         rule = {g: solved}
-        rels = [rr.substitute(rule) for rr in rels if not rr.substitute(rule).is_zero()]
+        rels = [rr for rr in (rr.substitute(rule) for rr in rels) if not rr.is_zero()]
         solved_rules = {k: v.substitute(rule) for k, v in solved_rules.items()}
         solved_rules[g] = solved
         gens.remove(g)
@@ -214,11 +218,19 @@ def setup_knot(spec, tol=DEFAULT_TOL):
     rotation = float(spec.get("framing_rotation", 0.0))
     rules = spec.get("seifert_rules")
     if rules is not None:
-        rules = [(g, parse(txt)) for g, txt in rules]
+        try:
+            rules = [(g, parse(txt)) for g, txt in rules]
+            check_rules(dict(rules))
+        except (GrammarError, SelfReference) as exc:
+            raise SpecError(f"bad 'seifert_rules': {exc}") from exc
     curve = build_curve(spec, tol=tol)
     if curve.metadata.get("layout") == "braid" and rotation == 0.0:
         rotation = BRAID_ROTATION
-    return curve, build_framing(curve, kind="blackboard", rotation=rotation), rules
+    try:
+        frame = build_framing(curve, kind="blackboard", rotation=rotation)
+    except VerticalTangent as exc:
+        raise UnsupportedFraming(f"no blackboard framing: {exc}") from exc
+    return curve, frame, rules
 
 
 def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
@@ -292,9 +304,9 @@ def _run_once(curve, frame, framing, tol, seifert_rules, seed):
     lk = linking_number(curve, frame)
     generators = sorted({p.label for p in ctx.minima})
     relations = [v for v in boundary_values.values() if not v.is_zero()]
+    census = tuple(sum(1 for p in critical if p.index == i) for i in range(3))
     pres = Presentation(generators, relations, metadata={
-        "framing": "blackboard", "lk": lk, "seed": seed,
-        "census": tuple(sum(1 for p in critical if p.index == i) for i in range(3)),
+        "framing": "blackboard", "lk": lk, "seed": seed, "census": census,
     })
     if framing == "seifert":
         rules = seifert_rules
@@ -312,7 +324,7 @@ def _run_once(curve, frame, framing, tol, seifert_rules, seed):
         boundary_values=boundary_values,
         critical_points=critical,
         traces=traces,
-        census=tuple(sum(1 for p in critical if p.index == i) for i in range(3)),
+        census=census,
         linking=lk,
         metadata=dict(out.metadata),
     )

@@ -161,9 +161,6 @@ class AlgebraElement:
         """Terms in canonical order as (word, coefficient) pairs."""
         return sorted(self._terms.items(), key=lambda t: word_key(t[0]))
 
-    def coeff(self, word):
-        return self._terms.get(word, 0)
-
     def generators(self):
         out = set()
         for (_, gens) in self._terms:
@@ -201,9 +198,7 @@ class AlgebraElement:
         self-mention is rejected since the caller almost certainly meant an
         elimination, which would not terminate.
         """
-        for g, rep in rules.items():
-            if g in rep.generators() and not _is_unit_conjugate(g, rep):
-                raise SelfReference(f"rule for {g!r} mentions itself")
+        check_rules(rules)
         out = AlgebraElement.zero()
         for (monos, gens), c in self._terms.items():
             acc = AlgebraElement.monomial(*monos[0], coeff=c)
@@ -216,9 +211,6 @@ class AlgebraElement:
         return out
 
     # ---- text form -------------------------------------------------------
-
-    def serialize(self):
-        return serialize(self)
 
     def __repr__(self):
         return f"<{serialize(self)}>"
@@ -603,14 +595,13 @@ class Presentation:
             "metadata": self.metadata,
         }
 
-    @staticmethod
-    def from_dict(d):
-        return Presentation(
-            generators=list(d["generators"]),
-            relations=[parse(s) for s in d["relations"]],
-            ring=d.get("ring", "Z[l^±1,u^±1]"),
-            metadata=d.get("metadata", {}),
-        )
+
+def check_rules(rules):
+    """Raise SelfReference for a rule of ``rules: {label: AlgebraElement}``
+    that mentions its own generator other than as ``mL g mR``."""
+    for g, rep in rules.items():
+        if g in rep.generators() and not _is_unit_conjugate(g, rep):
+            raise SelfReference(f"rule for {g!r} mentions itself")
 
 
 def framing_transform(p, n, extra_rules=()):

@@ -15,47 +15,20 @@ the end point.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 
 def crossing_passage_params(curve):
     """Arclength parameter of each crossing's over-strand passage.
 
-    Per crossing, the passage whose strand runs on the outside of the swap
-    (the over-strand of the radial diagram).
+    The layout records, per crossing, the point where the strand on the
+    outside of the swap (the over-strand of the radial diagram) passes the
+    middle of its slot; the parameter is that of the curve sample nearest it.
     """
-    meta = curve.metadata
-    slots = meta["slots"]
-    loops = meta.get("loops", 2)
     n = len(curve.samples)
     params = np.arange(n) * (curve.L / n)
-    pts = curve.point(params)
-    a, b = meta["axes"]
-    theta = np.arctan2(pts[:, 1] / b, pts[:, 0] / a) % (2.0 * math.pi)
-    chosen = []
-    for (a_k, b_k) in slots:
-        center = 0.5 * (a_k + b_k)
-        hits = []
-        close = np.abs((theta - center + math.pi) % (2 * math.pi) - math.pi)
-        order = np.argsort(close)
-        for idx in order[: 8 * loops]:
-            p = params[idx]
-            if all(curve.circ_dist(p, q) > 0.05 * curve.L for q in hits):
-                hits.append(p)
-            if len(hits) == loops:
-                break
-        radial = []
-        for p in hits:
-            x, y, _z = curve.point(p)
-            th = math.atan2(y / b, x / a)
-            n_hat = np.array([b * math.cos(th), a * math.sin(th), 0.0])
-            n_hat /= np.linalg.norm(n_hat)
-            base = np.array([a * math.cos(th), b * math.sin(th), 0.0])
-            radial.append(float((curve.point(p) - base) @ n_hat))
-        chosen.append(hits[int(np.argmax(radial))])
-    return chosen
+    return [float(params[np.argmin(np.linalg.norm(curve.samples - p, axis=1))])
+            for p in curve.metadata["over_passages"]]
 
 
 def winding_sweep_rules(curve, ctx, lk):

@@ -27,7 +27,7 @@ class Tolerances:
     intersect_tol: float = 1e-6      # accepted chord/knot hit distance      (*L)
     endpoint_margin: float = 1e-3    # arclength exclusion around endpoints  (*L)
     tau_floor: float = 1e-3          # chord-fraction exclusion              (abs)
-    boundary_tol: float = 1e-4       # F^s arc termination at dS cords       (*L)
+    boundary_tol: float = 1e-4       # F^s arc-end count at dS: radius 10x   (*L)
 
     # flow_engine
     event_tol: float = 1e-9          # event time/location refinement        (*L)

@@ -16,7 +16,7 @@ import pytest
 
 from cordalg.energy import energy, find_critical_points, gradient, hessian
 from cordalg.flow import FlowContext, boundary_D, select_k_pm, _Tracer
-from cordalg.incidence import f_arc_terminates_at, framing_event, tangent_boundary_cords
+from cordalg.incidence import f_arc_ends, framing_event, tangent_boundary_cords
 from cordalg.knots import build_curve, build_framing
 from cordalg.pipeline import compare, compute_cord_algebra
 from cordalg.ring import parse, serialize
@@ -256,7 +256,13 @@ def test_split_budget_is_per_boundary_value(trefoil_result):
 
 
 def test_criterion_7_f_symmetry_and_boundary():
-    """F start/end symmetry on 1000 cords; dF^s = d^sS arc termination."""
+    """F start/end symmetry on 1000 cords; dF^s = d^sS by arc-end counts.
+
+    Exactly one F^s arc ends near every tangency cord (one gated sign change
+    of F-start on a circle of radius 10 boundary_tol L), and circles of
+    radius 0.1 L that hold no tangency cord and stay off the diagonal count
+    an even number.
+    """
     curve = build_curve(dict(TREFOIL_SPEC))
     framing = build_framing(curve, rotation=dict(TREFOIL_SPEC).get(
         "framing_rotation", 0.15))
@@ -271,15 +277,24 @@ def test_criterion_7_f_symmetry_and_boundary():
         assert abs(a.value - b.value) < 1e-12 and a.positive == b.positive
         checked += 1
     boundary = tangent_boundary_cords(curve)
-    assert boundary
-    close = sum(
-        1 for (s0, t0) in boundary
-        if f_arc_terminates_at(curve, framing, s0, t0)
-        < 10 * DEFAULT_TOL.boundary_tol * curve.L
-    )
-    assert close >= 1
+    assert len(boundary) == 6
+    radius = 10 * DEFAULT_TOL.boundary_tol * curve.L
+    for s0, t0 in boundary:
+        assert f_arc_ends(curve, framing, s0, t0, radius) == 1
+    far = 0.1 * curve.L
+    counts = []
+    while len(counts) < 36:
+        s, t = rng.random(2) * curve.L
+        if curve.circ_dist(s, t) < 2 * far or any(
+                math.hypot(curve.circ_dist(s, a), curve.circ_dist(t, b)) < 1.5 * far
+                for a, b in boundary):
+            continue
+        counts.append(f_arc_ends(curve, framing, s, t, far))
+    assert all(c % 2 == 0 for c in counts)
+    assert max(counts) >= 2   # some circles do cross F^s arcs
     print(f"\n[pass] criterion 7: F symmetry (1000 cords), "
-          f"{close}/{len(boundary)} dS terminations confirmed")
+          f"{len(boundary)}/{len(boundary)} dS arc ends confirmed, "
+          f"off-boundary counts {sorted(set(counts))}")
 
 
 def test_criterion_8_ring_property_suite():

@@ -1,12 +1,14 @@
 """CLI surface: subcommands, formats, exit codes."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from cordalg import cli
 from cordalg.cli import main
+from cordalg.errors import StepCollapse
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -155,3 +157,33 @@ def test_spec_error_exit_code(tmp_path, capsys):
     assert main(["compute", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert main(["compute", str(missing)]) == 2
+
+
+_VERTICAL_CIRCLE = [[math.cos(2 * math.pi * k / 64), 0.0,
+                     math.sin(2 * math.pi * k / 64)] for k in range(64)]
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"type": "ellipse", "a": 2, "b": 1, "seifert_rules": [["g1_s", "u *"]]},
+     "bad 'seifert_rules'"),
+    ({"type": "ellipse", "a": 2, "b": 1,
+      "seifert_rules": [["g1_s", "g1_s + u"]]}, "mentions itself"),
+    ({"type": "samples", "points": _VERTICAL_CIRCLE}, "no blackboard framing"),
+], ids=["unparseable rule", "self-referencing rule", "vertical tangent"])
+def test_bad_input_is_a_spec_error(spec, message, tmp_path, capsys):
+    """Input the setup refuses exits 2, the spec-error code, not 3."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["compute", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and message in err
+
+
+def test_numerical_failure_exit_code(ellipse_spec, monkeypatch, capsys):
+    """A numerical failure exits 3, apart from the spec-error code 2."""
+    def collapse(args):
+        raise StepCollapse("step size below the floor")
+
+    monkeypatch.setattr(cli, "cmd_compute", collapse)
+    assert main(["compute", ellipse_spec]) == 3
+    assert capsys.readouterr().err.startswith("error: step size below the floor")

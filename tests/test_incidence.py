@@ -1,4 +1,4 @@
-"""Event functions for B, F and S, boundary cords, F-arc continuation."""
+"""Event functions for B, F and S, boundary cords, F-arc end counts."""
 
 import json
 import math
@@ -15,12 +15,13 @@ from cordalg.incidence import (
     ChordScreen,
     _refine_hit,
     _refine_hits,
+    _tangency_residual,
     chord_knot_intersections,
     cord_events,
+    f_arc_ends,
     f_start_value,
     framing_event,
     tangent_boundary_cords,
-    trace_f_start_arc,
 )
 from cordalg.knots import KnotCurve, build_curve, build_framing, row_dots
 from cordalg.tolerances import DEFAULT_TOL
@@ -575,27 +576,94 @@ def test_tangent_boundary_cords_ellipse_empty(ellipse):
     assert tangent_boundary_cords(ellipse) == []
 
 
+# the d^sS cords of specs/trefoil.json, pinned from the Newton refinement on
+# the Frenet-frame components with a finite-difference Jacobian that the
+# batched Gauss-Newton replaced
+TREFOIL_TANGENCY_CORDS = [
+    (5.297728123588162, 21.738881180651486),
+    (5.909574549283576, 21.30230525303017),
+    (20.807061067738505, 4.42562604110768),
+    (22.30646032260991, 6.970792221388669),
+    (22.89378693052245, 21.54230106242078),
+    (22.998110877609797, 6.480703651899005),
+]
+
+
 def test_tangent_boundary_cords_trefoil(trefoil):
-    cords = tangent_boundary_cords(trefoil)
-    assert 0 < len(cords) < 40
-    for s, t in cords:
-        chord = trefoil.point(t) - trefoil.point(s)
-        chord = chord / np.linalg.norm(chord)
-        tang = trefoil.unit_tangent(s)
-        assert np.linalg.norm(np.cross(chord, tang)) < 1e-6
+    spec_trefoil = build_curve(json.loads((SPECS / "trefoil.json").read_text()))
+    cords = tangent_boundary_cords(spec_trefoil)
+    assert len(cords) == len(TREFOIL_TANGENCY_CORDS)
+    for (s, t), (s_ref, t_ref) in zip(cords, TREFOIL_TANGENCY_CORDS):
+        assert spec_trefoil.circ_dist(s, s_ref) < 1e-8 * spec_trefoil.L
+        assert spec_trefoil.circ_dist(t, t_ref) < 1e-8 * spec_trefoil.L
+    plain = tangent_boundary_cords(trefoil)
+    assert 0 < len(plain) < 40
+    for curve, found in ((spec_trefoil, cords), (trefoil, plain)):
+        for s, t in found:
+            chord = curve.point(t) - curve.point(s)
+            chord = chord / np.linalg.norm(chord)
+            tang = curve.unit_tangent(s)
+            assert np.linalg.norm(np.cross(chord, tang)) < 1e-7
+
+
+def test_tangency_jacobian_matches_central_differences(trefoil):
+    """The exact Jacobian of r = (gamma(t) - gamma(s)) x gamma'(s) agrees
+    with central differences of r at 50 random cords."""
+    rng = np.random.default_rng(21)
+    s, t = rng.random((2, 50)) * trefoil.L
+    _r, J = _tangency_residual(trefoil, s, t)
+    h = 1e-6 * trefoil.L
+    fd = np.stack([
+        (_tangency_residual(trefoil, s + h, t)[0]
+         - _tangency_residual(trefoil, s - h, t)[0]) / (2 * h),
+        (_tangency_residual(trefoil, s, t + h)[0]
+         - _tangency_residual(trefoil, s, t - h)[0]) / (2 * h),
+    ], axis=2)
+    assert np.max(np.abs(J - fd)) < 1e-6 * max(1.0, np.max(np.abs(J)))
+
+
+def _f_start_crossing(curve, framing, s0, t0, rho, n=360):
+    """A cord on the gated F^s zero set where it crosses the circle of
+    radius ``rho`` around (s0, t0), bisected in the angle."""
+    L = curve.L
+
+    def value(a):
+        ev = f_start_value(curve, framing, (s0 + rho * math.cos(a)) % L,
+                           (t0 + rho * math.sin(a)) % L)
+        return ev.value if ev is not None and ev.positive else None
+
+    angles = np.arange(n + 1) * (2.0 * math.pi / n)
+    vals = [value(a) for a in angles]
+    lo, hi, v_lo = next((lo, hi, a) for lo, hi, a, b
+                        in zip(angles, angles[1:], vals, vals[1:])
+                        if a is not None and b is not None and a * b < 0.0)
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if value(mid) * v_lo > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    a = 0.5 * (lo + hi)
+    return (s0 + rho * math.cos(a)) % L, (t0 + rho * math.sin(a)) % L
 
 
 def test_f_arc_terminates_at_tangency(trefoil, trefoil_framing):
-    """The F^s zero arc, continued toward its end, stops at a dS cord."""
-    from cordalg.incidence import f_arc_terminates_at
+    """dF^s = d^sS: one F^s arc ends at every dS cord.
+
+    A small circle around each tangency cord counts exactly one gated sign
+    change of F-start, at radius 10 boundary_tol L and at three times that.
+    The same circle around a cord further along the arc, where it crosses a
+    circle of 30 times that radius, counts exactly two: the arc passes
+    through.
+    """
     boundary = tangent_boundary_cords(trefoil)
     assert boundary
-    hits = 0
-    for (s0, t0) in boundary:
-        d = f_arc_terminates_at(trefoil, trefoil_framing, s0, t0)
-        if d < 10 * DEFAULT_TOL.boundary_tol * trefoil.L:
-            hits += 1
-    assert hits >= 1
+    radius = 10 * DEFAULT_TOL.boundary_tol * trefoil.L
+    for s0, t0 in boundary:
+        assert f_arc_ends(trefoil, trefoil_framing, s0, t0, radius) == 1
+        assert f_arc_ends(trefoil, trefoil_framing, s0, t0, 3 * radius) == 1
+        s, t = _f_start_crossing(trefoil, trefoil_framing, s0, t0, 30 * radius)
+        assert f_arc_ends(trefoil, trefoil_framing, s, t, radius) == 2
 
 
 def test_f_near_diagonal_vertical_structure(trefoil, trefoil_framing):

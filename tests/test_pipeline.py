@@ -1,6 +1,7 @@
 """End-to-end pipeline on the unknot family and genericity machinery."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from cordalg.errors import (
     SpecError,
     UnsupportedFraming,
 )
-from cordalg.knots import build_curve, build_framing, ellipse_points
+from cordalg.knots import BraidLayoutSpec, build_curve, build_framing, ellipse_points
 from cordalg.pipeline import (
     compare,
     compute_cord_algebra,
@@ -24,6 +25,7 @@ from cordalg.pipeline import (
     simplify,
 )
 from cordalg.ring import Presentation, parse, serialize
+from cordalg.seifert import crossing_passage_params
 
 UNKNOT_RELATION = parse("1 - u - l + l u")  # (l-1)(u-1)
 
@@ -251,3 +253,61 @@ def test_seifert_rules_refuse_non_braid_layout():
     assert issubclass(UnsupportedFraming, SpecError)
     with pytest.raises(UnsupportedFraming, match="lk = -3"):
         derive_seifert_rules(curve, None, -3)
+
+
+def _radial_passage_params(curve, layout):
+    """Reference crossing sites, re-derived from the drawn curve.
+
+    Per slot, the samples whose elliptic angle lies nearest the slot centre
+    give one passage per loop of the closure; the passage with the largest
+    radial offset from the ellipse is the over-strand.
+    """
+    a, b = layout.a, layout.b
+    loops = layout.strands
+    n = len(curve.samples)
+    params = np.arange(n) * (curve.L / n)
+    pts = curve.point(params)
+    theta = np.arctan2(pts[:, 1] / b, pts[:, 0] / a) % (2.0 * math.pi)
+    chosen = []
+    for (a_k, b_k) in layout.slots():
+        center = 0.5 * (a_k + b_k)
+        close = np.abs((theta - center + math.pi) % (2 * math.pi) - math.pi)
+        hits = []
+        for idx in np.argsort(close)[: 8 * loops]:
+            p = params[idx]
+            if all(curve.circ_dist(p, q) > 0.05 * curve.L for q in hits):
+                hits.append(p)
+            if len(hits) == loops:
+                break
+        radial = []
+        for p in hits:
+            x, y, _z = curve.point(p)
+            th = math.atan2(y / b, x / a)
+            n_hat = np.array([b * math.cos(th), a * math.sin(th), 0.0])
+            n_hat /= np.linalg.norm(n_hat)
+            base = np.array([a * math.cos(th), b * math.sin(th), 0.0])
+            radial.append(float((curve.point(p) - base) @ n_hat))
+        chosen.append(hits[int(np.argmax(radial))])
+    return chosen
+
+
+@pytest.mark.parametrize("word", [None, [1, 1, 1], [-1, -1, -1]])
+def test_crossing_passages_match_the_radial_derivation(word):
+    """The over-passages the layout records land within two sample spacings
+    of the ones re-derived from the drawn curve, on the shipped trefoil, the
+    default-layout trefoil and its mirror."""
+    spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
+                       / "trefoil.json").read_text())
+    if word is not None:
+        spec = {"type": "braid", "word": word}
+    keys = ("strands", "a", "b", "spacing", "modulation", "theta_S",
+            "quarter", "inplane_ratio", "samples_per_loop")
+    layout = BraidLayoutSpec(word=list(spec["word"]),
+                             **{k: spec[k] for k in keys if k in spec})
+    curve = build_curve(spec)
+    step = curve.L / len(curve.samples)
+    new = crossing_passage_params(curve)
+    ref = _radial_passage_params(curve, layout)
+    assert len(new) == len(ref) == 3
+    for p, q in zip(new, ref):
+        assert round(curve.circ_dist(p, q) / step) <= 2
