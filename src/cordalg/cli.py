@@ -49,14 +49,33 @@ def _cord(text):
     return s, t
 
 
-def _positive_int(text):
+def _int(text, least):
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
     return n
+
+
+def _positive_int(text):
+    return _int(text, 1)
+
+
+def _nonnegative_int(text):
+    return _int(text, 0)
+
+
+def _positive_float(text):
+    """A finite float above zero, such as the ``--tol-scale`` factor."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(x) and x > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return x
 
 
 def _write(text, args):
@@ -290,7 +309,8 @@ def build_parser():
     def command(name, fn, help, formats=(), output=True):
         p = sub.add_parser(name, help=help)
         p.add_argument("spec", help="knot spec JSON file")
-        p.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0)
+        p.add_argument("--tol-scale", dest="tol_scale", type=_positive_float,
+                       default=1.0)
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         if output:
@@ -303,7 +323,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--framing", choices=("blackboard", "seifert"),
                    default="seifert")
-    p.add_argument("--max-perturb", dest="max_perturb", type=int, default=None)
+    p.add_argument("--max-perturb", dest="max_perturb", type=_nonnegative_int,
+                   default=None)
 
     command("analyze", cmd_analyze, "critical point table",
             formats=("json", "tsv"))

@@ -199,11 +199,18 @@ def _grid_grad_sq(curve, n):
 
 
 def _collect(curve, seeds, tol, cluster_dist=0.0):
+    """The critical points polished from ``seeds``, in exact mirror pairs.
+
+    E is symmetric under the swap (s,t) <-> (t,s), and so, bit for bit, are
+    its gradient, its Hessian and the Newton step: the grid seeds come in
+    swapped pairs and a swapped seed polishes to the swapped point.  Each
+    pair is therefore merged as its representative with s < t, and its
+    partner is built as the exact swap, with the same energy, gradient norm
+    and eigenvalues and swapped eigenvectors.
+    """
     L = curve.L
     if len(seeds) == 0:
         return []
-    # the landscape is symmetric under (s,t) <-> (t,s); seed both
-    seeds = np.vstack([seeds, seeds[:, ::-1]])
     polished = _newton_polish(curve, seeds, tol)
     g = gradient(curve, polished[:, 0], polished[:, 1])
     gn = np.linalg.norm(g, axis=1)
@@ -215,13 +222,20 @@ def _collect(curve, seeds, tol, cluster_dist=0.0):
     if len(polished) == 0:
         return []
 
-    # greedy first-come merge: drop each point near an earlier kept one
-    near = _close_pairs(curve, polished, tol.merge_tol * L)
-    kept = np.ones(len(polished), dtype=bool)
-    for i in range(len(polished)):
+    # greedy first-come merge of the representatives: drop each point near
+    # an earlier kept one or near its swap (a point close to a basepoint
+    # line has copies on both sides of s = t)
+    flip = polished[:, 0] > polished[:, 1]
+    reps = np.vstack([polished[~flip], polished[flip][:, ::-1]])
+    gn = np.concatenate([gn[~flip], gn[flip]])
+    r = tol.merge_tol * L
+    near = _close_pairs(curve, reps, r) | _close_pairs(curve, reps, r, reps[:, ::-1])
+    kept = np.ones(len(reps), dtype=bool)
+    for i in range(len(reps)):
         if kept[i]:
             kept[i + 1:] &= ~near[i + 1:, i]
-    merged, merged_gn = polished[kept], gn[kept]
+    merged = np.vstack([reps[kept], reps[kept][:, ::-1]])
+    merged_gn = np.concatenate([gn[kept], gn[kept]])
 
     # isolated criticals cannot sit at grid scale from each other; a cluster
     # of converged points along a valley is a Bott-degenerate family
@@ -230,8 +244,10 @@ def _collect(curve, seeds, tol, cluster_dist=0.0):
             "critical points cluster at grid scale (Bott family)"
         )
 
-    H = hessian(curve, merged[:, 0], merged[:, 1])
-    eigvals, eigvecs = np.linalg.eigh(H)
+    # the swapped Hessian has the same eigenvalues and swapped eigenvectors
+    eigvals, eigvecs = np.linalg.eigh(hessian(curve, reps[kept, 0], reps[kept, 1]))
+    eigvals = np.concatenate([eigvals, eigvals])
+    eigvecs = np.concatenate([eigvecs, eigvecs[:, ::-1, :]])
     floor = tol.nondegeneracy_rel * np.max(np.abs(eigvals))
     if np.any(np.abs(eigvals) < floor):
         i = int(np.argmin(np.abs(eigvals).min(axis=1)))
@@ -254,10 +270,18 @@ def _collect(curve, seeds, tol, cluster_dist=0.0):
     return out
 
 
-def _close_pairs(curve, pts, r):
-    """near[i, j]: pts[i] and pts[j] lie within r of each other in s and in t."""
-    near = curve.circ_dist(pts[:, None, 0], pts[None, :, 0]) < r
-    near &= curve.circ_dist(pts[:, None, 1], pts[None, :, 1]) < r
+def mirror_partners(points):
+    """Map each census point's label to the label of its exact swap."""
+    by_cord = {(p.s, p.t): p.label for p in points}
+    return {p.label: by_cord[(p.t, p.s)] for p in points}
+
+
+def _close_pairs(curve, pts, r, other=None):
+    """near[i, j]: pts[i] and other[j] (default pts[j]) lie within r of each
+    other in s and in t."""
+    other = pts if other is None else other
+    near = curve.circ_dist(pts[:, None, 0], other[None, :, 0]) < r
+    near &= curve.circ_dist(pts[:, None, 1], other[None, :, 1]) < r
     return near
 
 

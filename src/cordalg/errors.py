@@ -65,6 +65,11 @@ class MaxSplits(CordAlgError):
     """Split recursion exceeded the hard guard (convention bug, not math)."""
 
 
+class MirrorMismatch(CordAlgError):
+    """An index-1 cord's flow start points are not the exact swap of its
+    partner's, so the partner's traces cannot be mirrored."""
+
+
 class StepCollapse(CordAlgError):
     """Integrator step size collapsed below the floor."""
 

@@ -23,6 +23,17 @@ end point, x = mu for framing and lambda for basepoint crossings
 (``_EVENT_RULES``).  A split carries the opposite of its raw orientation
 sign, and its middle factor is mu^-1 exactly when the forward child heads
 into the +nu half-plane at the crossing point, else 1.
+
+E is symmetric under the swap (s,t) <-> (t,s), which reverses the cord, and
+so is the flow: the index-1 cords come in mirror pairs k = (s,t),
+k-bar = (t,s), and the trace from k-bar's start is the mirror of the trace
+from k's (``mirror_trace``): start and end events trade places, splits
+change sign and framing side, and the children trade places.  The cord
+kernel, the step and the event values are swap-symmetric bit for bit; the
+knot-branch screen works from the cord's start point and agrees only up to
+rounding, which on every shipped input leaves the mirrored traces equal to
+flowed ones bit for bit.  ``mirror_boundary_D`` derives D(k-bar) from k's
+traces without a second flow.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .energy import cord_terms, energy, make_cord
 from .errors import (
     GenericityViolation,
     MaxSplits,
+    MirrorMismatch,
     StepCollapse,
     TangentialContact,
     ZeroProjection,
@@ -738,6 +750,90 @@ def boundary_D(curve, framing, k, ctx):
     tr_plus = _Tracer(ctx, origin_saddle=k).run(*plus)
     tr_minus = _Tracer(ctx, origin_saddle=k).run(*minus)
     tr_plus.flagged.extend(flagged)
+    vals = terminal_generator_values(ctx)
+    return (dhat_of_trace(tr_plus, vals) - dhat_of_trace(tr_minus, vals),
+            tr_plus, tr_minus)
+
+
+def mirror_trace(trace, partner_labels):
+    """The trace the flow gives from the swapped start of ``trace``.
+
+    The flow commutes with the swap (s,t) <-> (t,s), which reverses the
+    cord: start and end events trade places with the same sigma (so their
+    exponents change sign and ``left`` and ``right`` swap and negate), a
+    split keeps its crossing point at chord fraction 1 - tau with the
+    opposite orientation sign and the other framing side, and its children
+    are the mirrored children in the other order.  An index-0 terminal
+    becomes its partner in ``partner_labels``.
+    """
+    return FlowTrace(
+        initial=_swap(trace.initial),
+        events=[_mirror_event(ev) for ev in trace.events],
+        terminal=partner_labels.get(trace.terminal, trace.terminal),
+        left=_neg(trace.right),
+        right=_neg(trace.left),
+        splits=[{
+            "time": sp["time"],
+            "sign": -sp["sign"],
+            "birth_mu": -1 - sp.get("birth_mu", 0),
+            "left": _neg(sp["right"]),
+            "right": _neg(sp["left"]),
+            "children": tuple(mirror_trace(c, partner_labels)
+                              for c in reversed(sp["children"])),
+            "hit": (sp["hit"][0], 1.0 - sp["hit"][1]),
+            "lengths": (sp["lengths"][0], sp["lengths"][2], sp["lengths"][1]),
+        } for sp in trace.splits],
+        energy_drop=trace.energy_drop,
+        terminal_state=_swap(trace.terminal_state),
+        flagged=list(trace.flagged),
+        path=[(tau, t, s) for tau, s, t in trace.path],
+    )
+
+
+_MIRROR_KIND = {"F-start": "F-end", "F-end": "F-start",
+                "B-start": "B-end", "B-end": "B-start"}
+
+
+def _mirror_event(ev):
+    if ev.kind == "split":
+        return TraceEvent(time=ev.time, kind="split", sigma=-ev.sigma, exponent=0,
+                          state=_swap(ev.state),
+                          aux={"u": ev.aux["u"], "tau": 1.0 - ev.aux["tau"]})
+    return TraceEvent(time=ev.time, kind=_MIRROR_KIND[ev.kind], sigma=ev.sigma,
+                      exponent=-ev.exponent, state=_swap(ev.state))
+
+
+def _swap(y):
+    return (y[1], y[0])
+
+
+def _neg(exps):
+    return (-exps[0], -exps[1])
+
+
+def mirror_boundary_D(curve, framing, k, flowed, partner_labels, ctx):
+    """D(k) for the swap k of a flowed index-1 cord, without a flow.
+
+    ``flowed`` holds the partner's (trace+, trace-).  k's own ``select_k_pm``
+    start points must be the swapped partner start points bit for bit, in
+    either order (the unstable eigenvector may change its sign convention
+    under the swap); otherwise MirrorMismatch is raised.  Returns
+    (D, trace+, trace-) like ``boundary_D``.
+    """
+    plus, minus, flagged = select_k_pm(curve, framing, k, ctx)
+    a, b = (mirror_trace(tr, partner_labels) for tr in flowed)
+    # a trace starts at its cord wrapped the way _Tracer.run wraps it
+    L = curve.L
+    starts = tuple((float(y[0]) % L, float(y[1]) % L) for y in (plus, minus))
+    if starts == (a.initial, b.initial):
+        tr_plus, tr_minus = a, b
+    elif starts == (b.initial, a.initial):
+        tr_plus, tr_minus = b, a
+    else:
+        raise MirrorMismatch(
+            f"the start points of {k.label} are not the swapped start points"
+            " of its partner")
+    tr_plus.flagged, tr_minus.flagged = list(flagged), []
     vals = terminal_generator_values(ctx)
     return (dhat_of_trace(tr_plus, vals) - dhat_of_trace(tr_minus, vals),
             tr_plus, tr_minus)

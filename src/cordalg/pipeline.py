@@ -1,10 +1,17 @@
-"""Pipeline orchestration: presentation simplification and the full compute run."""
+"""Pipeline orchestration: presentation simplification and the full compute run.
+
+The census returns the off-diagonal critical points in exact mirror pairs
+(s,t), (t,s).  Of each pair of index-1 cords only the one with s < t is
+flowed; the boundary value of its partner is folded from the mirrored
+traces (``flow.mirror_boundary_D``), and ``ComputeResult.metadata["mirrored"]``
+maps each derived label to the label that was flowed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .energy import diagonal_data, find_critical_points
+from .energy import diagonal_data, find_critical_points, mirror_partners
 from .errors import (
     DegenerateCritical,
     GenericityExhausted,
@@ -17,7 +24,7 @@ from .errors import (
     UnsupportedFraming,
     VerticalTangent,
 )
-from .flow import FlowContext, boundary_D
+from .flow import FlowContext, boundary_D, mirror_boundary_D
 from .incidence import chord_knot_intersections, framing_event
 from .knots import (
     build_curve,
@@ -188,16 +195,16 @@ def genericity_check(curve, framing, critical_points, tol=DEFAULT_TOL):
     return report
 
 
-def _perturb_for(reason, curve, framing, magnitude, seed):
+def _perturb_for(reason, curve, framing, magnitude, seed, tol):
     if reason == "basepoint":
         # a basepoint shift is a pure reparametrization: its scale comes from
         # the diagonal tube (it must clear the degenerate zone), not from the
         # embedding clearance that caps geometric bumps
-        shift = max(curve.L / 8.0, 4.0 * DEFAULT_TOL.diag_tube * curve.L)
+        shift = max(curve.L / 8.0, 4.0 * tol.diag_tube * curve.L)
         return perturb_basepoint(curve, shift, seed), framing, "basepoint"
     if reason == "framing":
         return curve, perturb_framing(framing, 0.3, seed), "framing"
-    new_curve = perturb_curve(curve, magnitude, seed)
+    new_curve = perturb_curve(curve, magnitude, seed, tol=tol)
     return new_curve, build_framing(new_curve, rotation=framing.rotation,
                                     winding=framing.winding), "knot"
 
@@ -270,7 +277,7 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
             attempt += 1
             try:
                 curve, frame, _ = _perturb_for(reason, curve, frame,
-                                               magnitude, seed + attempt)
+                                               magnitude, seed + attempt, tol)
                 redrawn = True
             except InvariantLost as exc:
                 last = exc.with_traceback(None)
@@ -285,10 +292,27 @@ def _run_once(curve, frame, framing, tol, seifert_rules, seed):
         reason = {"B": "basepoint", "F": "framing", "S": "knot"}[kind]
         raise GenericityViolation(f"genericity check: {report}", reason=reason)
     ctx = FlowContext(curve, frame, critical, tol)
+    partners = mirror_partners(critical)
+    saddles = {k.label: k for k in ctx.saddles}
+    flowed, mirrored = {}, {}
+
+    def flow(label):
+        if label not in flowed:
+            flowed[label] = boundary_D(curve, frame, saddles[label], ctx)
+        return flowed[label]
+
     boundary_values = {}
     traces = {}
     for k in ctx.saddles:
-        D, trp, trm = boundary_D(curve, frame, k, ctx)
+        # the s < t cord of each mirror pair is flowed; its partner's
+        # traces are the exact mirror of the flowed ones
+        if k.s < k.t:
+            D, trp, trm = flow(k.label)
+        else:
+            rep = partners[k.label]
+            D, trp, trm = mirror_boundary_D(curve, frame, k, flow(rep)[1:],
+                                            partners, ctx)
+            mirrored[k.label] = rep
         boundary_values[k.label] = D
         traces[k.label] = (trp, trm)
         for tr in (trp, trm):
@@ -326,7 +350,7 @@ def _run_once(curve, frame, framing, tol, seifert_rules, seed):
         traces=traces,
         census=census,
         linking=lk,
-        metadata=dict(out.metadata),
+        metadata={**out.metadata, "mirrored": mirrored},
     )
 
 

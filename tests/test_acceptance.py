@@ -14,8 +14,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from cordalg.energy import energy, find_critical_points, gradient, hessian
-from cordalg.flow import FlowContext, boundary_D, select_k_pm, _Tracer
+from cordalg.energy import (
+    energy,
+    find_critical_points,
+    gradient,
+    hessian,
+    mirror_partners,
+)
+from cordalg.flow import FlowContext, boundary_D, mirror_trace, select_k_pm, _Tracer
 from cordalg.incidence import f_arc_ends, framing_event, tangent_boundary_cords
 from cordalg.knots import build_curve, build_framing
 from cordalg.pipeline import compare, compute_cord_algebra
@@ -253,6 +259,49 @@ def test_split_budget_is_per_boundary_value(trefoil_result):
         total += used
     assert total == 24
     print(f"\n[pass] split budget per boundary value ({total} splits in total)")
+
+
+def _assert_same_tree(a, b):
+    """a and b agree exactly, but for chord fractions, where 1 - (1 - tau)
+    may differ from tau in the last place."""
+    assert (a.initial, a.terminal, a.left, a.right, a.energy_drop,
+            a.terminal_state, a.flagged, a.path) == \
+        (b.initial, b.terminal, b.left, b.right, b.energy_drop,
+         b.terminal_state, b.flagged, b.path)
+    assert len(a.events) == len(b.events) and len(a.splits) == len(b.splits)
+    for ea, eb in zip(a.events, b.events):
+        assert (ea.time, ea.kind, ea.sigma, ea.exponent, ea.state) == \
+            (eb.time, eb.kind, eb.sigma, eb.exponent, eb.state)
+        assert ea.aux.get("u") == eb.aux.get("u")
+        assert ea.aux.get("tau", 0.0) == pytest.approx(eb.aux.get("tau", 0.0),
+                                                      rel=0, abs=1e-15)
+    for sa, sb in zip(a.splits, b.splits):
+        plain = ("time", "sign", "birth_mu", "left", "right", "lengths")
+        assert [sa[k] for k in plain] == [sb[k] for k in plain]
+        assert sa["hit"][0] == sb["hit"][0]
+        assert sa["hit"][1] == pytest.approx(sb["hit"][1], rel=0, abs=1e-15)
+        for ca, cb in zip(sa["children"], sb["children"]):
+            _assert_same_tree(ca, cb)
+
+
+def test_mirror_pairs_on_the_trefoil(trefoil_result):
+    """Five saddles are flowed and five derived; mirroring is an involution
+    on every trace tree, split children included."""
+    res = trefoil_result
+    mirrored = res.metadata["mirrored"]
+    assert mirrored == {label: label[:-2] + "_s"
+                        for label in res.boundary_values if label.endswith("_t")}
+    assert len(mirrored) == 5
+    partners = mirror_partners(res.critical_points)
+    for derived, flowed in mirrored.items():
+        assert partners[derived] == flowed
+    n_splits = 0
+    for trp, trm in res.traces.values():
+        for tr in (trp, trm):
+            _assert_same_tree(mirror_trace(mirror_trace(tr, partners), partners), tr)
+            n_splits += len(tr.splits)
+    assert n_splits > 0
+    print(f"\n[pass] trefoil mirror pairs: {sorted(mirrored.items())}")
 
 
 def test_criterion_7_f_symmetry_and_boundary():

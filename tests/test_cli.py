@@ -103,7 +103,9 @@ def test_options_a_command_ignores_are_refused(argv, ellipse_spec, capsys):
 @pytest.mark.parametrize("argv", [
     ["trace", "--cord", "1.0"], ["trace", "--cord", "a,b"],
     ["trace", "--cord", "1,2,3"], ["trace", "--cord", "nan,1"],
-    ["sets", "--resolution", "0"]], ids=" ".join)
+    ["sets", "--resolution", "0"], ["analyze", "--tol-scale", "-1"],
+    ["analyze", "--tol-scale", "0"], ["analyze", "--tol-scale", "nan"],
+    ["compute", "--max-perturb", "-2"]], ids=" ".join)
 def test_bad_option_values_are_usage_errors(argv, ellipse_spec, capsys):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], ellipse_spec] + argv[1:])

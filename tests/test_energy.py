@@ -189,11 +189,19 @@ def test_trefoil_census(trefoil):
     assert {"s_s", "s_t", "S_s", "S_t"} <= labels
 
 
-def test_symmetry_of_critical_set(trefoil):
-    pts = find_critical_points(trefoil)
-    locs = {(round(p.s, 5), round(p.t, 5)): p.index for p in pts}
-    for (s, t), idx in locs.items():
-        assert locs.get((t, s)) == idx
+def test_symmetry_of_critical_set(trefoil, ellipse):
+    """Every census point's exact swap is in the census, with the same
+    energy, gradient norm and eigenvalues and swapped eigenvectors."""
+    for curve in (trefoil, ellipse):
+        pts = find_critical_points(curve)
+        by_cord = {(p.s, p.t): p for p in pts}
+        assert len(by_cord) == len(pts)
+        for p in pts:
+            q = by_cord[(p.t, p.s)]
+            assert (q.index, q.energy, q.grad_norm, q.eigvals) == \
+                (p.index, p.energy, p.grad_norm, p.eigvals)
+            assert np.array_equal(np.array(q.eigvecs), np.array(p.eigvecs)[:, ::-1])
+            assert q.label[:-2] == p.label[:-2] and q.label != p.label
 
 
 def test_gradient_norm_below_newton_tol(trefoil):

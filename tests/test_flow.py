@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cordalg.energy import energy, find_critical_points
-from cordalg.errors import GenericityViolation
+from cordalg.energy import energy, find_critical_points, mirror_partners
+from cordalg.errors import GenericityViolation, MirrorMismatch
 from cordalg.flow import (
     FlowContext,
     FlowTrace,
@@ -14,6 +14,8 @@ from cordalg.flow import (
     _torus_delta,
     boundary_D,
     dhat_of_trace,
+    mirror_boundary_D,
+    mirror_trace,
     select_k_pm,
     terminal_generator_values,
 )
@@ -38,6 +40,56 @@ def test_unknot_boundary_values_golden(unknot):
         got[k.label] = D
     assert got["h1_s"] == parse("1 - u - l^-1 + l^-1 u")
     assert got["h1_t"] == parse("-1 + u + l - l u")
+
+
+def test_swapped_saddle_is_the_mirror_of_its_partner(unknot):
+    """Flowing h1_t directly gives the value derived from h1_s's traces,
+    along the mirrored paths bit for bit."""
+    curve, framing, ctx = unknot
+    saddles = {k.label: k for k in ctx.saddles}
+    partners = mirror_partners(ctx.minima + ctx.saddles)
+    assert partners["h1_t"] == "h1_s"
+    _D, trp, trm = boundary_D(curve, framing, saddles["h1_s"], ctx)
+    derived, dp, dm = mirror_boundary_D(curve, framing, saddles["h1_t"],
+                                        (trp, trm), partners, ctx)
+    flowed, fp, fm = boundary_D(curve, framing, saddles["h1_t"], ctx)
+    assert derived == flowed
+    assert (dp.path, dm.path) == (fp.path, fm.path)
+    assert {dp.terminal, dm.terminal} == {fp.terminal, fm.terminal}
+    assert (dp.left, dp.right, dm.left, dm.right) == \
+        (fp.left, fp.right, fm.left, fm.right)
+    # the unswapped saddle's start points are not the mirrored ones
+    with pytest.raises(MirrorMismatch):
+        mirror_boundary_D(curve, framing, saddles["h1_s"], (trp, trm),
+                          partners, ctx)
+
+
+def test_mirror_of_a_synthetic_split():
+    """A split's sign, birth meridian, monomials, children and chord
+    fraction follow the cord reversal."""
+    child1 = FlowTrace(initial=(1.0, 3.0), events=[], terminal="g_s",
+                       left=(0, 1), right=(0, 0), splits=[], energy_drop=(1, 0))
+    child2 = FlowTrace(initial=(3.0, 2.0), events=[], terminal="contractible",
+                       left=(0, 0), right=(-1, 0), splits=[], energy_drop=(1, 0))
+    parent = FlowTrace(
+        initial=(1.0, 2.0), events=[], terminal="g_t", left=(1, 0), right=(0, 2),
+        splits=[{"time": 1.0, "sign": -1, "birth_mu": -1, "left": (0, -1),
+                 "right": (2, 0), "children": (child1, child2),
+                 "hit": (3.0, 0.25), "lengths": (3, 1, 2)}],
+        energy_drop=(2, 0), path=[(0.0, 1.0, 2.0)],
+    )
+    m = mirror_trace(parent, {"g_s": "g_t", "g_t": "g_s"})
+    assert (m.initial, m.terminal, m.left, m.right, m.path) == \
+        ((2.0, 1.0), "g_s", (0, -2), (-1, 0), [(0.0, 2.0, 1.0)])
+    sp = m.splits[0]
+    assert (sp["sign"], sp["birth_mu"], sp["left"], sp["right"], sp["hit"],
+            sp["lengths"]) == (1, 0, (-2, 0), (0, 1), (3.0, 0.75), (3, 2, 1))
+    c1, c2 = sp["children"]
+    assert (c1.initial, c1.terminal, c1.left, c1.right) == \
+        ((2.0, 3.0), "contractible", (1, 0), (0, 0))
+    assert (c2.initial, c2.terminal, c2.left, c2.right) == \
+        ((3.0, 1.0), "g_t", (0, 0), (0, -1))
+    assert mirror_trace(m, {"g_s": "g_t", "g_t": "g_s"}) == parent
 
 
 def test_trace_event_structure(unknot):

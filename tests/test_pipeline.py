@@ -49,6 +49,13 @@ def test_unknot_census_and_linking(unknot_result):
     assert unknot_result.D_M.is_zero()
 
 
+def test_mirrored_saddles_are_recorded(unknot_result):
+    """h1_t is derived from h1_s's traces; only the result records it."""
+    assert unknot_result.metadata["mirrored"] == {"h1_t": "h1_s"}
+    assert "mirrored" not in unknot_result.presentation.metadata
+    assert set(unknot_result.traces) == {"h1_s", "h1_t"}
+
+
 def test_unknot_runs_are_deterministic():
     a = compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1}, seed=3)
     b = compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1}, seed=3)
@@ -136,7 +143,7 @@ def _forced_retries(monkeypatch, perturb_fails):
             raise GenericityViolation("forced", reason="knot")
         return "result"
 
-    def perturb_for(reason, curve, framing, magnitude, seed):
+    def perturb_for(reason, curve, framing, magnitude, seed, tol):
         draws.append((magnitude, seed))
         if len(draws) <= perturb_fails:
             raise InvariantLost("forced")
@@ -179,9 +186,9 @@ def test_first_knot_perturbation_is_accepted(monkeypatch):
             raise GenericityViolation("forced", reason="knot")
         return "result"
 
-    def spy(reason, curve, framing, magnitude, seed):
+    def spy(reason, curve, framing, magnitude, seed, tol):
         try:
-            out = perturb_for(reason, curve, framing, magnitude, seed)
+            out = perturb_for(reason, curve, framing, magnitude, seed, tol)
         except InvariantLost:
             draws.append((magnitude, "refused"))
             raise
@@ -206,9 +213,9 @@ def test_no_draw_after_budget_spent(monkeypatch):
         runs.append(args[0])
         return run_once(*args)
 
-    def perturb_spy(*args):
-        draws.append(args[-1])
-        return perturb_for(*args)
+    def perturb_spy(reason, curve, framing, magnitude, seed, tol):
+        draws.append(seed)
+        return perturb_for(reason, curve, framing, magnitude, seed, tol)
 
     monkeypatch.setattr(pipeline, "_run_once", run_spy)
     monkeypatch.setattr(pipeline, "_perturb_for", perturb_spy)
@@ -218,6 +225,39 @@ def test_no_draw_after_budget_spent(monkeypatch):
         compute_cord_algebra(spec)
     assert draws == list(range(1, 9))
     assert len(runs) == 8
+
+
+@pytest.mark.parametrize("reason", ["knot", "basepoint"])
+def test_perturbations_use_the_run_tolerances(reason, monkeypatch):
+    """A perturbed curve is validated against the run's tolerances, and the
+    basepoint shift clears the run's diagonal tube."""
+    from dataclasses import replace
+
+    from cordalg.tolerances import DEFAULT_TOL
+    tol = replace(DEFAULT_TOL.scaled(2.0), diag_tube=0.05)
+    runs, calls = [], []
+
+    def run_once(curve, *args):
+        runs.append(curve)
+        if len(runs) == 1:
+            raise GenericityViolation("forced", reason=reason)
+        return "result"
+
+    def perturb_curve(curve, magnitude, seed=0, tol=DEFAULT_TOL):
+        calls.append(tol)
+        return curve
+
+    def perturb_basepoint(curve, shift, seed=0):
+        calls.append(shift / curve.L)
+        return curve
+
+    monkeypatch.setattr(pipeline, "_run_once", run_once)
+    monkeypatch.setattr(pipeline, "perturb_curve", perturb_curve)
+    monkeypatch.setattr(pipeline, "perturb_basepoint", perturb_basepoint)
+    assert compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1},
+                                tol=tol) == "result"
+    expected = [tol] if reason == "knot" else [pytest.approx(0.2)]
+    assert calls == expected
 
 
 def test_setup_rotates_braid_framings_once():
