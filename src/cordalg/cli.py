@@ -256,14 +256,6 @@ def cmd_check(args):
         return curve.clearance > tol.embedding_floor * curve.L, \
             f"clearance {curve.clearance:.4f}"
 
-    def frenet():
-        probe = np.linspace(0, curve.L, 777)
-        t = curve.tangent(probe)
-        a = curve.second(probe)
-        mask = np.linalg.norm(a, axis=1) > tol.curvature_floor
-        worst = float(np.max(np.abs(np.einsum("ij,ij->i", t, a))[mask]))
-        return worst < 10 * tol.tol_arc, f"max <gamma',gamma''> = {worst:.2e}"
-
     def linking_stable():
         lk1 = linking_number(curve, frame)
         lk2 = linking_number(curve, frame, eps=frame.eps / 2)
@@ -291,7 +283,6 @@ def cmd_check(args):
 
     record("arclength parametrization", arclength)
     record("embeddedness clearance", embedded)
-    record("frenet consistency", frenet)
     record("linking number stability", linking_stable)
     record("euler census", census)
     record("critical genericity", genericity)

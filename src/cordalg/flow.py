@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import cord_terms, energy, make_cord
+from .energy import cord_terms, diagonal_data, energy, make_cord
 from .errors import (
     GenericityViolation,
     MaxSplits,
@@ -106,6 +106,8 @@ class FlowContext:
         self.framing = framing
         self.tol = tol
         self.screen = ChordScreen(curve, n=min(len(curve.samples), 1024))
+        # knot branches this close to either end of a cord are not S events
+        self.excl = max(tol.endpoint_margin * curve.L, 3.0 * self.screen.step)
         self.minima = [p for p in critical_points if p.index == 0]
         self.saddles = [p for p in critical_points if p.index == 1]
         self.basins = [self._basin_radius(p) for p in self.minima]
@@ -131,16 +133,8 @@ class FlowContext:
         pts = np.vstack([center, ring])
         terms = cord_terms(self.curve, pts[:, 0], pts[:, 1])
         eig = np.linalg.eigvalsh(terms.hess)
-        if np.any(eig <= 0):
+        if np.any(eig <= 0) or not _event_free(self, pts, terms):
             return False
-        try:
-            rows = _events_each(self, pts, terms)
-        except (ZeroProjection, TangentialContact):
-            return False
-        for n in ("F-start", "F-end", "B-start", "B-end"):
-            arr = np.array([row[n] for row in rows])
-            if np.any(np.abs(arr) < 1e-6) or (np.min(arr) < 0 < np.max(arr)):
-                return False
         for s, t in pts[::4]:
             if self.screen.candidates(s, t, 0.4 * self.screen.step).size:
                 hits = _interior_hits(self, s, t)
@@ -154,20 +148,38 @@ def _events(ctx, y, pts, tans):
 
     ``pts`` and ``tans`` hold gamma and gamma' at both ends of y (see
     ``cord_events``).  An F value off the +nu side is replaced by its sign,
-    so it cannot bracket a crossing there.
+    and a B value on the far side of the circle (|B| > L/4) by NaN, so
+    neither can bracket a crossing there.
     """
     ev = cord_events(ctx.framing, y[0], y[1], pts, tans)
     for kind in ("F-start", "F-end"):
         val, alpha = ev[kind]
         ev[kind] = val if alpha > 0.0 else math.copysign(1.0, val)
+    quarter = ctx.framing.curve.L / 4
+    for kind in ("B-start", "B-end"):
+        if abs(ev[kind]) > quarter:
+            ev[kind] = math.nan
     return ev
 
 
-def _events_each(ctx, ys, terms):
-    """``_events`` at every cord of ys, read off their ``cord_terms``."""
+def _event_free(ctx, ys, terms):
+    """Whether no event lies on or between the cords ys.
+
+    ``terms`` are the ``cord_terms`` of ys.  Every event value (``_events``)
+    must stay 1e-6 clear of zero and keep one sign over ys; a NaN has
+    neither sign.  A cord where an event function is undefined fails.
+    """
     k = len(ys)
-    return [_events(ctx, ys[i], terms.points[i::k], terms.tangents[i::k])
-            for i in range(k)]
+    try:
+        rows = [_events(ctx, ys[i], terms.points[i::k], terms.tangents[i::k])
+                for i in range(k)]
+    except (ZeroProjection, TangentialContact):
+        return False
+    for kind in rows[0]:
+        vals = np.array([row[kind] for row in rows])
+        if np.any(np.abs(vals) < 1e-6) or (np.any(vals < 0) and np.any(vals > 0)):
+            return False
+    return True
 
 
 def _state(ctx, y):
@@ -214,6 +226,28 @@ class _Step:
             (self.y0[0] + a * (m22 * f0 - m12 * f1) / det) % L,
             (self.y0[1] + a * (m11 * f1 - m12 * f0) / det) % L,
         ])
+
+    def bisect(self, same_side, stop):
+        """Fraction of the step at which the interpolant leaves its start side.
+
+        ``same_side(y)`` tells whether y(theta) is still on the side of y0.
+        [0, 1] is halved at most 60 times, until the bracket is shorter than
+        ``stop`` in time, and its midpoint returned.  A ``same_side`` of None
+        (the side cannot be told, as for a lost knot branch) gives None.
+        """
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            side = same_side(self.at(mid))
+            if side is None:
+                return None
+            if side:
+                lo = mid
+            else:
+                hi = mid
+            if (hi - lo) * self.h < stop:
+                break
+        return 0.5 * (lo + hi)
 
 
 class _Tracer:
@@ -278,11 +312,14 @@ class _Tracer:
                     raise StepCollapse("step collapsed during flow")
             ev_new = _events(ctx, y_new, terms.points, terms.tangents)
             crossings = self._bracket_events(step, ev_prev, ev_new)
-            term, t_term = self._terminal_in_step(step, y_new)
+            term = self._terminal_check(y_new)
+            t_term = None
             if term:
+                t_term = step.bisect(lambda ym: not self._terminal_check(ym),
+                                     tol.event_tol * L)
                 crossings = [c for c in crossings if c[0] < t_term]
             s_crossings, s_branches_new = self._bracket_s(
-                step, s_branches, y_new, terms.points, cut=t_term if term else None)
+                step, s_branches, y_new, terms.points, cut=t_term)
             all_events = sorted(crossings + s_crossings, key=lambda c: c[0])
             self._apply_events(trace, tau, step, all_events, depth)
 
@@ -313,20 +350,6 @@ class _Tracer:
                 return p.label
         return None
 
-    def _terminal_in_step(self, step, y1):
-        """Terminal label and fractional entry time, via bisection."""
-        term1 = self._terminal_check(y1)
-        if not term1:
-            return None, None
-        lo, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            if self._terminal_check(step.at(mid)):
-                hi = mid
-            else:
-                lo = mid
-        return term1, hi
-
     def _saddle_guard(self, y0, y1):
         """Raise if the segment y0 -> y1 enters a foreign saddle's ball."""
         ctx = self.ctx
@@ -347,45 +370,28 @@ class _Tracer:
     # -- event bracketing -----------------------------------------------------
 
     def _bracket_events(self, step, ev0, ev1):
+        ctx = self.ctx
+        curve = ctx.curve
         out = []
-        L = self.ctx.curve.L
         for kind in ("B-start", "B-end", "F-start", "F-end"):
             a, b = ev0[kind], ev1[kind]
-            if kind.startswith("B") and (abs(a) > L / 4 or abs(b) > L / 4):
-                continue  # wrap side of the circle, not a basepoint crossing
             if a == 0.0:
                 raise GenericityViolation(f"trace starts on {kind} set",
                                           reason="basepoint" if kind[0] == "B" else "framing")
-            if a * b < 0.0:
-                frac = self._bisect(step, kind, a)
-                if frac is not None:
-                    out.append((frac, kind, int(math.copysign(1, b - a)), None))
-        return out
+            if not a * b < 0.0:
+                continue
+            sign0 = math.copysign(1.0, a)
 
-    def _bisect(self, step, kind, val0, iters=60):
-        """Fractional time of an event bracketed by the step's endpoints."""
-        ctx = self.ctx
-        L = ctx.curve.L
-        lo, hi = 0.0, 1.0
-        sign0 = math.copysign(1.0, val0)
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            ym = step.at(mid)
-            v = _events(ctx, ym, *ctx.curve.spline.eval_multi(ym, (0, 1)))[kind]
-            if math.copysign(1.0, v) == sign0:
-                lo = mid
-            else:
-                hi = mid
-            if (hi - lo) * step.h < ctx.tol.event_tol * L:
-                break
-        frac = 0.5 * (lo + hi)
-        ym = step.at(frac)
-        if kind.startswith("F"):
-            endpoint = "start" if kind == "F-start" else "end"
-            ev = framing_event(ctx.curve, ctx.framing, ym[0], ym[1], endpoint)
-            if not ev.positive:
-                return None  # crossing on the -nu side is not an event
-        return frac
+            def same_side(ym):
+                ev = _events(ctx, ym, *curve.spline.eval_multi(ym, (0, 1)))
+                return math.copysign(1.0, ev[kind]) == sign0
+
+            frac = step.bisect(same_side, ctx.tol.event_tol * curve.L)
+            if kind[0] == "F" and not framing_event(
+                    curve, ctx.framing, *step.at(frac), kind[2:]).positive:
+                continue  # a crossing on the -nu side is not an event
+            out.append((frac, kind, int(math.copysign(1, b - a)), None))
+        return out
 
     # -- S events ---------------------------------------------------------------
 
@@ -393,22 +399,20 @@ class _Tracer:
         """Signed crossing values of nearby knot branches as
         (u, value, tau, n_hat, dist); ``ends`` holds gamma at both ends of y."""
         ctx = self.ctx
-        curve = ctx.curve
-        excl = max(ctx.tol.endpoint_margin * curve.L, 3.0 * ctx.screen.step)
         # a chord shorter than the endpoint exclusion zones cannot carry a
         # valid interior hit; skip the screen entirely (the long family
         # sweeps of short cords dominate the step count)
         chord = ends[1] - ends[0]
-        if float(chord @ chord) < (1.8 * excl) ** 2:
+        if float(chord @ chord) < (1.8 * ctx.excl) ** 2:
             return []
         cand = ctx.screen.candidates(y[0], y[1], 4.0 * ctx.screen.step, ends)
         if len(cand) == 0:
             return []
         seeds = ctx.screen.params[_group_midpoints(cand, len(ctx.screen.params))]
-        return [res for res in self._branch_values(y, ends, seeds, excl)
+        return [res for res in self._branch_values(y, ends, seeds)
                 if res is not None]
 
-    def _branch_values(self, y, ends, seeds, excl):
+    def _branch_values(self, y, ends, seeds):
         """(u, value, tau, n_hat, dist) of the branch near each seed, or None.
 
         One batched Newton refinement serves every seed that lies outside
@@ -417,6 +421,7 @@ class _Tracer:
         """
         ctx = self.ctx
         curve = ctx.curve
+        excl = ctx.excl
         out = [None] * len(seeds)
         live = np.nonzero(~((curve.circ_dist(seeds, y[0]) < excl)
                             | (curve.circ_dist(seeds, y[1]) < excl)))[0]
@@ -440,13 +445,15 @@ class _Tracer:
         return out
 
     def _bracket_s(self, step, branches0, y1, ends1, cut=None):
+        ctx = self.ctx
+        curve = ctx.curve
         branches1 = self._s_branches(y1, ends1)
-        window = 8.0 * self.ctx.screen.step
+        window = 8.0 * ctx.screen.step
         out = []
         for (u1, v1, tau1, n1, d1) in branches1:
             match = None
             for (u0, v0, tau0, n0, d0) in branches0:
-                if self.ctx.curve.circ_dist(u0, u1) < window:
+                if curve.circ_dist(u0, u1) < window:
                     match = (u0, v0, n0)
                     break
             if match is None:
@@ -456,49 +463,34 @@ class _Tracer:
                 v1 = -v1  # keep the branch's sign orientation continuous
             if v0 * v1 >= 0.0:
                 continue
-            res = self._bisect_s(step, u0, math.copysign(1.0, v0), n0)
+            seed = np.array([u0])
+            sign0 = math.copysign(1.0, v0)
+
+            def branch(ym):
+                ends = curve.spline.eval_multi(ym, (0,))[0]
+                return self._branch_values(ym, ends, seed)[0]
+
+            def same_side(ym):
+                res = branch(ym)
+                if res is None:
+                    return None  # the branch is lost
+                val = res[1] if float(res[3] @ n0) >= 0.0 else -res[1]
+                return math.copysign(1.0, val) == sign0
+
+            frac = step.bisect(same_side, ctx.tol.event_tol * curve.L)
+            res = None if frac is None else branch(step.at(frac))
             if res is None:
                 continue
-            frac, u_hit, tau_hit, dist = res
-            if dist > 10.0 * self.ctx.tol.intersect_tol * self.ctx.curve.L:
+            u_hit, tau_hit, dist = res[0], res[2], res[4]
+            if dist > 10.0 * ctx.tol.intersect_tol * curve.L:
                 continue  # the branch slips around the chord, no crossing
-            tau_floor = self.ctx.tol.tau_floor
+            tau_floor = ctx.tol.tau_floor
             if tau_hit < -tau_floor or tau_hit > 1.0 + tau_floor:
                 continue  # knot crosses the chord's extension, not the cord
             if cut is not None and frac >= cut:
                 continue
             out.append((frac, "split", 0, (u_hit, tau_hit, dist)))
         return out, branches1
-
-    def _bisect_s(self, step, u_seed, sign0, n_ref, iters=60):
-        ctx = self.ctx
-        L = ctx.curve.L
-        excl = max(ctx.tol.endpoint_margin * L, 3.0 * ctx.screen.step)
-        seed = np.array([u_seed])
-
-        def branch(frac):
-            ym = step.at(frac)
-            ends = ctx.curve.spline.eval_multi(ym, (0,))[0]
-            return self._branch_values(ym, ends, seed, excl)[0]
-
-        lo, hi = 0.0, 1.0
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            res = branch(mid)
-            if res is None:
-                return None
-            val = res[1] if float(res[3] @ n_ref) >= 0.0 else -res[1]
-            if math.copysign(1.0, val) == sign0:
-                lo = mid
-            else:
-                hi = mid
-            if (hi - lo) * step.h < ctx.tol.event_tol * L:
-                break
-        frac = 0.5 * (lo + hi)
-        res = branch(frac)
-        if res is None:
-            return None
-        return frac, res[0], res[2], res[4]
 
     # -- applying events ---------------------------------------------------------
 
@@ -558,8 +550,9 @@ class _Tracer:
         if len1 > parent_len - floor or len2 > parent_len - floor:
             raise GenericityViolation("split child not shorter than parent",
                                       reason="knot")
-        sign = -self._split_sign(y, u, tau_frac)
-        birth_mu = -1 if self._split_framing_side(y, u, tau_frac) > 0 else 0
+        motion = _chord_motion(curve, y, tau_frac)
+        sign = -self._split_sign(motion, u)
+        birth_mu = -1 if self._split_framing_side(motion, u) > 0 else 0
         child1 = _Tracer(ctx).run(*c1, depth=depth + 1)
         child2 = _Tracer(ctx).run(*c2, depth=depth + 1)
         trace.splits.append({
@@ -578,15 +571,16 @@ class _Tracer:
             aux={"u": float(u), "tau": float(tau_frac)},
         ))
 
-    def _split_framing_side(self, y, u, tau_frac):
+    def _split_framing_side(self, motion, u):
         """The forward child's heading against nu(u), q.
 
-        q flips under cord reversal, so exactly one orientation of a crossing
-        carries the birth meridian.  A heading or a knot crossing velocity
-        orthogonal to nu(u) is degenerate.
+        ``motion`` is the ``_chord_motion`` at the crossing.  q flips under
+        cord reversal, so exactly one orientation of a crossing carries the
+        birth meridian.  A heading or a knot crossing velocity orthogonal to
+        nu(u) is degenerate.
         """
         curve = self.ctx.curve
-        d_hat, v = _chord_motion(curve, y, tau_frac)
+        d_hat, v = motion
         nu = self.ctx.framing.nu(u)
         tang = curve.unit_tangent(u)
         pi_d = d_hat - tang * float(d_hat @ tang)
@@ -596,12 +590,11 @@ class _Tracer:
                                       reason="framing")
         return q
 
-    def _split_sign(self, y, u, tau_frac):
-        """Raw orientation sign of a transverse crossing; the split carries
-        its opposite."""
-        curve = self.ctx.curve
-        d_hat, v = _chord_motion(curve, y, tau_frac)
-        w = float(curve.tangent(u) @ np.cross(d_hat, v))
+    def _split_sign(self, motion, u):
+        """Raw orientation sign of a transverse crossing, from its
+        ``_chord_motion``; the split carries its opposite."""
+        d_hat, v = motion
+        w = float(self.ctx.curve.tangent(u) @ np.cross(d_hat, v))
         if w == 0.0:
             raise GenericityViolation("degenerate split orientation", reason="knot")
         return int(math.copysign(1, w))
@@ -645,14 +638,14 @@ def dhat_of_trace(trace, terminal_values):
     """Fold a FlowTrace into its algebra value.
 
     terminal_values maps index-0 labels to AlgebraElements (the contractible
-    terminal maps to 1 - u).  The non-splitting part is
-    left * terminal * right; each split contributes
+    terminal takes the diagonal minimum's value, 1 - u).  The non-splitting
+    part is left * terminal * right; each split contributes
     sign * left_at * Dhat(c1) * mu^birth * Dhat(c2) * right_at with the
     boundary monomials frozen at the split time and the birth meridian
     resolved from the framing side of the crossing.
     """
     if trace.terminal == "contractible":
-        core = AlgebraElement.one() - AlgebraElement.mu()
+        core = diagonal_data()["m"]["value"]
     else:
         core = terminal_values[trace.terminal]
     out = _mono(trace.left) * core * _mono(trace.right)
@@ -681,7 +674,7 @@ def select_k_pm(curve, framing, k, ctx):
 
     k+ moves the startpoint in the direction of the knot orientation; the
     offset grows geometrically until both points sit outside the saddle's
-    indecision zone with no event-function sign change on the segment.
+    indecision zone and the segment between them is event-free.
     Returns ((s+, t+), (s-, t-), flagged) where flagged marks the
     vertical-eigenvector convention case.
     """
@@ -711,33 +704,16 @@ def select_k_pm(curve, framing, k, ctx):
                                      [plus[1], minus[1]]).E
         drop_ok = (e_plus < e_val - 0.2 * lam * h * h / 2
                    and e_minus < e_val - 0.2 * lam * h * h / 2)
-        if drop_ok and self_consistent_window(ctx, center, e, h):
-            return (tuple(plus), tuple(minus), flagged)
+        if drop_ok:
+            # no event on the segments [k, k +- h e]
+            ys = (center + np.linspace(-1.0, 1.0, 17)[:, None] * h * e) % L
+            if _event_free(ctx, ys, cord_terms(curve, ys[:, 0], ys[:, 1])):
+                return (tuple(plus), tuple(minus), flagged)
         h *= 1.5
         if h > 0.02 * L:
             break
     raise GenericityViolation(
         f"could not open an event-free window around {k.label}", reason="knot")
-
-
-def self_consistent_window(ctx, center, e, h):
-    """No event-function sign change on the segments [k, k +- h e]."""
-    fracs = np.linspace(-1.0, 1.0, 17)
-    L = ctx.curve.L
-    ys = (center + fracs[:, None] * h * e) % L
-    try:
-        rows = _events_each(ctx, ys, cord_terms(ctx.curve, ys[:, 0], ys[:, 1]))
-    except (ZeroProjection, TangentialContact):
-        return False
-    for kind in ("F-start", "F-end", "B-start", "B-end"):
-        vals = np.array([r[kind] for r in rows])
-        if kind.startswith("B"):
-            vals = vals[np.abs(vals) < L / 4]
-            if len(vals) == 0:
-                continue
-        if np.min(vals) < 0 < np.max(vals):
-            return False
-    return True
 
 
 def boundary_D(curve, framing, k, ctx):

@@ -160,8 +160,8 @@ def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None,
         return []
     p = curve.point(s)
     d = curve.point(t) - p
-    u, tau, dist, flat = _refine_hits(curve, p, d,
-                                      screen.params[cand] + 0.5 * screen.step)
+    u, tau, dist, flat = _refine_crossings(
+        curve, p, d, screen.params[cand] + 0.5 * screen.step)[:4]
     if flat.any():
         raise TangentialContact("flat distance minimum along the chord")
     margin = tol.endpoint_margin * L
@@ -178,26 +178,15 @@ def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None,
     return hits
 
 
-def _refine_hits(curve, p, d, u0, iters=40):
+def _refine_crossings(curve, p, d, u0):
     """Newton on the closest-point system between the curve and the chord line.
 
     Refines every seed in ``u0`` together (``_newton_hits``).  Returns the
-    arrays (u, tau, dist, flat): the refined parameters, their chord
-    fractions and distances to the chord line, and the seeds whose distance
-    minimum went flat (|h| < 1e-12), which stop where they are.  A
-    non-finite distance marks a lost seed.
-    """
-    u, flat = _newton_hits(curve, p, d, u0, iters)
-    x = curve.spline.eval_multi(u, (0,))[0]
-    tau, r = _chord_offsets(x, p, d)
-    return u, tau, np.sqrt(row_dots(r, r)), flat
-
-
-def _refine_crossings(curve, p, d, u0):
-    """``_refine_hits`` plus the signed crossing value of each refined point.
-
-    The last spline call also evaluates gamma' there.  Returns (u, tau,
-    dist, flat, value, n_hat, parallel): value is the offset of gamma(u)
+    arrays (u, tau, dist, flat, value, n_hat, parallel): the refined
+    parameters, their chord fractions and distances to the chord line, and
+    the seeds whose distance minimum went flat (|h| < 1e-12), which stop
+    where they are; a non-finite distance marks a lost seed.  The last
+    spline call also evaluates gamma' at u: value is the offset of gamma(u)
     from the chord line along n_hat, the unit vector of chord x tangent(u).
     Its sign is carried by n_hat, so callers can keep the orientation
     continuous along a flow (n_hat reverses whenever the chord rotates past
@@ -223,7 +212,7 @@ def _chord_offsets(x, p, d):
 
 
 def _newton_hits(curve, p, d, u0, iters):
-    """The Newton iteration of ``_refine_hits``; returns (u, flat).
+    """The Newton iteration of ``_refine_crossings``; returns (u, flat).
 
     One spline evaluation per iteration on the seeds still moving; a seed
     stops once its step falls below 1e-13 L.  A seed whose iterate equals,
@@ -267,19 +256,6 @@ def _newton_hits(curve, p, d, u0, iters):
             going &= ~cycled
         active = moving[going]
     return u, flat
-
-
-def _refine_hit(curve, p, d, u0, tol, iters=40):
-    """One seed of `_refine_hits`: (u, tau, dist), or None for a lost seed.
-
-    Raises TangentialContact on a flat distance minimum.
-    """
-    u, tau, dist, flat = _refine_hits(curve, p, d, [u0], iters)
-    if flat[0]:
-        raise TangentialContact("flat distance minimum along the chord")
-    if not np.isfinite(dist[0]):
-        return None
-    return u[0], float(tau[0]), float(dist[0])
 
 
 # ---------------------------------------------------------------------------

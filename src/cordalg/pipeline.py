@@ -338,13 +338,10 @@ def _run_once(curve, frame, framing, tol, seifert_rules, seed):
             rules = derive_seifert_rules(curve, ctx, lk)
         pres = framing_transform(pres, lk, rules)
         pres.metadata["framing"] = "seifert"
-    raw = Presentation(list(pres.generators),
-                       [r for r in pres.relations],
-                       pres.ring, dict(pres.metadata))
     out = simplify(pres, tol.reduce_cap)
     return ComputeResult(
         presentation=out,
-        raw=raw,
+        raw=pres,
         boundary_values=boundary_values,
         critical_points=critical,
         traces=traces,

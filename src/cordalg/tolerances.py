@@ -27,7 +27,6 @@ class Tolerances:
     intersect_tol: float = 1e-6      # accepted chord/knot hit distance      (*L)
     endpoint_margin: float = 1e-3    # arclength exclusion around endpoints  (*L)
     tau_floor: float = 1e-3          # chord-fraction exclusion              (abs)
-    boundary_tol: float = 1e-4       # F^s arc-end count at dS: radius 10x   (*L)
 
     # flow_engine
     event_tol: float = 1e-9          # event time/location refinement        (*L)
@@ -45,7 +44,7 @@ class Tolerances:
         """Return a copy with all tolerance magnitudes multiplied by ``factor``."""
         scale_fields = (
             "tol_arc", "embedding_floor", "newton_tol", "merge_tol",
-            "intersect_tol", "endpoint_margin", "tau_floor", "boundary_tol",
+            "intersect_tol", "endpoint_margin", "tau_floor",
             "event_tol", "trajectory_tol", "min_split_decrease",
         )
         return replace(self, **{f: getattr(self, f) * factor for f in scale_fields})

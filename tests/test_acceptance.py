@@ -32,6 +32,9 @@ from cordalg.tolerances import DEFAULT_TOL, Tolerances
 _SPECS = Path(__file__).resolve().parent.parent / "specs"
 TREFOIL_SPEC = json.loads((_SPECS / "trefoil.json").read_text())
 
+# radius of the F^s arc-end circle around a tangency cord, as a fraction of L
+F_ARC_RADIUS = 10 * 1e-4
+
 UNKNOT_RELATION = "1 - u - l + l u"          # (l-1)(u-1)
 
 TREFOIL_EQ_1_4 = [
@@ -308,7 +311,7 @@ def test_criterion_7_f_symmetry_and_boundary():
     """F start/end symmetry on 1000 cords; dF^s = d^sS by arc-end counts.
 
     Exactly one F^s arc ends near every tangency cord (one gated sign change
-    of F-start on a circle of radius 10 boundary_tol L), and circles of
+    of F-start on a circle of radius F_ARC_RADIUS L), and circles of
     radius 0.1 L that hold no tangency cord and stay off the diagonal count
     an even number.
     """
@@ -327,7 +330,7 @@ def test_criterion_7_f_symmetry_and_boundary():
         checked += 1
     boundary = tangent_boundary_cords(curve)
     assert len(boundary) == 6
-    radius = 10 * DEFAULT_TOL.boundary_tol * curve.L
+    radius = F_ARC_RADIUS * curve.L
     for s0, t0 in boundary:
         assert f_arc_ends(curve, framing, s0, t0, radius) == 1
     far = 0.1 * curve.L

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from cordalg.energy import energy, find_critical_points, mirror_partners
+from cordalg.energy import cord_terms, energy, find_critical_points, mirror_partners
 from cordalg.errors import GenericityViolation, MirrorMismatch
 from cordalg.flow import (
     FlowContext,
     FlowTrace,
     _Step,
     _Tracer,
+    _event_free,
     _state,
     _torus_delta,
     boundary_D,
@@ -205,6 +206,45 @@ def test_interpolant_endpoint_is_the_accepted_step(unknot):
         fa, _ea, Ha, _terms = _state(ctx, ya)
         yb = _Step(ya, tau1 - tau0, fa, Ha, L).at(1.0)
         assert np.hypot(*_torus_delta(yb, (s1, t1), L)) < 1e-9 * L
+
+
+def test_step_bisect_finds_the_crossing_fraction():
+    """On a straight interpolant (H = 0) y(theta) = y0 + theta h f, the
+    bisection returns the fraction where the side changes to within
+    stop / h, and None as soon as the side cannot be told."""
+    h = 3.0
+    step = _Step(np.array([1.0, 2.0]), h, np.array([1.0, 0.0]), (0.0, 0.0, 0.0), 100.0)
+    cross = 0.3217
+    calls = []
+
+    def same_side(y):
+        calls.append(y)
+        return y[0] < 1.0 + h * cross
+
+    for stop in (1e-9, 1e-3, 0.5):
+        calls.clear()
+        frac = step.bisect(same_side, stop)
+        assert abs(frac - cross) < stop / h
+        assert len(calls) <= 60
+    assert len(calls) < 5  # a coarse stop ends the halving early
+    assert step.bisect(lambda y: None if y[0] > 2.0 else True, 1e-9) is None
+
+
+def test_event_free_ignores_the_far_side_of_the_basepoint(unknot):
+    """B marks a basepoint crossing only where s or t passes 0: cords whose
+    s crosses L/2, where B jumps from L/2 to -L/2, are event-free, and cords
+    whose s crosses 0 are not."""
+    curve, _framing, ctx = unknot
+    L = curve.L
+    offsets = np.linspace(-0.01, 0.01, 8) * L
+
+    def event_free(s_mid):
+        ys = np.stack([(s_mid + offsets) % L, (s_mid + offsets + 0.3 * L) % L],
+                      axis=1)
+        return _event_free(ctx, ys, cord_terms(curve, ys[:, 0], ys[:, 1]))
+
+    assert event_free(0.5 * L)
+    assert not event_free(0.0)
 
 
 def test_saddle_guard_checks_the_whole_segment(unknot):

@@ -13,8 +13,7 @@ from cordalg.errors import TangentialContact
 from cordalg.flow import _events, _group_midpoints
 from cordalg.incidence import (
     ChordScreen,
-    _refine_hit,
-    _refine_hits,
+    _refine_crossings,
     _tangency_residual,
     chord_knot_intersections,
     cord_events,
@@ -27,6 +26,9 @@ from cordalg.knots import KnotCurve, build_curve, build_framing, row_dots
 from cordalg.tolerances import DEFAULT_TOL
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+# radius of the F^s arc-end circle around a tangency cord, as a fraction of L
+F_ARC_RADIUS = 10 * 1e-4
 
 
 @pytest.fixture(scope="module")
@@ -157,13 +159,13 @@ def test_synthetic_transverse_hit():
     th = np.linspace(0, 2 * math.pi, 64, endpoint=False)
     pts = np.stack([np.full_like(th, 1.0), np.sin(th), np.cos(th) - 1.0], axis=1)
     c = build_curve({"type": "samples", "points": pts.tolist()})
-    from cordalg.incidence import _refine_hit
     params = np.linspace(0, c.L, 200, endpoint=False)
     i = int(np.argmin(np.linalg.norm(c.point(params) - np.array([1, 0, 0]), axis=1)))
-    u, tau, dist = _refine_hit(c, np.zeros(3), np.array([2.0, 0, 0]), params[i],
-                               DEFAULT_TOL)
-    assert dist < 1e-9
-    assert abs(tau - 0.5) < 1e-9
+    _u, tau, dist, flat = _refine_crossings(c, np.zeros(3), np.array([2.0, 0, 0]),
+                                            [params[i]])[:4]
+    assert not flat[0]
+    assert dist[0] < 1e-9
+    assert abs(tau[0] - 0.5) < 1e-9
 
 
 def _signed_crossing_value(curve, s, t, u):
@@ -186,12 +188,12 @@ def _signed_crossing_value(curve, s, t, u):
 
 
 def _refine_seed_on_chords(curve, p, ds, u0, iters=40):
-    """`_refine_hit` of one seed against the chords p -> p + ds[i], all at
-    once in the kernel's arithmetic.
+    """`_refine_crossings` of one seed against the chords p -> p + ds[i], all
+    at once in the kernel's arithmetic.
 
     Returns (u, tau, ok): the refined parameter and its chord fraction per
     chord, and whether it is a hit (not flat, not lost), each equal bit for
-    bit to `_refine_hit`.
+    bit to `_refine_crossings` on that chord alone.
     """
     L = curve.L
     dd = row_dots(ds, ds)
@@ -228,7 +230,6 @@ def trefoil_hit_cords(trefoil):
     one seed run against every chord of the scan at once, for a sign change
     of the branch's signed crossing value, then bisects the bracket.
     """
-    from cordalg.tolerances import DEFAULT_TOL as tol
     screen = ChordScreen(trefoil)
     rng = np.random.default_rng(11)
     t_grid = np.linspace(0, trefoil.L, 120, endpoint=False)
@@ -238,13 +239,11 @@ def trefoil_hit_cords(trefoil):
         near u_seed, or None; ``u`` is the refined point when known."""
         if u is None:
             p = trefoil.point(s)
-            try:
-                res = _refine_hit(trefoil, p, trefoil.point(t2) - p, u_seed, tol)
-            except TangentialContact:
+            u, _tau, dist, flat = _refine_crossings(
+                trefoil, p, trefoil.point(t2) - p, [u_seed])[:4]
+            if flat[0] or not np.isfinite(dist[0]):
                 return None
-            if res is None:
-                return None
-            u = res[0]
+            u = u[0]
         if trefoil.circ_dist(u, u_seed) > 1.0:
             return None
         try:
@@ -355,8 +354,8 @@ def _refine_hit_scalar(curve, p, d, u0, iters=40):
 
 
 def _assert_matches_scalar(curve, p, d, seeds):
-    """`_refine_hits` on all seeds equals the scalar loop seed by seed."""
-    u, tau, dist, flat = _refine_hits(curve, p, d, seeds)
+    """`_refine_crossings` on all seeds equals the scalar loop seed by seed."""
+    u, tau, dist, flat = _refine_crossings(curve, p, d, seeds)[:4]
     for k, u0 in enumerate(seeds):
         try:
             ref = _refine_hit_scalar(curve, p, d, u0)
@@ -380,7 +379,9 @@ def test_refine_hits_matches_scalar_on_synthetic_hit():
     u, tau, dist, flat = _assert_matches_scalar(c, p, d, params)
     i = int(np.argmin(np.linalg.norm(c.point(params) - np.array([1, 0, 0]), axis=1)))
     assert dist[i] < 1e-9 and abs(tau[i] - 0.5) < 1e-9
-    assert _refine_hit(c, p, d, params[i], DEFAULT_TOL) == (u[i], tau[i], dist[i])
+    # one seed alone gives the bits it gets in the batch
+    alone = _refine_crossings(c, p, d, [params[i]])[:3]
+    assert tuple(a[0] for a in alone) == (u[i], tau[i], dist[i])
 
 
 @pytest.mark.parametrize("name", ["ellipse", "trefoil"])
@@ -432,7 +433,7 @@ class _StubCurve:
 def test_flat_seed_raises_but_leaves_other_seeds_valid():
     curve = _StubCurve()
     p, d = curve.point(6.0), curve.point(8.0) - curve.point(6.0)
-    u, tau, dist, flat = _refine_hits(curve, p, d, [1.5, 7.0])
+    u, tau, dist, flat = _refine_crossings(curve, p, d, [1.5, 7.0])[:4]
     assert list(flat) == [False, True]
     assert (u[0], tau[0], dist[0]) == (2.0, 0.5, 0.0)
 
@@ -460,8 +461,8 @@ def k11_s_flow():
     read = flow._Tracer._branch_values
     kernel = flow._refine_crossings
 
-    def branch_values(tracer, y, ends, seeds, excl):
-        out = read(tracer, y, ends, seeds, excl)
+    def branch_values(tracer, y, ends, seeds):
+        out = read(tracer, y, ends, seeds)
         branches.append((tuple(y), [res for res in out if res is not None]))
         return out
 
@@ -533,7 +534,7 @@ def test_two_cycling_seeds_stop_early(k11_s_flow, monkeypatch):
                         lambda *a: counted.append(1) or eval_multi(*a))
     for p, d, u0, i in found.values():
         counted.clear()
-        u, tau, dist, flat = _refine_hits(curve, p, d, [u0])
+        u, tau, dist, flat = _refine_crossings(curve, p, d, [u0])[:4]
         # iterations 0 .. i, then the final evaluation
         assert len(counted) == i + 2 < 41
         assert not flat[0]
@@ -651,14 +652,14 @@ def test_f_arc_terminates_at_tangency(trefoil, trefoil_framing):
     """dF^s = d^sS: one F^s arc ends at every dS cord.
 
     A small circle around each tangency cord counts exactly one gated sign
-    change of F-start, at radius 10 boundary_tol L and at three times that.
+    change of F-start, at radius F_ARC_RADIUS L and at three times that.
     The same circle around a cord further along the arc, where it crosses a
     circle of 30 times that radius, counts exactly two: the arc passes
     through.
     """
     boundary = tangent_boundary_cords(trefoil)
     assert boundary
-    radius = 10 * DEFAULT_TOL.boundary_tol * trefoil.L
+    radius = F_ARC_RADIUS * trefoil.L
     for s0, t0 in boundary:
         assert f_arc_ends(trefoil, trefoil_framing, s0, t0, radius) == 1
         assert f_arc_ends(trefoil, trefoil_framing, s0, t0, 3 * radius) == 1
