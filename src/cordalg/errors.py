@@ -22,7 +22,7 @@ class UnsupportedFraming(SpecError):
 
 
 class VerticalTangent(CordAlgError):
-    """Blackboard framing undefined: tangent parallel to the vertical direction."""
+    """Blackboard framing undefined: a vertical tangent where nu is evaluated."""
 
 
 class NumericalAmbiguity(CordAlgError):
@@ -42,7 +42,8 @@ class SeedingInsufficient(CordAlgError):
 
 
 class ZeroProjection(CordAlgError):
-    """Chord parallel to the tangent: the framing event function is undefined."""
+    """Chord parallel to the tangent at its endpoint: the framing event
+    function is undefined.  A vertical tangent is ``VerticalTangent``."""
 
 
 class TangentialContact(CordAlgError):

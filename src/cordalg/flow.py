@@ -21,8 +21,9 @@ sigma (the sign of the event function's time derivative) contributes
 x^sigma on the left at the start point and x^-sigma on the right at the
 end point, x = mu for framing and lambda for basepoint crossings
 (``_EVENT_RULES``).  A split carries the opposite of its raw orientation
-sign, and its middle factor is mu^-1 exactly when the forward child heads
-into the +nu half-plane at the crossing point, else 1.
+sign, and its middle factor is mu^-1 exactly when the chord points to the
++nu side at the crossing point, read as the F events read it, else 1
+(``_Tracer._split_rule``).
 
 E is symmetric under the swap (s,t) <-> (t,s), which reverses the cord, and
 so is the flow: the index-1 cords come in mirror pairs k = (s,t),
@@ -50,10 +51,12 @@ from .errors import (
     MirrorMismatch,
     StepCollapse,
     TangentialContact,
+    VerticalTangent,
     ZeroProjection,
 )
 from .incidence import (
     ChordScreen,
+    _framing_coordinates,
     _refine_crossings,
     cord_events,
     framing_event,
@@ -173,7 +176,7 @@ def _event_free(ctx, ys, terms):
     try:
         rows = [_events(ctx, ys[i], terms.points[i::k], terms.tangents[i::k])
                 for i in range(k)]
-    except (ZeroProjection, TangentialContact):
+    except (VerticalTangent, ZeroProjection, TangentialContact):
         return False
     for kind in rows[0]:
         vals = np.array([row[kind] for row in rows])
@@ -550,9 +553,7 @@ class _Tracer:
         if len1 > parent_len - floor or len2 > parent_len - floor:
             raise GenericityViolation("split child not shorter than parent",
                                       reason="knot")
-        motion = _chord_motion(curve, y, tau_frac)
-        sign = -self._split_sign(motion, u)
-        birth_mu = -1 if self._split_framing_side(motion, u) > 0 else 0
+        sign, birth_mu = self._split_rule(y, tau_frac, u)
         child1 = _Tracer(ctx).run(*c1, depth=depth + 1)
         child2 = _Tracer(ctx).run(*c2, depth=depth + 1)
         trace.splits.append({
@@ -571,33 +572,31 @@ class _Tracer:
             aux={"u": float(u), "tau": float(tau_frac)},
         ))
 
-    def _split_framing_side(self, motion, u):
-        """The forward child's heading against nu(u), q.
+    def _split_rule(self, y, tau_frac, u):
+        """(sign, birth_mu) of the split of the cord y at the knot point u.
 
-        ``motion`` is the ``_chord_motion`` at the crossing.  q flips under
-        cord reversal, so exactly one orientation of a crossing carries the
-        birth meridian.  A heading or a knot crossing velocity orthogonal to
-        nu(u) is degenerate.
+        With d-hat and v the ``_chord_motion`` at chord fraction tau_frac,
+        the split carries the opposite sign of gamma'(u) . (d-hat x v), and
+        mu^-1 when d-hat lies on the +nu side at u: the alpha of
+        ``_framing_coordinates``, which decides F events too.  alpha flips
+        under cord reversal.  A zero sign is a degenerate crossing; alpha = 0,
+        v . nu(u) = 0 or d-hat along gamma'(u) a degenerate framing side.
         """
-        curve = self.ctx.curve
-        d_hat, v = motion
-        nu = self.ctx.framing.nu(u)
-        tang = curve.unit_tangent(u)
-        pi_d = d_hat - tang * float(d_hat @ tang)
-        q = float(pi_d @ nu)
-        if q == 0.0 or float(v @ nu) == 0.0:
-            raise GenericityViolation("split framing side degenerate",
-                                      reason="framing")
-        return q
-
-    def _split_sign(self, motion, u):
-        """Raw orientation sign of a transverse crossing, from its
-        ``_chord_motion``; the split carries its opposite."""
-        d_hat, v = motion
-        w = float(self.ctx.curve.tangent(u) @ np.cross(d_hat, v))
+        curve, framing = self.ctx.curve, self.ctx.framing
+        d_hat, v = _chord_motion(curve, y, tau_frac)
+        tang = curve.tangent(u)
+        w = float(tang @ np.cross(d_hat, v))
         if w == 0.0:
             raise GenericityViolation("degenerate split orientation", reason="knot")
-        return int(math.copysign(1, w))
+        try:
+            alpha = _framing_coordinates(framing, u, tang.tolist(), *d_hat.tolist())[1]
+        except ZeroProjection:
+            alpha = 0.0
+        nu = framing.at(u, *(tang / np.linalg.norm(tang)).tolist())
+        if alpha == 0.0 or float(v @ nu) == 0.0:
+            raise GenericityViolation("split framing side degenerate",
+                                      reason="framing")
+        return -int(math.copysign(1, w)), (-1 if alpha > 0.0 else 0)
 
 
 def _chord_motion(curve, y, tau_frac):

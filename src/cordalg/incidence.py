@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TangentialContact, ZeroProjection
-from .knots import VERTICAL_FLOOR, row_dots
+from .errors import TangentialContact, VerticalTangent, ZeroProjection
+from .knots import row_dots
 from .tolerances import DEFAULT_TOL
 
 
@@ -55,26 +55,15 @@ def cord_events(framing, s, t, pts, tans):
 
 
 def _framing_coordinates(framing, base, tangent, vx, vy, vz):
-    """(value, alpha) of the chord v at the endpoint ``base``; see cord_events."""
+    """(value, alpha) of the chord v at the endpoint ``base``; see cord_events.
+
+    ``tangent`` is gamma' at ``base``, of any length.  A chord parallel to
+    it raises ``ZeroProjection``.
+    """
     tx, ty, tz = tangent
     tn = math.sqrt(tx * tx + ty * ty + tz * tz)
     tx, ty, tz = tx / tn, ty / tn, tz / tn
-    # nu: the vertical projected onto the normal plane, then turned by the
-    # framing's angle there, as Framing.nu does
-    nx, ny, nz = -tz * tx, -tz * ty, 1.0 - tz * tz
-    nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-    if nn < VERTICAL_FLOOR:
-        raise ZeroProjection("tangent parallel to the vertical")
-    nx, ny, nz = nx / nn, ny / nn, nz / nn
-    angle = framing.rotation
-    if framing.winding:
-        angle -= 2.0 * math.pi * framing.winding * base / framing.curve.L
-    if angle:
-        ca, sa = math.cos(angle), math.sin(angle)
-        wx = ty * nz - tz * ny
-        wy = tz * nx - tx * nz
-        wz = tx * ny - ty * nx
-        nx, ny, nz = ca * nx + sa * wx, ca * ny + sa * wy, ca * nz + sa * wz
+    nx, ny, nz = framing.at(base, tx, ty, tz)
     dot_t = vx * tx + vy * ty + vz * tz
     wx, wy, wz = vx - dot_t * tx, vy - dot_t * ty, vz - dot_t * tz
     norm = math.sqrt(wx * wx + wy * wy + wz * wz)
@@ -355,7 +344,7 @@ def f_start_value(curve, framing, s, t):
     """``framing_event`` at the start point, or None where it is undefined."""
     try:
         return framing_event(curve, framing, s, t, "start")
-    except ZeroProjection:
+    except (VerticalTangent, ZeroProjection):
         return None
 
 

@@ -228,48 +228,50 @@ class Framing:
     (changes the framing homotopy class by -winding in the linking number).
     """
 
-    def __init__(self, curve, rotation=0.0, winding=0, eps=None):
+    def __init__(self, curve, rotation=0.0, winding=0):
         self.curve = curve
         self.rotation = float(rotation)
         self.winding = int(winding)
-        self.eps = eps if eps is not None else 0.1 * curve.clearance
+        self.eps = 0.1 * curve.clearance
+
+    def at(self, s, tx, ty, tz):
+        """nu at the parameter s, where the unit tangent is (tx, ty, tz); the
+        only computation of nu, in scalar arithmetic for the flow's steps."""
+        nx, ny, nz = -tz * tx, -tz * ty, 1.0 - tz * tz
+        nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+        if nn < VERTICAL_FLOOR:
+            raise VerticalTangent("tangent parallel to the vertical direction")
+        nx, ny, nz = nx / nn, ny / nn, nz / nn
+        # positive winding turns clockwise seen along the orientation,
+        # decreasing lk(K, K') by one per turn
+        angle = self.rotation
+        if self.winding:
+            angle -= 2.0 * math.pi * self.winding * s / self.curve.L
+        if angle:
+            ca, sa = math.cos(angle), math.sin(angle)
+            nx, ny, nz = (ca * nx + sa * (ty * nz - tz * ny),
+                          ca * ny + sa * (tz * nx - tx * nz),
+                          ca * nz + sa * (tx * ny - ty * nx))
+        return nx, ny, nz
 
     def nu(self, s):
-        scalar = np.ndim(s) == 0
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        t = self.curve.unit_tangent(s)
-        v = VERTICAL - t * t[:, 2:]
-        norms = np.linalg.norm(v, axis=1)
-        if np.any(norms < VERTICAL_FLOOR):
-            raise VerticalTangent("tangent parallel to the vertical direction")
-        v = v / norms[:, None]
-        if self.winding or self.rotation:
-            # positive winding turns clockwise seen along the orientation,
-            # decreasing lk(K, K') by one per turn
-            angle = self.rotation - 2.0 * math.pi * self.winding * s / self.curve.L
-            w = np.cross(t, v)
-            v = np.cos(angle)[:, None] * v + np.sin(angle)[:, None] * w
-        return v[0] if scalar else v
+        """nu at each parameter of the array s, one row each."""
+        tangents = self.curve.unit_tangent(s).tolist()
+        return np.array([self.at(si, *ti) for si, ti in zip(s.tolist(), tangents)])
 
     def with_winding(self, extra):
-        return Framing(self.curve, self.rotation, self.winding + extra, self.eps)
-
-    def validate(self):
-        probe = np.linspace(0.0, self.curve.L, 1024, endpoint=False)
-        v = self.nu(probe)
-        t = self.curve.unit_tangent(probe)
-        if np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) > 1e-8:
-            raise InvariantLost("framing not unit length")
-        if np.max(np.abs(np.einsum("ij,ij->i", v, t))) > 1e-8:
-            raise InvariantLost("framing not orthogonal to tangent")
-        return self
+        return build_framing(self.curve, rotation=self.rotation,
+                             winding=self.winding + extra)
 
 
 def build_framing(curve, kind="blackboard", rotation=0.0, winding=0):
-    """Construct the blackboard framing, the only ``kind`` there is."""
+    """The blackboard framing of ``curve``, the only ``kind`` there is; nu is
+    probed at 1,024 points, so a vertical tangent raises ``VerticalTangent``."""
     if kind != "blackboard":
         raise SpecError(f"unknown framing kind {kind!r}")
-    return Framing(curve, rotation=rotation, winding=winding).validate()
+    framing = Framing(curve, rotation=rotation, winding=winding)
+    framing.nu(np.linspace(0.0, curve.L, 1024, endpoint=False))
+    return framing
 
 
 # ---------------------------------------------------------------------------
@@ -674,5 +676,5 @@ def perturb_framing(framing, magnitude, seed=0):
     """Seeded rotation-angle change of the framing (homotopy class preserved)."""
     rng = np.random.default_rng(seed)
     delta = magnitude * (0.5 + 0.5 * rng.random()) * (1 if rng.random() < 0.5 else -1)
-    return Framing(framing.curve, framing.rotation + delta, framing.winding,
-                   framing.eps)
+    return build_framing(framing.curve, rotation=framing.rotation + delta,
+                         winding=framing.winding)

@@ -196,17 +196,19 @@ def genericity_check(curve, framing, critical_points, tol=DEFAULT_TOL):
 
 
 def _perturb_for(reason, curve, framing, magnitude, seed, tol):
+    """The curve and framing of a retry, the framing built on that curve."""
+    if reason == "framing":
+        return curve, perturb_framing(framing, 0.3, seed), "framing"
     if reason == "basepoint":
         # a basepoint shift is a pure reparametrization: its scale comes from
         # the diagonal tube (it must clear the degenerate zone), not from the
         # embedding clearance that caps geometric bumps
         shift = max(curve.L / 8.0, 4.0 * tol.diag_tube * curve.L)
-        return perturb_basepoint(curve, shift, seed), framing, "basepoint"
-    if reason == "framing":
-        return curve, perturb_framing(framing, 0.3, seed), "framing"
-    new_curve = perturb_curve(curve, magnitude, seed, tol=tol)
-    return new_curve, build_framing(new_curve, rotation=framing.rotation,
-                                    winding=framing.winding), "knot"
+        curve = perturb_basepoint(curve, shift, seed)
+    else:
+        curve = perturb_curve(curve, magnitude, seed, tol=tol)
+    return curve, build_framing(curve, rotation=framing.rotation,
+                                winding=framing.winding), reason
 
 
 def setup_knot(spec, tol=DEFAULT_TOL):
@@ -248,23 +250,27 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
     l -> l u^lk plus the winding sweep rules afterwards, which the spec's
     ``seifert_rules`` key overrides.  The presentation is simplified.
     Genericity failures trigger seeded perturbation with retries
-    (geometrically shrinking magnitude).
+    (geometrically shrinking magnitude), each logged in ``metadata["retries"]``
+    with its reason, the error that caused it and its outcome.
     """
     curve, frame, seifert_rules = setup_knot(spec, tol)
 
     attempt = 0
+    retries = []
     # perturb_curve refuses magnitudes from clearance / 4 up
     magnitude = curve.clearance / 8.0
     while True:
         try:
-            return _run_once(curve, frame, framing, tol, seifert_rules, seed)
+            return _run_once(curve, frame, framing, tol, seifert_rules, seed,
+                             retries)
         except (GenericityViolation, DegenerateCritical, SeedingInsufficient,
                 InvariantLost) as exc:
             # drop the traceback: it would pin the failed attempt's frames
             # and census arrays in a cycle while the next attempt runs
             last = exc.with_traceback(None)
+            error = type(exc).__name__
             reason = getattr(exc, "reason", "knot")
-            if isinstance(exc, (DegenerateCritical, SeedingInsufficient)):
+            if reason not in ("basepoint", "framing"):
                 reason = "knot"
         # a perturbation that breaks an invariant is redrawn smaller with the
         # next seed, without rerunning the unchanged input; each draw spends
@@ -281,10 +287,12 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
                 redrawn = True
             except InvariantLost as exc:
                 last = exc.with_traceback(None)
+            retries.append({"attempt": attempt, "reason": reason, "error": error,
+                            "outcome": "accepted" if redrawn else "refused"})
             magnitude *= 0.5
 
 
-def _run_once(curve, frame, framing, tol, seifert_rules, seed):
+def _run_once(curve, frame, framing, tol, seifert_rules, seed, retries):
     critical = find_critical_points(curve, tol)
     report = genericity_check(curve, frame, critical, tol)
     if report:
@@ -347,7 +355,7 @@ def _run_once(curve, frame, framing, tol, seifert_rules, seed):
         traces=traces,
         census=census,
         linking=lk,
-        metadata={**out.metadata, "mirrored": mirrored},
+        metadata={**out.metadata, "mirrored": mirrored, "retries": retries},
     )
 
 

@@ -246,6 +246,11 @@ def test_trefoil_flow_step_count(trefoil_result):
           f"{splits} splits")
 
 
+def test_trefoil_takes_no_retry(trefoil_result):
+    """The pinned trefoil computes on its first attempt: the retry log is empty."""
+    assert trefoil_result.metadata["retries"] == []
+
+
 def test_split_budget_is_per_boundary_value(trefoil_result):
     """Each saddle has its own split budget: 5 each suffice, 24 in total."""
     spec = dict(TREFOIL_SPEC)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from cordalg.energy import cord_terms
-from cordalg.errors import TangentialContact
+from cordalg.errors import TangentialContact, VerticalTangent, ZeroProjection
 from cordalg.flow import _events, _group_midpoints
 from cordalg.incidence import (
     ChordScreen,
+    _framing_coordinates,
     _refine_crossings,
     _tangency_residual,
     chord_knot_intersections,
@@ -22,13 +23,17 @@ from cordalg.incidence import (
     framing_event,
     tangent_boundary_cords,
 )
-from cordalg.knots import KnotCurve, build_curve, build_framing, row_dots
+from cordalg.knots import Framing, KnotCurve, build_curve, build_framing, row_dots
 from cordalg.tolerances import DEFAULT_TOL
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 # radius of the F^s arc-end circle around a tangency cord, as a fraction of L
 F_ARC_RADIUS = 10 * 1e-4
+
+# a circle in the xz-plane, whose tangent is vertical at s = 0
+_VERTICAL_CIRCLE = [[math.cos(2 * math.pi * k / 64), 0.0,
+                     math.sin(2 * math.pi * k / 64)] for k in range(64)]
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +57,26 @@ def basepoint_event(curve, s):
     pts, tans = curve.spline.eval_multi(np.array([s, t]), (0, 1))
     value = cord_events(build_framing(curve), s, t, pts, tans)["B-start"]
     return SimpleNamespace(value=value)
+
+
+def test_vertical_tangent_is_one_error():
+    """Wherever nu is evaluated, a vertical tangent raises VerticalTangent;
+    ZeroProjection is left to a chord along the tangent."""
+    curve = build_curve({"type": "samples", "points": _VERTICAL_CIRCLE})
+    with pytest.raises(VerticalTangent):
+        build_framing(curve)
+    framing = Framing(curve)
+    t = curve.L / 3.0
+    with pytest.raises(VerticalTangent):
+        framing.nu(np.array([0.0]))
+    with pytest.raises(VerticalTangent):
+        framing_event(curve, framing, 0.0, t, "start")
+    assert f_start_value(curve, framing, 0.0, t) is None
+    # at s = L/4 the tangent is horizontal
+    s = curve.L / 4.0
+    tangent = curve.tangent(s).tolist()
+    with pytest.raises(ZeroProjection):
+        _framing_coordinates(framing, s, tangent, *tangent)
 
 
 def test_basepoint_event_values(ellipse):

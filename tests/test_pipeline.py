@@ -10,6 +10,7 @@ import pytest
 from cordalg import pipeline
 from cordalg.energy import find_critical_points
 from cordalg.errors import (
+    DegenerateCritical,
     GenericityExhausted,
     GenericityViolation,
     InvariantLost,
@@ -258,6 +259,69 @@ def test_perturbations_use_the_run_tolerances(reason, monkeypatch):
                                 tol=tol) == "result"
     expected = [tol] if reason == "knot" else [pytest.approx(0.2)]
     assert calls == expected
+
+
+def test_basepoint_retry_frames_its_own_curve(monkeypatch):
+    """After a basepoint retry the framing is rebuilt on the shifted curve,
+    so nu is normal to that curve's own tangents."""
+    attempts = []
+
+    def run_once(curve, frame, *args):
+        attempts.append((curve, frame))
+        if len(attempts) == 1:
+            raise GenericityViolation("forced", reason="basepoint")
+        return "result"
+
+    monkeypatch.setattr(pipeline, "_run_once", run_once)
+    spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
+                       / "trefoil.json").read_text())
+    assert compute_cord_algebra(spec) == "result"
+    (first, _), (curve, frame) = attempts
+    assert curve is not first
+    assert frame.curve is curve
+    probe = np.linspace(0.0, curve.L, 64, endpoint=False)
+    dots = np.einsum("ij,ij->i", frame.nu(probe), curve.unit_tangent(probe))
+    assert np.max(np.abs(dots)) < 1e-9
+
+
+def test_retry_log_records_the_ellipse_basepoint_draw():
+    """The ellipse's first attempt ends at the basepoint; the log holds that
+    one draw, and the presentation's metadata stays without it."""
+    spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
+                       / "ellipse.json").read_text())
+    res = compute_cord_algebra(spec)
+    assert res.metadata["retries"] == [
+        {"attempt": 1, "reason": "basepoint", "error": "GenericityViolation",
+         "outcome": "accepted"},
+    ]
+    assert "retries" not in res.presentation.metadata
+
+
+def test_retry_log_lists_refused_draws(monkeypatch):
+    """A refused draw is logged with the error that made the run retry, and
+    each attempt's run receives the log so far."""
+    logs = []
+
+    def run_once(curve, *args):
+        logs.append(list(args[-1]))
+        if len(logs) == 1:
+            raise DegenerateCritical("forced")
+        return "result"
+
+    def perturb_for(reason, curve, framing, magnitude, seed, tol):
+        if seed == 1:
+            raise InvariantLost("forced")
+        return curve, framing, reason
+
+    monkeypatch.setattr(pipeline, "_run_once", run_once)
+    monkeypatch.setattr(pipeline, "_perturb_for", perturb_for)
+    assert compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1}) == "result"
+    assert logs == [[], [
+        {"attempt": 1, "reason": "knot", "error": "DegenerateCritical",
+         "outcome": "refused"},
+        {"attempt": 2, "reason": "knot", "error": "DegenerateCritical",
+         "outcome": "accepted"},
+    ]]
 
 
 def test_setup_rotates_braid_framings_once():
