@@ -161,13 +161,7 @@ def find_critical_points(curve, tol=DEFAULT_TOL):
     last_err = None
     while n_grid <= tol.grid_max:
         axis, g2 = _grid_grad_sq(curve, n_grid)
-        local_min = np.ones_like(g2, dtype=bool)
-        for ds in (-1, 0, 1):
-            for dt in (-1, 0, 1):
-                if ds == 0 and dt == 0:
-                    continue
-                local_min &= g2 <= np.roll(np.roll(g2, ds, 0), dt, 1)
-        si, ti = np.nonzero(local_min)
+        si, ti = np.nonzero(_grid_local_minima(g2))
         seeds = np.stack([axis[si], axis[ti]], axis=1)
         off_diag = curve.circ_dist(seeds[:, 0], seeds[:, 1]) > 0.5 * tol.diag_tube * L
         seeds = seeds[off_diag]
@@ -189,13 +183,34 @@ def find_critical_points(curve, tol=DEFAULT_TOL):
 
 def _grid_grad_sq(curve, n):
     """|grad E|^2 on the n x n grid over the axis k L / n, k < n; the spline
-    is evaluated once on the axis and the pair differences are broadcast."""
+    is evaluated once on the axis and the pair differences are broadcast,
+    64 rows at a time.
+
+    Only the s-component gs(i, j) = <d(i, j), gamma'(s_i)> is computed: the
+    t-component is -<d(i, j), gamma'(s_j)> = <d(j, i), gamma'(s_j)> = gs(j, i)
+    exactly, since negation is exact, so |grad E|^2 = gs^2 + (gs^2)^T.
+    """
     axis = np.arange(n) * (curve.L / n)
     P, V = curve.spline.eval_multi(axis, (0, 1))
-    d = P[:, None, :] - P[None, :, :]
-    gs = row_dots(d, V[:, None, :])
-    gt = -row_dots(d, V[None, :, :])
-    return axis, gs * gs + gt * gt
+    sq = np.empty((n, n))
+    for i in range(0, n, 64):
+        d = P[i:i + 64, None, :] - P[None, :, :]
+        sq[i:i + 64] = row_dots(d, V[i:i + 64, None, :])
+    sq *= sq
+    return axis, sq + sq.T
+
+
+def _grid_local_minima(g2):
+    """Mask of the cells of the periodic grid ``g2`` that are no larger than
+    any of their eight neighbours, read from one wrap-padded copy."""
+    n = len(g2)
+    padded = np.pad(g2, 1, mode="wrap")
+    mask = np.ones_like(g2, dtype=bool)
+    for ds in range(3):
+        for dt in range(3):
+            if ds != 1 or dt != 1:
+                mask &= g2 <= padded[ds:ds + n, dt:dt + n]
+    return mask
 
 
 def _collect(curve, seeds, tol, cluster_dist=0.0):

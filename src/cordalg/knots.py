@@ -593,47 +593,6 @@ def build_curve(spec, tol=DEFAULT_TOL):
 
 
 # ---------------------------------------------------------------------------
-# projection crossings (diagram checks)
-# ---------------------------------------------------------------------------
-
-def projection_crossings(curve, direction=None, n=2048):
-    """Count transverse self-crossings of the projected polyline.
-
-    A generic direction must be supplied for layouts whose natural projection
-    is degenerate (stacked braid strands).
-    """
-    if direction is None:
-        direction = np.array([0.05, 0.03, 1.0])
-    d = np.asarray(direction, float)
-    d = d / np.linalg.norm(d)
-    e1 = np.cross(d, [1.0, 0.0, 0.0])
-    if np.linalg.norm(e1) < 1e-6:
-        e1 = np.cross(d, [0.0, 1.0, 0.0])
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(d, e1)
-    params = np.arange(n) * (curve.L / n)
-    pts3 = curve.point(params)
-    pts = np.stack([pts3 @ e1, pts3 @ e2], axis=1)
-    a = pts
-    b = np.roll(pts, -1, axis=0)
-    count = 0
-    for i in range(n):
-        js = np.arange(i + 2, n if i > 0 else n - 1)
-        if len(js) == 0:
-            continue
-        p, r = a[i], b[i] - a[i]
-        q = a[js]
-        s = b[js] - a[js]
-        denom = r[0] * s[:, 1] - r[1] * s[:, 0]
-        ok = np.abs(denom) > 1e-14
-        qp = q - p
-        t = np.where(ok, (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / np.where(ok, denom, 1.0), -1)
-        u = np.where(ok, (qp[:, 0] * r[1] - qp[:, 1] * r[0]) / np.where(ok, denom, 1.0), -1)
-        count += int(np.sum(ok & (t > 0) & (t < 1) & (u > 0) & (u < 1)))
-    return count
-
-
-# ---------------------------------------------------------------------------
 # perturbations (seeded, deterministic)
 # ---------------------------------------------------------------------------
 
@@ -651,12 +610,20 @@ def perturb_basepoint(curve, magnitude, seed=0):
 
 def perturb_curve(curve, magnitude, seed=0, center=None, width=None,
                   tol=DEFAULT_TOL):
-    """Seeded local bump of the knot; re-validates all invariants."""
+    """Seeded bump of the knot, supported within ``width`` (default 0.3 L)
+    of its center on either side; re-validates all invariants.
+
+    The default support covers 60% of the knot, more than half: a round
+    arc keeps its diameters as a Bott family of critical cords on every
+    pair of points outside the support, and with a support over half the
+    knot every antipodal pair has an endpoint inside it.  The wide bump is
+    also gentle enough to resample to arclength within ``tol_arc``.
+    """
     if magnitude >= curve.clearance / 4.0:
         raise InvariantLost("perturbation magnitude too large for the clearance")
     rng = np.random.default_rng(seed)
     center = center if center is not None else rng.random() * curve.L
-    width = width or 0.05 * curve.L
+    width = width or 0.3 * curve.L
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     n = len(curve.samples)

@@ -198,7 +198,7 @@ def genericity_check(curve, framing, critical_points, tol=DEFAULT_TOL):
 def _perturb_for(reason, curve, framing, magnitude, seed, tol):
     """The curve and framing of a retry, the framing built on that curve."""
     if reason == "framing":
-        return curve, perturb_framing(framing, 0.3, seed), "framing"
+        return curve, perturb_framing(framing, 0.3, seed)
     if reason == "basepoint":
         # a basepoint shift is a pure reparametrization: its scale comes from
         # the diagonal tube (it must clear the degenerate zone), not from the
@@ -208,7 +208,7 @@ def _perturb_for(reason, curve, framing, magnitude, seed, tol):
     else:
         curve = perturb_curve(curve, magnitude, seed, tol=tol)
     return curve, build_framing(curve, rotation=framing.rotation,
-                                winding=framing.winding), reason
+                                winding=framing.winding)
 
 
 def setup_knot(spec, tol=DEFAULT_TOL):
@@ -282,8 +282,8 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
                     f"perturb-and-retry budget exhausted: {last}")
             attempt += 1
             try:
-                curve, frame, _ = _perturb_for(reason, curve, frame,
-                                               magnitude, seed + attempt, tol)
+                curve, frame = _perturb_for(reason, curve, frame, magnitude,
+                                            seed + attempt, tol)
                 redrawn = True
             except InvariantLost as exc:
                 last = exc.with_traceback(None)

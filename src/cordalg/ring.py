@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from .errors import GrammarError, SelfReference
 
-Mono = tuple  # (a, b): exponents of l and u
 MONO_ONE = (0, 0)
 _RESERVED = {"l", "u"}
 

@@ -39,6 +39,14 @@ def test_compute_text_format(ellipse_spec, capsys):
     assert "1 - u - l + l u" in text
 
 
+def test_compute_cures_the_circle(capsys):
+    """The round circle's degenerate census is cured by one knot bump."""
+    assert main(["compute", str(SPECS / "circle.json")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["generators"] == []
+    assert doc["relations"] == ["1 - u - l + l u"]
+
+
 def test_compute_deterministic_bytes(ellipse_spec, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["compute", ellipse_spec, "--seed", "5", "-o", str(a)])

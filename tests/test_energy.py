@@ -7,6 +7,7 @@ import cordalg.energy as energy_mod
 from cordalg.energy import (
     CordPoint,
     _grid_grad_sq,
+    _grid_local_minima,
     diagonal_data,
     energy,
     find_critical_points,
@@ -154,6 +155,25 @@ def test_grid_grad_sq_matches_per_cell_gradient(name, n, request):
     S, T = np.meshgrid(axis, axis, indexing="ij")
     g = gradient(curve, S.ravel(), T.ravel())
     assert np.array_equal(g2, (g * g).sum(axis=1).reshape(n, n))
+
+
+@pytest.fixture(scope="module")
+def circle():
+    return build_curve({"type": "circle", "r": 1})
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("name", ["circle", "ellipse", "trefoil"])
+def test_grid_local_minima_match_rolled_neighbours(name, n, request):
+    """The padded local-minimum test picks the cells the eight rolled
+    neighbour comparisons pick."""
+    _axis, g2 = _grid_grad_sq(request.getfixturevalue(name), n)
+    expected = np.ones_like(g2, dtype=bool)
+    for ds in (-1, 0, 1):
+        for dt in (-1, 0, 1):
+            if ds or dt:
+                expected &= g2 <= np.roll(np.roll(g2, ds, 0), dt, 1)
+    assert np.array_equal(_grid_local_minima(g2), expected)
 
 
 @pytest.mark.parametrize("name", ["ellipse", "trefoil"])

@@ -19,7 +19,6 @@ from cordalg.knots import (
     perturb_basepoint,
     perturb_curve,
     perturb_framing,
-    projection_crossings,
 )
 from cordalg.tolerances import DEFAULT_TOL
 
@@ -73,6 +72,33 @@ def test_too_few_points_rejected():
 def test_braid_closure_must_be_knot():
     with pytest.raises(SpecError):
         BraidLayoutSpec(word=[1, 1], strands=2)  # two-component link
+
+
+def projection_crossings(curve, n=2048):
+    """Count transverse self-crossings of the curve's polyline projected
+    along a direction tilted off the vertical, since seen from above the
+    stacked braid strands are degenerate."""
+    d = np.array([0.05, 0.03, 1.0])
+    d /= np.linalg.norm(d)
+    e1 = np.cross(d, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(d, e1)
+    pts3 = curve.point(np.arange(n) * (curve.L / n))
+    a = np.stack([pts3 @ e1, pts3 @ e2], axis=1)
+    b = np.roll(a, -1, axis=0)
+    count = 0
+    for i in range(n):
+        js = np.arange(i + 2, n if i > 0 else n - 1)
+        p, r = a[i], b[i] - a[i]
+        s = b[js] - a[js]
+        denom = r[0] * s[:, 1] - r[1] * s[:, 0]
+        ok = np.abs(denom) > 1e-14
+        qp = a[js] - p
+        safe = np.where(ok, denom, 1.0)
+        t = np.where(ok, (qp[:, 0] * s[:, 1] - qp[:, 1] * s[:, 0]) / safe, -1)
+        u = np.where(ok, (qp[:, 0] * r[1] - qp[:, 1] * r[0]) / safe, -1)
+        count += int(np.sum(ok & (t > 0) & (t < 1) & (u > 0) & (u < 1)))
+    return count
 
 
 def test_braid_crossing_count(trefoil):

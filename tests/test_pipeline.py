@@ -148,7 +148,7 @@ def _forced_retries(monkeypatch, perturb_fails):
         draws.append((magnitude, seed))
         if len(draws) <= perturb_fails:
             raise InvariantLost("forced")
-        return f"perturbed-{seed}", framing, reason
+        return f"perturbed-{seed}", framing
 
     monkeypatch.setattr(pipeline, "_run_once", run_once)
     monkeypatch.setattr(pipeline, "_perturb_for", perturb_for)
@@ -205,27 +205,44 @@ def test_first_knot_perturbation_is_accepted(monkeypatch):
 
 
 def test_no_draw_after_budget_spent(monkeypatch):
-    """The degenerate circle spends the whole budget: eight censuses, eight
-    draws, and no ninth draw that no census would use."""
+    """A census that fails on every attempt spends the whole budget: eight
+    draws, each run once, and no ninth draw that no census would use."""
     runs, draws = [], []
-    run_once, perturb_for = pipeline._run_once, pipeline._perturb_for
+    perturb_for = pipeline._perturb_for
 
-    def run_spy(*args):
-        runs.append(args[0])
-        return run_once(*args)
+    def run_once(curve, *args):
+        runs.append(curve)
+        raise DegenerateCritical("forced")
 
     def perturb_spy(reason, curve, framing, magnitude, seed, tol):
         draws.append(seed)
         return perturb_for(reason, curve, framing, magnitude, seed, tol)
 
-    monkeypatch.setattr(pipeline, "_run_once", run_spy)
+    monkeypatch.setattr(pipeline, "_run_once", run_once)
     monkeypatch.setattr(pipeline, "_perturb_for", perturb_spy)
     spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
                        / "circle.json").read_text())
-    with pytest.raises(GenericityExhausted):
+    with pytest.raises(GenericityExhausted, match="forced"):
         compute_cord_algebra(spec)
     assert draws == list(range(1, 9))
-    assert len(runs) == 8
+    assert len(runs) == 9
+
+
+def test_circle_computes_the_unknot_after_one_knot_draw():
+    """The round circle's census is a Bott family of diameters; the first
+    knot bump covers more than half the circle, breaks every diameter and
+    gives the unknot's presentation."""
+    spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
+                       / "circle.json").read_text())
+    res = compute_cord_algebra(spec)
+    assert res.census == (0, 2, 2)
+    assert res.presentation.generators == []
+    assert len(res.presentation.relations) == 1
+    assert res.presentation.relations[0] == UNKNOT_RELATION
+    assert res.metadata["retries"] == [
+        {"attempt": 1, "reason": "knot", "error": "DegenerateCritical",
+         "outcome": "accepted"},
+    ]
 
 
 @pytest.mark.parametrize("reason", ["knot", "basepoint"])
@@ -311,7 +328,7 @@ def test_retry_log_lists_refused_draws(monkeypatch):
     def perturb_for(reason, curve, framing, magnitude, seed, tol):
         if seed == 1:
             raise InvariantLost("forced")
-        return curve, framing, reason
+        return curve, framing
 
     monkeypatch.setattr(pipeline, "_run_once", run_once)
     monkeypatch.setattr(pipeline, "_perturb_for", perturb_for)
