@@ -106,28 +106,56 @@ def _resample_arclength(points, n_out, refine=4):
 def _min_clearance(points, ratio=0.7):
     """Fold-back clearance: min spatial distance among genuinely close approaches.
 
-    A pair of segments counts when its spatial distance is well below its
-    circular arc distance (ratio threshold chosen so a round circle's
-    antipodal pairs, ratio 2/pi, still count while shallow same-arc
-    neighbors, ratio near 1, do not).  Falls back to the diameter scale when
-    the curve has no close approaches at all.
+    A pair of segments counts when the distance of their midpoints is well
+    below their circular arc distance (ratio threshold chosen so a round
+    circle's antipodal pairs, ratio 2/pi, still count while shallow same-arc
+    neighbors, ratio near 1, do not).  Every closed curve has such a pair:
+    g(s) = gamma(s + L/2) - gamma(s) is anti-periodic with |g'| <= 2, so by
+    Wirtinger's inequality some antipodal pair has chord/arc <= 2/pi.  No
+    counted pair raises ``DegenerateSpec``.  The segment distance is refined
+    on the counted pairs within 2 steps of the closest one.
+
+    Midpoints are taken 64 at a time, and the block pairs are visited in
+    ascending order of the distance of their bounding boxes until that
+    distance exceeds the closest counted distance plus 2 steps: no pair
+    further on can be refined.
     """
-    pts = np.asarray(points)
-    n = len(pts)
-    a = pts
-    b = np.roll(pts, -1, axis=0)
+    a = np.asarray(points)
+    n = len(a)
+    b = np.roll(a, -1, axis=0)
     mids = 0.5 * (a + b)
-    seg = np.linalg.norm(b - a, axis=1)
-    step = float(np.mean(seg))
-    diff = mids[:, None, :] - mids[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    idx = np.arange(n)
-    circ = np.abs(idx[:, None] - idx[None, :])
-    arc = np.minimum(circ, n - circ) * step
-    mask = np.triu(dist < ratio * arc, k=1)
-    if not mask.any():
-        return float(np.max(dist))
-    i, j = np.nonzero(mask & (dist < dist[mask].min() + 2 * step))
+    step = float(np.mean(np.linalg.norm(b - a, axis=1)))
+    starts = np.arange(0, n, 64)
+    blocks = [np.arange(i, min(i + 64, n)) for i in starts]
+    lo = np.minimum.reduceat(mids, starts)
+    hi = np.maximum.reduceat(mids, starts)
+    bi, bj = np.triu_indices(len(blocks))
+    # shrunk far beyond rounding, so it stays below every midpoint distance
+    # of the block pair
+    gap = (1.0 - 1e-12) * np.linalg.norm(
+        np.maximum(0.0, np.maximum(lo[bi] - hi[bj], lo[bj] - hi[bi])), axis=1)
+    best = math.inf
+    found = []
+    for p in np.argsort(gap):
+        if gap[p] > best + 2 * step:
+            break
+        ki, kj = blocks[bi[p]], blocks[bj[p]]
+        dist = np.linalg.norm(mids[ki, None] - mids[None, kj], axis=2)
+        circ = np.abs(ki[:, None] - kj[None, :])
+        mask = dist < ratio * (np.minimum(circ, n - circ) * step)
+        if bi[p] == bj[p]:
+            mask = np.triu(mask, k=1)
+        if mask.any():
+            best = min(best, dist[mask].min())
+            u, v = np.nonzero(mask & (dist < best + 2 * step))
+            found.append((ki[u], kj[v], dist[u, v]))
+    if not found:
+        raise DegenerateSpec(
+            f"no segment pair is closer than {ratio} of its arc distance:"
+            " the points do not sample a closed curve")
+    i, j, dist = (np.concatenate(x) for x in zip(*found))
+    near = dist < best + 2 * step
+    i, j = i[near], j[near]
     return float(np.min(_segment_distances(a[i], b[i], a[j], b[j])))
 
 
@@ -284,6 +312,8 @@ def build_framing(curve, kind="blackboard", rotation=0.0, winding=0):
 LINKING_VIEW = np.array([0.6, 0.3, 1.0]) / math.sqrt(1.45)
 # a crossing this close to a segment end, in segment fractions, is ambiguous
 _CROSSING_MARGIN = 1e-9
+# the pad of the boxes of ``crossing_sums``, relative to the coordinate scale
+_BOX_PAD = 1e-6
 
 
 def crossing_sums(points_a, points_b):
@@ -293,33 +323,43 @@ def crossing_sums(points_a, points_b):
     over a and where b passes under a.  For closed curves both equal the
     linking number (Rolfsen, Knots and Links, 5.D).  A crossing within
     ``_CROSSING_MARGIN`` of a segment end makes the projection ambiguous and
-    raises ``NumericalAmbiguity``.  Segments of a are taken 64 at a time
-    against every segment of b.
+    raises ``NumericalAmbiguity``.  Segments of a are taken 64 at a time,
+    each block against the segments of b whose projected boxes meet the
+    block's box padded by ``_BOX_PAD`` of the coordinate scale.  A crossing
+    within the margin of two segments lies within the margin times their
+    lengths of both of their boxes, far inside that pad.
     """
     e1 = np.cross(LINKING_VIEW, [1.0, 0.0, 0.0])
     e1 /= np.linalg.norm(e1)
     frame = np.stack([e1, np.cross(LINKING_VIEW, e1), LINKING_VIEW], axis=1)
     a = np.asarray(points_a) @ frame  # plane coordinates, then the height
     b = np.asarray(points_b) @ frame
-    da = np.roll(a, -1, axis=0) - a
-    db = (np.roll(b, -1, axis=0) - b)[None]
+    a_next, b_next = np.roll(a, -1, axis=0), np.roll(b, -1, axis=0)
+    da, db = a_next - a, b_next - b
+    b_lo = np.minimum(b, b_next)[:, :2]
+    b_hi = np.maximum(b, b_next)[:, :2]
+    pad = _BOX_PAD * max(np.max(np.abs(a[:, :2])), np.max(np.abs(b[:, :2])))
     over = under = 0
     for i in range(0, len(a), 64):
+        lo = np.minimum(a[i:i + 64, :2], a_next[i:i + 64, :2]).min(axis=0) - pad
+        hi = np.maximum(a[i:i + 64, :2], a_next[i:i + 64, :2]).max(axis=0) + pad
+        j = np.flatnonzero(np.all((b_hi >= lo) & (b_lo <= hi), axis=1))
         r = da[i:i + 64, None]
-        w = b[None] - a[i:i + 64, None]
-        denom = r[..., 0] * db[..., 1] - r[..., 1] * db[..., 0]
+        w = b[None, j] - a[i:i + 64, None]
+        dbj = db[None, j]
+        denom = r[..., 0] * dbj[..., 1] - r[..., 1] * dbj[..., 0]
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = (w[..., 0] * db[..., 1] - w[..., 1] * db[..., 0]) / denom
+            s = (w[..., 0] * dbj[..., 1] - w[..., 1] * dbj[..., 0]) / denom
             t = (w[..., 0] * r[..., 1] - w[..., 1] * r[..., 0]) / denom
         m = _CROSSING_MARGIN
         near = (s > -m) & (s < 1.0 + m) & (t > -m) & (t < 1.0 + m)
         hit = (s > m) & (s < 1.0 - m) & (t > m) & (t < 1.0 - m)
         if np.any(near & ~hit):
             raise NumericalAmbiguity("projected crossing at a segment end")
-        k, j = np.nonzero(hit)
+        k, c = np.nonzero(hit)
         # height of b over a at each crossing, and the crossing's sign
-        rise = (w[k, j, 2] + t[k, j] * db[0, j, 2]) - s[k, j] * r[k, 0, 2]
-        sign = np.sign(denom[k, j])
+        rise = (w[k, c, 2] + t[k, c] * dbj[0, c, 2]) - s[k, c] * r[k, 0, 2]
+        sign = np.sign(denom[k, c])
         over -= int(np.sum(sign[rise > 0.0]))
         under += int(np.sum(sign[rise < 0.0]))
     return over, under

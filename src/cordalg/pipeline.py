@@ -248,7 +248,9 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
     ``framing`` selects the output framing: computations always run with the
     blackboard framing; 'seifert' applies the change-of-framing transform
     l -> l u^lk plus the winding sweep rules afterwards, which the spec's
-    ``seifert_rules`` key overrides.  The presentation is simplified.
+    ``seifert_rules`` key overrides; a knot off the braid layout with
+    lk != 0 has no such rules and is refused with ``UnsupportedFraming``
+    before the census.  The presentation is simplified.
     Genericity failures trigger seeded perturbation with retries
     (geometrically shrinking magnitude), each logged in ``metadata["retries"]``
     with its reason, the error that caused it and its outcome.
@@ -293,6 +295,13 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
 
 
 def _run_once(curve, frame, framing, tol, seifert_rules, seed, retries):
+    lk = None
+    if framing == "seifert" and seifert_rules is None and \
+            curve.metadata.get("layout") != "braid":
+        # no census or flow can lift the refusal of derive_seifert_rules,
+        # which needs only lk and the layout
+        lk = linking_number(curve, frame)
+        derive_seifert_rules(curve, None, lk)
     critical = find_critical_points(curve, tol)
     report = genericity_check(curve, frame, critical, tol)
     if report:
@@ -333,7 +342,8 @@ def _run_once(curve, frame, framing, tol, seifert_rules, seed, retries):
                 raise GenericityViolation("contraction point at the basepoint",
                                           reason="basepoint")
 
-    lk = linking_number(curve, frame)
+    if lk is None:
+        lk = linking_number(curve, frame)
     generators = sorted({p.label for p in ctx.minima})
     relations = [v for v in boundary_values.values() if not v.is_zero()]
     census = tuple(sum(1 for p in critical if p.index == i) for i in range(3))

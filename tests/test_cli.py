@@ -47,6 +47,13 @@ def test_compute_cures_the_circle(capsys):
     assert doc["relations"] == ["1 - u - l + l u"]
 
 
+def test_compute_refuses_the_torus_knot_in_the_seifert_framing(capsys):
+    """lk = -3 off a braid layout has no Seifert rules: a spec error."""
+    assert main(["compute", str(SPECS / "torus_2_3.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and "lk = -3" in err
+
+
 def test_compute_deterministic_bytes(ellipse_spec, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["compute", ellipse_spec, "--seed", "5", "-o", str(a)])

@@ -1,12 +1,16 @@
 """Curve building, framings, linking numbers, braid layouts."""
 
+import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cordalg.errors import DegenerateSpec, InvariantLost, NumericalAmbiguity, SpecError
 from cordalg.knots import (
+    _CROSSING_MARGIN,
     LINKING_VIEW,
     BraidLayoutSpec,
     _min_clearance,
@@ -23,6 +27,9 @@ from cordalg.knots import (
 from cordalg.tolerances import DEFAULT_TOL
 
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+
 @pytest.fixture(scope="module")
 def ellipse():
     return build_curve({"type": "ellipse", "a": 2, "b": 1})
@@ -31,6 +38,26 @@ def ellipse():
 @pytest.fixture(scope="module")
 def trefoil():
     return build_curve({"type": "braid", "word": [1, 1, 1]})
+
+
+def _wobble_spec(c3=0.05, s2=0.035):
+    """The 720-point wobbled ellipse of the benchmark's unknot sweep."""
+    th = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
+    r = 1.0 + c3 * np.cos(3 * th) + s2 * np.sin(2 * th)
+    pts = np.stack([2 * r * np.cos(th), r * np.sin(th), np.zeros_like(th)], axis=1)
+    return {"type": "samples", "points": pts.tolist()}
+
+
+@pytest.fixture(scope="module")
+def others():
+    """The curves beyond the ellipse and the trefoil that the kernels are
+    checked on, by name."""
+    return {
+        "circle": build_curve({"type": "circle", "r": 1}),
+        "torus_2_3": build_curve({"type": "torus_knot", "p": 2, "q": 3}),
+        "5_1": build_curve({"type": "braid", "word": [1, 1, 1, 1, 1]}),
+        "wobble": build_curve(_wobble_spec()),
+    }
 
 
 def test_circle_length():
@@ -246,16 +273,49 @@ def _solid_angle_quads(p1, p2, q1, q2):
     return omega * sign / (4.0 * math.pi)
 
 
-@pytest.mark.parametrize("name", ["circle", "ellipse", "trefoil", "perturbed"])
-def test_min_clearance_matches_scalar_reference(name, ellipse, trefoil):
-    curve = {
-        "circle": lambda: build_curve({"type": "circle", "r": 1}),
-        "ellipse": lambda: ellipse,
-        "trefoil": lambda: trefoil,
-        "perturbed": lambda: perturb_curve(ellipse, ellipse.clearance / 8, seed=2),
-    }[name]()
+@pytest.mark.parametrize("name", ["circle", "ellipse", "trefoil", "perturbed",
+                                  "torus_2_3", "5_1", "wobble"])
+def test_min_clearance_matches_scalar_reference(name, ellipse, trefoil, others):
+    if name == "perturbed":
+        curve = perturb_curve(ellipse, ellipse.clearance / 8, seed=2)
+    else:
+        curve = {"ellipse": ellipse, "trefoil": trefoil, **others}[name]
     pts = curve.samples[:: max(1, len(curve.samples) // 512)]
     assert _min_clearance(pts) == _min_clearance_reference(pts)
+
+
+def test_every_closed_curve_has_a_fold_back_pair(others):
+    """Some antipodal pair has chord/arc at most 2/pi (Wirtinger's
+    inequality), below the 0.7 of ``_min_clearance``: on the shipped specs
+    and the unknot sweep's curves.  A ratio below every pair's raises."""
+    curves = [build_curve(json.loads(path.read_text()))
+              for path in sorted(SPECS.glob("*.json"))]
+    curves += [build_curve({"type": "ellipse", "a": a, "b": b})
+               for a, b in ((2, 1), (3, 1), (1.7, 0.8))]
+    curves.append(others["wobble"])
+    for curve in curves:
+        pts = curve.samples[:: max(1, len(curve.samples) // 512)]
+        nxt = np.roll(pts, -1, axis=0)
+        mids = 0.5 * (pts + nxt)
+        step = np.mean(np.linalg.norm(nxt - pts, axis=1))
+        h = len(pts) // 2
+        chord = np.linalg.norm(np.roll(mids, -h, axis=0) - mids, axis=1)
+        assert np.min(chord) / (h * step) <= 2.0 / math.pi + 1e-3
+    with pytest.raises(DegenerateSpec, match="closed curve"):
+        _min_clearance(others["circle"].samples, ratio=0.5)
+
+
+def test_clearance_scan_keeps_no_pair_matrix(others):
+    """The dense scan of the 720-point wobble peaked at 31.7 MiB."""
+    pts = others["wobble"].samples
+    assert len(pts) == 720
+    tracemalloc.start()
+    try:
+        _min_clearance(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_segment_distances_match_scalar_reference():
@@ -283,6 +343,71 @@ def test_gauss_linking_matches_quad_sum(ellipse, trefoil):
             push[None, :, :], push2[None, :, :]))) for i in range(0, 1024, 128))
         assert abs(direct - round(direct)) < 1e-6
         assert linking_number(curve, f) == round(direct)
+
+
+def _crossing_sums_reference(points_a, points_b):
+    """The dense crossing count: every segment of a against every segment
+    of b, 64 segments of a at a time."""
+    e1 = np.cross(LINKING_VIEW, [1.0, 0.0, 0.0])
+    e1 /= np.linalg.norm(e1)
+    frame = np.stack([e1, np.cross(LINKING_VIEW, e1), LINKING_VIEW], axis=1)
+    a = np.asarray(points_a) @ frame
+    b = np.asarray(points_b) @ frame
+    da = np.roll(a, -1, axis=0) - a
+    db = (np.roll(b, -1, axis=0) - b)[None]
+    over = under = 0
+    for i in range(0, len(a), 64):
+        r = da[i:i + 64, None]
+        w = b[None] - a[i:i + 64, None]
+        denom = r[..., 0] * db[..., 1] - r[..., 1] * db[..., 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (w[..., 0] * db[..., 1] - w[..., 1] * db[..., 0]) / denom
+            t = (w[..., 0] * r[..., 1] - w[..., 1] * r[..., 0]) / denom
+        m = _CROSSING_MARGIN
+        near = (s > -m) & (s < 1.0 + m) & (t > -m) & (t < 1.0 + m)
+        hit = (s > m) & (s < 1.0 - m) & (t > m) & (t < 1.0 - m)
+        if np.any(near & ~hit):
+            raise NumericalAmbiguity("projected crossing at a segment end")
+        k, j = np.nonzero(hit)
+        rise = (w[k, j, 2] + t[k, j] * db[0, j, 2]) - s[k, j] * r[k, 0, 2]
+        sign = np.sign(denom[k, j])
+        over -= int(np.sum(sign[rise > 0.0]))
+        under += int(np.sum(sign[rise < 0.0]))
+    return over, under
+
+
+def _push_off(curve, winding=0, scale=1.0, n=1024):
+    """The n-point polylines of ``linking_number``: the knot and its
+    push-off by ``scale`` times the framing's eps."""
+    rotation = 0.15 if curve.metadata.get("layout") == "braid" else 0.0
+    f = build_framing(curve, rotation=rotation).with_winding(winding)
+    params = np.arange(n) * (curve.L / n)
+    base = curve.point(params)
+    return base, base + scale * f.eps * f.nu(params)
+
+
+@pytest.mark.parametrize("name, winding, scale", [
+    ("ellipse", 0, 1.0), ("circle", 0, 1.0),
+    *[("trefoil", w, sc) for w in (0, 1, 3) for sc in (1.0, 0.25)],
+    ("torus_2_3", 0, 1.0), ("5_1", 0, 1.0), ("wobble", 0, 1.0),
+])
+def test_crossing_sums_match_the_dense_reference(name, winding, scale,
+                                                 ellipse, trefoil, others):
+    curve = {"ellipse": ellipse, "trefoil": trefoil, **others}[name]
+    base, push = _push_off(curve, winding, scale)
+    assert crossing_sums(base, push) == _crossing_sums_reference(base, push)
+
+
+def test_crossing_count_keeps_no_pair_matrix(trefoil):
+    """The dense count of 1024 points peaked at 4.8 MiB."""
+    base, push = _push_off(trefoil)
+    tracemalloc.start()
+    try:
+        crossing_sums(base, push)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("winding", [0, 1, 3])

@@ -376,6 +376,23 @@ def test_seifert_rules_refuse_non_braid_layout():
         derive_seifert_rules(curve, None, -3)
 
 
+def test_unsupported_seifert_request_is_refused_before_the_census(monkeypatch):
+    """The torus knot (2,3) has lk = -3 off a braid layout: the Seifert
+    framing is refused from lk alone, before any census runs."""
+    calls = []
+
+    def census(curve, tol):
+        calls.append(curve)
+        return find_critical_points(curve, tol)
+
+    monkeypatch.setattr(pipeline, "find_critical_points", census)
+    with pytest.raises(UnsupportedFraming, match="lk = -3"):
+        compute_cord_algebra(json.loads(
+            (Path(__file__).resolve().parent.parent / "specs"
+             / "torus_2_3.json").read_text()))
+    assert calls == []
+
+
 def _radial_passage_params(curve, layout):
     """Reference crossing sites, re-derived from the drawn curve.
 
