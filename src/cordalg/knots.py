@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     DegenerateSpec,
@@ -31,15 +30,26 @@ VERTICAL_FLOOR = 1e-8
 
 
 class PeriodicSpline:
-    """Periodic cubic spline on a uniform knot grid with fast derivatives."""
+    """Periodic cubic spline on a uniform knot grid with fast derivatives.
+
+    The knot slopes m solve m[i-1] + 4 m[i] + m[i+1] = 3 (y[i+1] - y[i-1]) / h,
+    a circulant system that the DFT diagonalises with eigenvalues
+    4 + 2 cos(2 pi k / n).
+    """
 
     def __init__(self, values, period):
-        n = len(values)
-        grid = np.linspace(0.0, period, n + 1)
-        closed = np.vstack([values, values[:1]])
-        c = CubicSpline(grid, closed, bc_type="periodic", axis=0).c  # (4, n, dim)
-        self._packed = np.ascontiguousarray(np.moveaxis(c, 0, 1))  # (n, 4, dim)
-        self._h = period / n
+        y = np.asarray(values, dtype=float)
+        n = len(y)
+        h = period / n
+        y_next = np.roll(y, -1, axis=0)
+        rhs = 3.0 * (y_next - np.roll(y, 1, axis=0)) / h
+        eig = 4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)
+        m = np.fft.ifft(np.fft.fft(rhs, axis=0) / eig[:, None], axis=0).real
+        slope = (y_next - y) / h
+        t = (m + np.roll(m, -1, axis=0) - 2.0 * slope) / h
+        # per interval: the Horner coefficients of dx^3, dx^2, dx, 1
+        self._packed = np.stack([t / h, (slope - m) / h - t, m, y], axis=1)
+        self._h = h
         self._n = n
         self.period = period
 
@@ -585,40 +595,94 @@ def braid_layout_points(spec):
 # build_curve + knot specs
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()
+
+
+def _integer(value):
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
+def _numbers(count):
+    def convert(value):
+        out = tuple(float(x) for x in value)
+        if len(out) != count:
+            raise ValueError(f"expected {count} numbers, got {len(out)}")
+        return out
+    return convert
+
+
+def _points(value):
+    pts = np.asarray(value, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise ValueError(f"expected a list of [x, y, z] points, got shape {pts.shape}")
+    return pts
+
+
+def _word(value):
+    return [_integer(g) for g in value]
+
+
+_BRAID_FIELDS = {"strands": _integer, "a": float, "b": float, "spacing": float,
+                 "modulation": float, "theta_S": float, "quarter": _numbers(2),
+                 "inplane_ratio": float, "samples_per_loop": _integer}
+
+
+def spec_field(spec, key, convert=float, default=_REQUIRED):
+    """``convert(spec[key])``, or ``default`` when the key is absent or null.
+    A missing required field, or a value that ``convert`` refuses, raises
+    SpecError naming the field."""
+    value = spec.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise SpecError(f"knot spec type {spec.get('type')!r} needs the"
+                            f" field {key!r}")
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SpecError(f"bad spec field {key!r}: {exc}") from exc
+
+
 def build_curve(spec, tol=DEFAULT_TOL):
     """Build a validated KnotCurve from a knot spec dict.
 
     Spec types: samples | circle | ellipse | torus_knot | braid.  Optional
     field: basepoint_shift (fraction of L).  The framing fields
     (framing_rotation, seifert_rules) are read by ``pipeline.setup_knot``,
-    which also refuses a ``framing`` key.
+    which also refuses a ``framing`` key.  Every field is read and converted
+    before any numerics run.
     """
     kind = spec.get("type")
+    shift = spec_field(spec, "basepoint_shift", float, 0.0)
     meta = {}
     if kind == "samples":
-        pts = np.asarray(spec["points"], dtype=float)
+        pts = spec_field(spec, "points", _points)
         if len(pts) < 12:
             raise DegenerateSpec("need at least 12 sample points")
         n_out = max(512, len(pts))
     elif kind == "circle":
-        pts = ellipse_points(spec["r"], spec["r"], n=spec.get("n", 1024))
+        r = spec_field(spec, "r")
+        pts = ellipse_points(r, r, n=spec_field(spec, "n", _integer, 1024))
         n_out = 512
     elif kind == "ellipse":
-        pts = ellipse_points(spec["a"], spec["b"], n=spec.get("n", 1024),
-                             tilt=spec.get("tilt"))
+        pts = ellipse_points(spec_field(spec, "a"), spec_field(spec, "b"),
+                             n=spec_field(spec, "n", _integer, 1024),
+                             tilt=spec_field(spec, "tilt", _numbers(3), None))
         n_out = 512
     elif kind == "torus_knot":
-        pts = torus_knot_points(spec["p"], spec["q"], spec.get("R", 3.0),
-                                spec.get("r", 1.0))
+        pts = torus_knot_points(spec_field(spec, "p", _integer),
+                                spec_field(spec, "q", _integer),
+                                spec_field(spec, "R", float, 3.0),
+                                spec_field(spec, "r", float, 1.0))
         n_out = 1024
     elif kind == "braid":
-        keys = ("strands", "a", "b", "spacing", "modulation", "theta_S",
-                "quarter", "inplane_ratio", "samples_per_loop")
-        kwargs = {k: spec[k] for k in keys if k in spec}
-        if "quarter" in kwargs:
-            kwargs["quarter"] = tuple(kwargs["quarter"])
+        kwargs = {k: spec_field(spec, k, convert)
+                  for k, convert in _BRAID_FIELDS.items()
+                  if spec.get(k) is not None}
         pts, meta = braid_layout_points(
-            BraidLayoutSpec(word=list(spec["word"]), **kwargs))
+            BraidLayoutSpec(word=spec_field(spec, "word", _word), **kwargs))
         n_out = 2048
     else:
         raise SpecError(f"unknown knot spec type {kind!r}")
@@ -626,7 +690,6 @@ def build_curve(spec, tol=DEFAULT_TOL):
     samples, L = _resample_arclength(pts, n_out)
     clearance = _min_clearance(samples[:: max(1, len(samples) // 512)])
     curve = KnotCurve(samples, L, clearance, meta).validate(tol)
-    shift = float(spec.get("basepoint_shift", 0.0))
     if shift:
         curve = curve.shift_basepoint(shift * L).validate(tol)
     return curve

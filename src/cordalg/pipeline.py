@@ -33,6 +33,7 @@ from .knots import (
     perturb_basepoint,
     perturb_curve,
     perturb_framing,
+    spec_field,
 )
 from .ring import (
     AlgebraElement,
@@ -220,17 +221,19 @@ def setup_knot(spec, tol=DEFAULT_TOL):
     framing, so a ``framing`` key, which would ask for another one, raises
     SpecError.
     """
+    if not isinstance(spec, dict):
+        raise SpecError(f"a knot spec is a JSON object, not a {type(spec).__name__}")
     if "framing" in spec:
         raise SpecError("the spec key 'framing' is not supported: computations"
                         " use the blackboard framing, rotated by"
                         " 'framing_rotation'")
-    rotation = float(spec.get("framing_rotation", 0.0))
+    rotation = spec_field(spec, "framing_rotation", float, 0.0)
     rules = spec.get("seifert_rules")
     if rules is not None:
         try:
             rules = [(g, parse(txt)) for g, txt in rules]
             check_rules(dict(rules))
-        except (GrammarError, SelfReference) as exc:
+        except (GrammarError, SelfReference, TypeError, ValueError) as exc:
             raise SpecError(f"bad 'seifert_rules': {exc}") from exc
     curve = build_curve(spec, tol=tol)
     if curve.metadata.get("layout") == "braid" and rotation == 0.0:

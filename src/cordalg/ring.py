@@ -284,6 +284,8 @@ _TOKEN_INT = re.compile(r"^-?\d+$")
 
 def parse(text):
     """Parse the grammar above.  '.' is treated as factor-separating whitespace."""
+    if not isinstance(text, str):
+        raise GrammarError(f"element text must be a string, got {text!r}")
     raw = text.replace(".", " ")
     # split signs that are glued to the leading term ("-1 + u")
     raw = re.sub(r"(?<![\^\d])-", " - ", raw)

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cordalg
 from cordalg import cli
 from cordalg.cli import main
 from cordalg.errors import StepCollapse
@@ -186,7 +190,19 @@ _VERTICAL_CIRCLE = [[math.cos(2 * math.pi * k / 64), 0.0,
     ({"type": "ellipse", "a": 2, "b": 1,
       "seifert_rules": [["g1_s", "g1_s + u"]]}, "mentions itself"),
     ({"type": "samples", "points": _VERTICAL_CIRCLE}, "no blackboard framing"),
-], ids=["unparseable rule", "self-referencing rule", "vertical tangent"])
+    ({"type": "ellipse"}, "needs the field 'a'"),
+    ({"type": "ellipse", "a": "x", "b": 1}, "bad spec field 'a'"),
+    ({"type": "ellipse", "a": 2, "b": 1, "framing_rotation": "abc"},
+     "bad spec field 'framing_rotation'"),
+    ({"type": "ellipse", "a": 2, "b": 1, "basepoint_shift": "x"},
+     "bad spec field 'basepoint_shift'"),
+    ({"type": "braid"}, "needs the field 'word'"),
+    ({"type": "torus_knot", "p": 2}, "needs the field 'q'"),
+    ([{"type": "ellipse", "a": 2, "b": 1}], "a knot spec is a JSON object"),
+], ids=["unparseable rule", "self-referencing rule", "vertical tangent",
+        "missing ellipse axis", "non-numeric axis", "non-numeric rotation",
+        "non-numeric basepoint shift", "braid without word",
+        "torus knot without q", "top-level list"])
 def test_bad_input_is_a_spec_error(spec, message, tmp_path, capsys):
     """Input the setup refuses exits 2, the spec-error code, not 3."""
     path = tmp_path / "spec.json"
@@ -204,3 +220,16 @@ def test_numerical_failure_exit_code(ellipse_spec, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_compute", collapse)
     assert main(["compute", ellipse_spec]) == 3
     assert capsys.readouterr().err.startswith("error: step size below the floor")
+
+
+def test_the_package_imports_no_scipy():
+    """numpy is the only runtime dependency: importing the CLI in a fresh
+    interpreter loads no scipy module."""
+    src = str(Path(cordalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import cordalg.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

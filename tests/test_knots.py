@@ -215,6 +215,53 @@ def test_torus_knot_builds():
 
 
 # ---------------------------------------------------------------------------
+# the periodic spline: through its samples, C^2 at every knot, and the
+# periodic cubic spline of any general solver
+# ---------------------------------------------------------------------------
+
+_SPLINE_CURVES = ["ellipse", "trefoil", "torus_2_3"]
+
+
+def _named(name, ellipse, trefoil, others):
+    return {"ellipse": ellipse, "trefoil": trefoil, **others}[name]
+
+
+@pytest.mark.parametrize("name", _SPLINE_CURVES)
+def test_spline_constant_coefficients_are_the_samples(name, ellipse, trefoil,
+                                                       others):
+    curve = _named(name, ellipse, trefoil, others)
+    assert np.array_equal(curve.spline._packed[:, 3], curve.samples)
+
+
+@pytest.mark.parametrize("name", _SPLINE_CURVES)
+def test_spline_is_c2_at_every_knot(name, ellipse, trefoil, others):
+    """gamma, gamma' and gamma'' at the end of each interval equal their
+    values at the start of the next, the wrap from the last to the first
+    interval included."""
+    spline = _named(name, ellipse, trefoil, others).spline
+    c3, c2, c1, c0 = np.moveaxis(spline._packed, 1, 0)
+    h = spline._h
+    ends = [((c3 * h + c2) * h + c1) * h + c0, (3 * c3 * h + 2 * c2) * h + c1,
+            6 * c3 * h + 2 * c2]
+    starts = [c0, c1, 2 * c2]
+    for end, start, bound in zip(ends, starts, (1e-12, 1e-12, 1e-9)):
+        assert np.max(np.abs(np.roll(start, -1, axis=0) - end)) <= bound
+
+
+@pytest.mark.parametrize("name", _SPLINE_CURVES)
+def test_spline_matches_a_general_periodic_solver(name, ellipse, trefoil, others):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    curve = _named(name, ellipse, trefoil, others)
+    grid = np.linspace(0.0, curve.L, len(curve.samples) + 1)
+    closed = np.vstack([curve.samples, curve.samples[:1]])
+    reference = interpolate.CubicSpline(grid, closed, bc_type="periodic", axis=0)
+    u = np.random.default_rng(7).random(2000) * curve.L
+    ours = curve.spline.eval_multi(u, (0, 1, 2))
+    for d, bound in enumerate((1e-13, 1e-11, 1e-9)):
+        assert np.max(np.abs(ours[d] - reference(u, d))) <= bound
+
+
+# ---------------------------------------------------------------------------
 # references: the per-pair clearance and the per-quad solid angle, kept
 # scalar so that the batched kernels can be checked against them
 # ---------------------------------------------------------------------------
