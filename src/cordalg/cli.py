@@ -1,11 +1,12 @@
 """Command line entry point.
 
 Subcommands: compute | analyze | sets | trace | check.  Each accepts only
-the options it honours.  Output goes to stdout, or as UTF-8 to the ``-o``
-file.  Exit status: 0 on success; 1 on genericity exhaustion, and from
-``check`` when an invariant fails; 2 on spec errors and bad option values;
-3 on numerical failures (any other package error, such as StepCollapse,
-MaxSplits or NumericalAmbiguity).
+the options it honours, and every numerical setting is the one of
+``tolerances.DEFAULT_TOL``: no option changes it.  Output goes to stdout, or
+as UTF-8 to the ``-o`` file.  Exit status: 0 on success; 1 on genericity
+exhaustion, and from ``check`` when an invariant fails; 2 on spec errors and
+bad option values; 3 on numerical failures (any other package error, such as
+StepCollapse, MaxSplits or NumericalAmbiguity).
 """
 
 from __future__ import annotations
@@ -49,33 +50,14 @@ def _cord(text):
     return s, t
 
 
-def _int(text, least):
+def _positive_int(text):
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if n < least:
-        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
-
-
-def _positive_int(text):
-    return _int(text, 1)
-
-
-def _nonnegative_int(text):
-    return _int(text, 0)
-
-
-def _positive_float(text):
-    """A finite float above zero, such as the ``--tol-scale`` factor."""
-    try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(x) and x > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return x
 
 
 def _write(text, args):
@@ -99,27 +81,15 @@ def _jsonable(x):
     return str(x)
 
 
-def _tol(args):
-    tol = DEFAULT_TOL
-    if args.tol_scale != 1.0:
-        tol = tol.scaled(args.tol_scale)
-    if getattr(args, "max_perturb", None) is not None:
-        from dataclasses import replace
-        tol = replace(tol, max_perturb=args.max_perturb)
-    return tol
-
-
 def _setup(args):
-    """Tolerances, curve and framing of the spec file named in ``args``."""
-    tol = _tol(args)
-    curve, frame, _rules = setup_knot(_load_spec(args.spec), tol)
-    return tol, curve, frame
+    """Curve and framing of the spec file named in ``args``."""
+    curve, frame, _rules = setup_knot(_load_spec(args.spec))
+    return curve, frame
 
 
 def cmd_compute(args):
     spec = _load_spec(args.spec)
-    result = compute_cord_algebra(
-        spec, framing=args.framing, seed=args.seed, tol=_tol(args))
+    result = compute_cord_algebra(spec, framing=args.framing, seed=args.seed)
     doc = result.presentation.to_dict()
     doc["metadata"].update({
         "lk": result.linking,
@@ -138,8 +108,8 @@ def cmd_compute(args):
 
 
 def cmd_analyze(args):
-    tol, curve, frame = _setup(args)
-    points = find_critical_points(curve, tol)
+    curve, frame = _setup(args)
+    points = find_critical_points(curve)
     rows = [{
         "label": p.label, "index": p.index, "s": p.s, "t": p.t,
         "energy": p.energy, "grad_norm": p.grad_norm,
@@ -163,14 +133,15 @@ def cmd_analyze(args):
 
 
 def cmd_sets(args):
-    tol, curve, frame = _setup(args)
+    curve, frame = _setup(args)
     n = args.resolution
     axis = np.arange(n) * (curve.L / n)
+    tube = DEFAULT_TOL.diag_tube * curve.L
     doc = {"L": curve.L, "B": [[0.0, "full-s-line"], [0.0, "full-t-line"]]}
     f_start = []
     for s in axis:
         for t in axis:
-            if curve.circ_dist(s, t) < tol.diag_tube * curve.L:
+            if curve.circ_dist(s, t) < tube:
                 continue
             try:
                 ev = framing_event(curve, frame, s, t, "start")
@@ -185,11 +156,10 @@ def cmd_sets(args):
     screen = ChordScreen(curve)
     for s in axis:
         for t in axis:
-            if curve.circ_dist(s, t) < tol.diag_tube * curve.L:
+            if curve.circ_dist(s, t) < tube:
                 continue
             try:
-                if chord_knot_intersections(curve, s, t, tol, screen=screen,
-                                            radius=2.0 * curve.L / n):
+                if chord_knot_intersections(curve, s, t, screen=screen):
                     s_pts.append([float(s), float(t)])
             except CordAlgError:
                 continue
@@ -199,10 +169,10 @@ def cmd_sets(args):
 
 
 def cmd_trace(args):
-    tol, curve, frame = _setup(args)
+    curve, frame = _setup(args)
     s, t = args.cord
-    points = find_critical_points(curve, tol)
-    ctx = FlowContext(curve, frame, points, tol)
+    points = find_critical_points(curve)
+    ctx = FlowContext(curve, frame, points)
     trace = _Tracer(ctx).run(s, t)
     value = dhat_of_trace(trace, terminal_generator_values(ctx))
 
@@ -235,7 +205,7 @@ def cmd_trace(args):
 
 
 def cmd_check(args):
-    tol, curve, frame = _setup(args)
+    curve, frame = _setup(args)
     checks = []
 
     def record(name, fn):
@@ -250,10 +220,10 @@ def cmd_check(args):
         probe = np.linspace(0, curve.L, 2000)
         worst = float(np.max(np.abs(
             np.linalg.norm(curve.tangent(probe), axis=1) - 1.0)))
-        return worst < tol.tol_arc, f"max |gamma'|-1 = {worst:.2e}"
+        return worst < DEFAULT_TOL.tol_arc, f"max |gamma'|-1 = {worst:.2e}"
 
     def embedded():
-        return curve.clearance > tol.embedding_floor * curve.L, \
+        return curve.clearance > DEFAULT_TOL.embedding_floor * curve.L, \
             f"clearance {curve.clearance:.4f}"
 
     def linking_stable():
@@ -263,7 +233,7 @@ def cmd_check(args):
 
     # the census and genericity checks share one census run, or its error
     try:
-        points, census_error = find_critical_points(curve, tol), None
+        points, census_error = find_critical_points(curve), None
     except CordAlgError as exc:
         points, census_error = None, exc
 
@@ -278,7 +248,7 @@ def cmd_check(args):
         return ok, f"census {counts}"
 
     def genericity():
-        report = genericity_check(curve, frame, critical_points(), tol)
+        report = genericity_check(curve, frame, critical_points())
         return not report, "; ".join(f"{a}:{b}" for a, b, _ in report)
 
     record("arclength parametrization", arclength)
@@ -300,8 +270,6 @@ def build_parser():
     def command(name, fn, help, formats=(), output=True):
         p = sub.add_parser(name, help=help)
         p.add_argument("spec", help="knot spec JSON file")
-        p.add_argument("--tol-scale", dest="tol_scale", type=_positive_float,
-                       default=1.0)
         if formats:
             p.add_argument("--format", choices=formats, default=formats[0])
         if output:
@@ -314,8 +282,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--framing", choices=("blackboard", "seifert"),
                    default="seifert")
-    p.add_argument("--max-perturb", dest="max_perturb", type=_nonnegative_int,
-                   default=None)
 
     command("analyze", cmd_analyze, "critical point table",
             formats=("json", "tsv"))

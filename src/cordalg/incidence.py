@@ -131,11 +131,11 @@ class ChordScreen:
         return np.nonzero(dist < radius)[0]
 
 
-def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None,
-                             radius=None):
+def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None):
     """All interior intersections (u, tau) of the chord with the knot.
 
     u is the curve parameter of the hit, tau in (0,1) the chord fraction.
+    The knot segments within three screen steps of the chord are refined.
     Hits within endpoint_margin of either endpoint parameter, or with tau
     outside (tau_floor, 1 - tau_floor), belong to the endpoint contact zone
     and are excluded.  Raises TangentialContact on a flat (non-transverse)
@@ -143,8 +143,7 @@ def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None,
     """
     L = curve.L
     screen = screen or ChordScreen(curve)
-    radius = radius if radius is not None else 3.0 * screen.step
-    cand = screen.candidates(s, t, radius)
+    cand = screen.candidates(s, t, 3.0 * screen.step)
     if len(cand) == 0:
         return []
     p = curve.point(s)

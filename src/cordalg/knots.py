@@ -375,16 +375,20 @@ def crossing_sums(points_a, points_b):
     return over, under
 
 
-def linking_number(curve, framing, eps=None, n=1024):
+# samples of the knot and push-off polylines of ``linking_number``
+LINKING_SAMPLES = 1024
+
+
+def linking_number(curve, framing, eps=None):
     """Linking number of K and its push-off K' = gamma + eps*nu.
 
-    Counts the signed crossings of the two n-sample polylines in one
-    projection (``crossing_sums``).  The crossings where K' passes over K
-    and those where it passes under give the linking number independently;
-    if they disagree, or a crossing sits at a segment end, the projection is
-    not regular and ``NumericalAmbiguity`` is raised.
+    Counts the signed crossings of the two ``LINKING_SAMPLES``-point
+    polylines in one projection (``crossing_sums``).  The crossings where K'
+    passes over K and those where it passes under give the linking number
+    independently; if they disagree, or a crossing sits at a segment end,
+    the projection is not regular and ``NumericalAmbiguity`` is raised.
     """
-    params = np.arange(n) * (curve.L / n)
+    params = np.arange(LINKING_SAMPLES) * (curve.L / LINKING_SAMPLES)
     base = curve.point(params)
     eps = eps if eps is not None else framing.eps
     push = base + eps * framing.nu(params)
@@ -705,10 +709,14 @@ def _bump(x):
     return (1.0 - y * y) ** 3
 
 
-def perturb_basepoint(curve, magnitude, seed=0):
+def _signed_draw(magnitude, seed):
+    """A seeded value of size in [magnitude / 2, magnitude) and random sign."""
     rng = np.random.default_rng(seed)
-    delta = magnitude * (0.5 + 0.5 * rng.random()) * (1 if rng.random() < 0.5 else -1)
-    return curve.shift_basepoint(delta)
+    return magnitude * (0.5 + 0.5 * rng.random()) * (1 if rng.random() < 0.5 else -1)
+
+
+def perturb_basepoint(curve, magnitude, seed=0):
+    return curve.shift_basepoint(_signed_draw(magnitude, seed))
 
 
 def perturb_curve(curve, magnitude, seed=0, center=None, width=None,
@@ -744,7 +752,6 @@ def perturb_curve(curve, magnitude, seed=0, center=None, width=None,
 
 def perturb_framing(framing, magnitude, seed=0):
     """Seeded rotation-angle change of the framing (homotopy class preserved)."""
-    rng = np.random.default_rng(seed)
-    delta = magnitude * (0.5 + 0.5 * rng.random()) * (1 if rng.random() < 0.5 else -1)
-    return build_framing(framing.curve, rotation=framing.rotation + delta,
+    return build_framing(framing.curve,
+                         rotation=framing.rotation + _signed_draw(magnitude, seed),
                          winding=framing.winding)

@@ -74,7 +74,7 @@ def _solvable_candidates(relations):
                 yield (cx, wgens[0], idx, (monos, wgens), c)
 
 
-def simplify(p, reduce_cap=400):
+def simplify(p):
     """Eliminate solvable generators, prune consequences, normalize.
 
     Elimination solves ``g = -c^-1 mL^-1 rest mR^-1`` from a relation where g
@@ -114,7 +114,7 @@ def simplify(p, reduce_cap=400):
     order = lambda r: (r.n_terms(), r.max_word_length(), len(serialize(r)), serialize(r))
     kept = []
     for r in sorted(rels, key=order):
-        if kept and reduce_modulo(r, kept, cap=reduce_cap).is_zero():
+        if kept and reduce_modulo(r, kept).is_zero():
             continue
         if any(relations_equivalent(r, q) for q in kept):
             continue
@@ -259,6 +259,14 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
     with its reason, the error that caused it and its outcome.
     """
     curve, frame, seifert_rules = setup_knot(spec, tol)
+    # a basepoint shift reparametrizes the knot and a framing retry turns nu
+    # by a constant angle, so only a knot redraw can change lk
+    lk = linking_number(curve, frame)
+    if framing == "seifert" and seifert_rules is None and \
+            curve.metadata.get("layout") != "braid":
+        # no census or flow can lift the refusal of derive_seifert_rules,
+        # which needs only lk and the layout
+        derive_seifert_rules(curve, None, lk)
 
     attempt = 0
     retries = []
@@ -266,8 +274,8 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
     magnitude = curve.clearance / 8.0
     while True:
         try:
-            return _run_once(curve, frame, framing, tol, seifert_rules, seed,
-                             retries)
+            return _run_once(curve, frame, lk, framing, tol, seifert_rules,
+                             seed, retries)
         except (GenericityViolation, DegenerateCritical, SeedingInsufficient,
                 InvariantLost) as exc:
             # drop the traceback: it would pin the failed attempt's frames
@@ -295,16 +303,11 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
             retries.append({"attempt": attempt, "reason": reason, "error": error,
                             "outcome": "accepted" if redrawn else "refused"})
             magnitude *= 0.5
+        if reason == "knot":
+            lk = linking_number(curve, frame)
 
 
-def _run_once(curve, frame, framing, tol, seifert_rules, seed, retries):
-    lk = None
-    if framing == "seifert" and seifert_rules is None and \
-            curve.metadata.get("layout") != "braid":
-        # no census or flow can lift the refusal of derive_seifert_rules,
-        # which needs only lk and the layout
-        lk = linking_number(curve, frame)
-        derive_seifert_rules(curve, None, lk)
+def _run_once(curve, frame, lk, framing, tol, seifert_rules, seed, retries):
     critical = find_critical_points(curve, tol)
     report = genericity_check(curve, frame, critical, tol)
     if report:
@@ -345,8 +348,6 @@ def _run_once(curve, frame, framing, tol, seifert_rules, seed, retries):
                 raise GenericityViolation("contraction point at the basepoint",
                                           reason="basepoint")
 
-    if lk is None:
-        lk = linking_number(curve, frame)
     generators = sorted({p.label for p in ctx.minima})
     relations = [v for v in boundary_values.values() if not v.is_zero()]
     census = tuple(sum(1 for p in critical if p.index == i) for i in range(3))
@@ -359,7 +360,7 @@ def _run_once(curve, frame, framing, tol, seifert_rules, seed, retries):
             rules = derive_seifert_rules(curve, ctx, lk)
         pres = framing_transform(pres, lk, rules)
         pres.metadata["framing"] = "seifert"
-    out = simplify(pres, tol.reduce_cap)
+    out = simplify(pres)
     return ComputeResult(
         presentation=out,
         raw=pres,
@@ -400,7 +401,7 @@ def derive_seifert_rules(curve, ctx, lk):
     return winding_sweep_rules(curve, ctx, lk)
 
 
-def compare(p, q, reduce_cap=400):
+def compare(p, q):
     """Compare two presentations: identical | identical-after-simplify | inconclusive.
 
     Never claims non-isomorphism.
@@ -427,6 +428,6 @@ def compare(p, q, reduce_cap=400):
 
     if same(p, q):
         return "identical"
-    if same(simplify(p, reduce_cap), simplify(q, reduce_cap)):
+    if same(simplify(p), simplify(q)):
         return "identical-after-simplify"
     return "inconclusive"

@@ -465,7 +465,11 @@ def _reduce_once(cur, compiled, moves):
     return cur, False
 
 
-def reduce_modulo(elem, rules, cap=400):
+# rewrite steps per ordering of ``reduce_modulo``: a best-effort bound
+REWRITE_CAP = 400
+
+
+def reduce_modulo(elem, rules):
     """Best-effort two-sided reduction of ``elem`` modulo ``rules``.
 
     Each rule's largest word is used as a rewrite head with boundary-unit
@@ -498,7 +502,7 @@ def reduce_modulo(elem, rules, cap=400):
     best = None
     for ordering in orderings:
         cur = canonical_element(elem, moves)
-        for _ in range(cap):
+        for _ in range(REWRITE_CAP):
             if cur.is_zero():
                 break
             cur, progressed = _reduce_once(cur, ordering, moves)

@@ -1,11 +1,12 @@
 """Tolerance defaults for the whole pipeline, collected in one table.
 
-Every length-like tolerance is expressed as a fraction of the curve period L
-and scaled once at construction, so a single ``tol_scale`` knob rescales the
-numerics coherently.  Values marked ``abs`` are dimensionless.
+Values marked ``*L`` are fractions of the curve period L and are multiplied
+by L where they are used, values marked ``abs`` are dimensionless, and the
+unmarked ones are counts.  The CLI runs with ``DEFAULT_TOL``; library
+callers may pass another table.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -38,16 +39,6 @@ class Tolerances:
 
     # presentation_builder
     max_perturb: int = 8             # genericity retry budget
-    reduce_cap: int = 400            # rewrite steps per relation (best effort)
-
-    def scaled(self, factor):
-        """Return a copy with all tolerance magnitudes multiplied by ``factor``."""
-        scale_fields = (
-            "tol_arc", "embedding_floor", "newton_tol", "merge_tol",
-            "intersect_tol", "endpoint_margin", "tau_floor",
-            "event_tol", "trajectory_tol", "min_split_decrease",
-        )
-        return replace(self, **{f: getattr(self, f) * factor for f in scale_fields})
 
 
 DEFAULT_TOL = Tolerances()

@@ -110,7 +110,8 @@ def test_trace_text_honours_output(ellipse_spec, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["sets", "--seed", "1"], ["check", "--format", "json"], ["check", "-o", "x"],
-    ["compute", "--format", "tsv"], ["analyze", "--format", "text"]],
+    ["compute", "--format", "tsv"], ["analyze", "--format", "text"],
+    ["analyze", "--tol-scale", "2"], ["compute", "--max-perturb", "3"]],
     ids=" ".join)
 def test_options_a_command_ignores_are_refused(argv, ellipse_spec, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -122,9 +123,7 @@ def test_options_a_command_ignores_are_refused(argv, ellipse_spec, capsys):
 @pytest.mark.parametrize("argv", [
     ["trace", "--cord", "1.0"], ["trace", "--cord", "a,b"],
     ["trace", "--cord", "1,2,3"], ["trace", "--cord", "nan,1"],
-    ["sets", "--resolution", "0"], ["analyze", "--tol-scale", "-1"],
-    ["analyze", "--tol-scale", "0"], ["analyze", "--tol-scale", "nan"],
-    ["compute", "--max-perturb", "-2"]], ids=" ".join)
+    ["sets", "--resolution", "0"]], ids=" ".join)
 def test_bad_option_values_are_usage_errors(argv, ellipse_spec, capsys):
     with pytest.raises(SystemExit) as exc:
         main([argv[0], ellipse_spec] + argv[1:])
@@ -159,6 +158,16 @@ def test_sets_export(ellipse_spec, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "F_s" in doc and "S" in doc
     assert doc["S"] == []  # convex planar curve: no interior intersections
+
+
+@pytest.mark.parametrize("name", ["trefoil", "torus_2_3"])
+def test_sets_export_on_a_knotted_curve(name, capsys):
+    """S is sampled at grid cords, which miss its curve; F_e is F_s with
+    the coordinates swapped."""
+    assert main(["sets", str(SPECS / f"{name}.json"), "--resolution", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["S"] == []
+    assert sorted(map(tuple, doc["F_e"])) == sorted((t, s) for s, t in doc["F_s"])
 
 
 @pytest.mark.parametrize("command", [

@@ -11,6 +11,7 @@ import pytest
 from cordalg.errors import DegenerateSpec, InvariantLost, NumericalAmbiguity, SpecError
 from cordalg.knots import (
     _CROSSING_MARGIN,
+    LINKING_SAMPLES,
     LINKING_VIEW,
     BraidLayoutSpec,
     _min_clearance,
@@ -423,12 +424,12 @@ def _crossing_sums_reference(points_a, points_b):
     return over, under
 
 
-def _push_off(curve, winding=0, scale=1.0, n=1024):
-    """The n-point polylines of ``linking_number``: the knot and its
-    push-off by ``scale`` times the framing's eps."""
+def _push_off(curve, winding=0, scale=1.0):
+    """The polylines of ``linking_number``: the knot and its push-off by
+    ``scale`` times the framing's eps."""
     rotation = 0.15 if curve.metadata.get("layout") == "braid" else 0.0
     f = build_framing(curve, rotation=rotation).with_winding(winding)
-    params = np.arange(n) * (curve.L / n)
+    params = np.arange(LINKING_SAMPLES) * (curve.L / LINKING_SAMPLES)
     base = curve.point(params)
     return base, base + scale * f.eps * f.nu(params)
 

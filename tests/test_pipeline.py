@@ -135,7 +135,8 @@ def test_simplify_eliminations_are_recorded():
 
 def _forced_retries(monkeypatch, perturb_fails):
     """Make the first attempt fail and the first ``perturb_fails`` draws
-    raise InvariantLost; record every attempt and every draw."""
+    raise InvariantLost; record every attempt and every draw.  A drawn
+    curve is a name, so its linking number is stubbed."""
     runs, draws = [], []
 
     def run_once(curve, *args):
@@ -152,6 +153,7 @@ def _forced_retries(monkeypatch, perturb_fails):
 
     monkeypatch.setattr(pipeline, "_run_once", run_once)
     monkeypatch.setattr(pipeline, "_perturb_for", perturb_for)
+    monkeypatch.setattr(pipeline, "linking_number", lambda curve, frame: 0)
     return runs, draws
 
 
@@ -252,7 +254,7 @@ def test_perturbations_use_the_run_tolerances(reason, monkeypatch):
     from dataclasses import replace
 
     from cordalg.tolerances import DEFAULT_TOL
-    tol = replace(DEFAULT_TOL.scaled(2.0), diag_tube=0.05)
+    tol = replace(DEFAULT_TOL, diag_tube=0.05)
     runs, calls = [], []
 
     def run_once(curve, *args):
@@ -391,6 +393,27 @@ def test_unsupported_seifert_request_is_refused_before_the_census(monkeypatch):
             (Path(__file__).resolve().parent.parent / "specs"
              / "torus_2_3.json").read_text()))
     assert calls == []
+
+
+def test_linking_number_is_computed_once_per_knot(monkeypatch):
+    """lk is counted once per knot: the ellipse's basepoint retry keeps it,
+    and the circle's knot redraw counts it again on the new curve."""
+    curves = []
+    linking_number = pipeline.linking_number
+
+    def counted(curve, frame):
+        curves.append(curve)
+        return linking_number(curve, frame)
+
+    monkeypatch.setattr(pipeline, "linking_number", counted)
+    specs = Path(__file__).resolve().parent.parent / "specs"
+    res = compute_cord_algebra(json.loads((specs / "ellipse.json").read_text()))
+    assert [r["reason"] for r in res.metadata["retries"]] == ["basepoint"]
+    assert len(curves) == 1
+    curves.clear()
+    res = compute_cord_algebra(json.loads((specs / "circle.json").read_text()))
+    assert [r["reason"] for r in res.metadata["retries"]] == ["knot"]
+    assert len(curves) == 2 and curves[0] is not curves[1]
 
 
 def _radial_passage_params(curve, layout):
