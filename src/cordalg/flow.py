@@ -10,10 +10,12 @@ The flow is stiff in the near-Bott inter-strand valleys of braid layouts, so
 it is integrated by the linearly implicit Rosenbrock-Euler step
 y <- y + h (I + hH)^-1 f with f = -grad E and H the Hessian of E at y (Hairer
 and Wanner, Solving ODEs II, ch. IV.7).  The step has no stability limit;
-its length is set by a displacement cap (2e-3 L, one chord-screen step while
-a knot branch is near the cord), it is kept where I + hH stays positive
-definite, and it is halved until the energy decreases.  Events are located
-on the step's own interpolant, whose endpoint is the accepted step.
+its length is set by a displacement cap tied to the knot-branch screen
+(``FlowContext.free_cap``, one chord-screen step while a knot branch is near
+the cord), it is kept where I + hH stays positive definite, and it is halved
+until it stays within ``FlowContext.reach`` of its start and the energy
+decreases.  Events are located on the step's own interpolant, whose endpoint
+is the accepted step.
 
 The paper fixes the sign rules only through its figures; they are pinned
 here by the worked unknot and trefoil.  An event with crossing direction
@@ -104,11 +106,32 @@ class FlowTrace:
 # ---------------------------------------------------------------------------
 
 class FlowContext:
+    """Everything the flow precomputes once per (curve, framing).
+
+    At every accepted cord the flow screens the knot branches within
+    ``branch_radius`` (four screen steps) of the chord.  No step moves the
+    cord farther than ``reach``, 7/8 of that radius, on the torus:
+
+    - every interpolant point y(theta) of a step lies within |dy| of y0,
+      because each eigencomponent of theta h (I + theta h H)^-1 f grows
+      with theta;
+    - a chord point moves at most max(|ds|, |dt|) (1 + tol_arc);
+    - so a knot branch outside the radius at an accepted cord cannot reach
+      the chord during the next step.
+
+    A step with no live branch is capped at ``free_cap``, 3/4 of the
+    radius, which leaves room for the growth by (I + hH)^-1 near a saddle
+    before the reach halves the step.
+    """
+
     def __init__(self, curve, framing, critical_points, tol=DEFAULT_TOL):
         self.curve = curve
         self.framing = framing
         self.tol = tol
         self.screen = ChordScreen(curve, n=min(len(curve.samples), 1024))
+        self.branch_radius = 4.0 * self.screen.step
+        self.reach = 0.875 * self.branch_radius
+        self.free_cap = 0.75 * self.branch_radius
         # knot branches this close to either end of a cord are not S events
         self.excl = max(tol.endpoint_margin * curve.L, 3.0 * self.screen.step)
         self.minima = [p for p in critical_points if p.index == 0]
@@ -217,18 +240,20 @@ class _Step:
     def __init__(self, y0, h, f0, H0, L):
         self.y0, self.h, self.f0, self.H0, self.L = y0, h, f0, H0, L
 
-    def at(self, theta):
-        """y(theta), wrapped onto the torus."""
+    def delta(self, theta):
+        """y(theta) - y0, not wrapped."""
         a = theta * self.h
         h11, h12, h22 = self.H0
         m11, m12, m22 = 1.0 + a * h11, a * h12, 1.0 + a * h22
         det = m11 * m22 - m12 * m12
         f0, f1 = self.f0
+        return a * (m22 * f0 - m12 * f1) / det, a * (m11 * f1 - m12 * f0) / det
+
+    def at(self, theta):
+        """y(theta), wrapped onto the torus."""
+        d0, d1 = self.delta(theta)
         L = self.L
-        return np.array([
-            (self.y0[0] + a * (m22 * f0 - m12 * f1) / det) % L,
-            (self.y0[1] + a * (m11 * f1 - m12 * f0) / det) % L,
-        ])
+        return np.array([(self.y0[0] + d0) % L, (self.y0[1] + d1) % L])
 
     def bisect(self, same_side, stop):
         """Fraction of the step at which the interpolant leaves its start side.
@@ -284,21 +309,21 @@ class _Tracer:
         s_branches = self._s_branches(y, terms.points)
         tau = 0.0
         h_min = 1e-15 * L
-        disp_cap = 2e-3 * L
 
         for _ in range(tol.max_steps):
             # the near-Bott valleys make the flow stiff; the linearly
             # implicit step has no stability limit, so the step is capped by
-            # displacement only: 2e-3 L per step, one screen step while a knot
-            # branch is near the cord (the S-branch matching assumes the chord
-            # moves less than that per step).  Near the origin saddle H has a
-            # negative eigenvalue; keeping h below 0.5/|lambda_min| keeps
-            # I + hH positive definite.
+            # displacement only: ctx.free_cap per step, one screen step while
+            # a knot branch is near the cord (the S-branch matching assumes
+            # the chord moves less than that per step), and a step that
+            # would move farther than ctx.reach is halved before it is
+            # evaluated.  Near the origin saddle H has a negative eigenvalue;
+            # keeping h below 0.5/|lambda_min| keeps I + hH positive definite.
             speed = math.hypot(f[0], f[1])
             if speed < 1e-14:
                 raise GenericityViolation("flow stalled away from any basin",
                                           reason="knot")
-            cap = ctx.screen.step if s_branches else disp_cap
+            cap = ctx.screen.step if s_branches else ctx.free_cap
             h = cap / speed
             h11, h12, h22 = H
             lam_min = 0.5 * (h11 + h22) - math.hypot(0.5 * (h11 - h22), h12)
@@ -306,10 +331,11 @@ class _Tracer:
                 h = min(h, 0.5 / -lam_min)
             while True:
                 step = _Step(y, h, f, H, L)
-                y_new = step.at(1.0)
-                f_new, e_new, H_new, terms = _state(ctx, y_new)
-                if e_new < e_prev:
-                    break
+                if math.hypot(*step.delta(1.0)) <= ctx.reach:
+                    y_new = step.at(1.0)
+                    f_new, e_new, H_new, terms = _state(ctx, y_new)
+                    if e_new < e_prev:
+                        break
                 h *= 0.5
                 if h < h_min:
                     raise StepCollapse("step collapsed during flow")
@@ -408,7 +434,7 @@ class _Tracer:
         chord = ends[1] - ends[0]
         if float(chord @ chord) < (1.8 * ctx.excl) ** 2:
             return []
-        cand = ctx.screen.candidates(y[0], y[1], 4.0 * ctx.screen.step, ends)
+        cand = ctx.screen.candidates(y[0], y[1], ctx.branch_radius, ends)
         if len(cand) == 0:
             return []
         seeds = ctx.screen.params[_group_midpoints(cand, len(ctx.screen.params))]
@@ -454,14 +480,10 @@ class _Tracer:
         window = 8.0 * ctx.screen.step
         out = []
         for (u1, v1, tau1, n1, d1) in branches1:
-            match = None
-            for (u0, v0, tau0, n0, d0) in branches0:
-                if curve.circ_dist(u0, u1) < window:
-                    match = (u0, v0, n0)
-                    break
+            match = _nearest_branch(curve, branches0, u1, window)
             if match is None:
                 continue
-            u0, v0, n0 = match
+            u0, v0, _tau0, n0, _d0 = match
             if float(n1 @ n0) < 0.0:
                 v1 = -v1  # keep the branch's sign orientation continuous
             if v0 * v1 >= 0.0:
@@ -613,6 +635,17 @@ def _torus_delta(y, p, L):
     d0 = (y[0] - p[0] + L / 2) % L - L / 2
     d1 = (y[1] - p[1] + L / 2) % L - L / 2
     return d0, d1
+
+
+def _nearest_branch(curve, branches, u, window):
+    """The branch of ``branches`` whose parameter is nearest to u on the
+    knot, or None if none lies within ``window``; a tie keeps the first."""
+    best, best_d = None, window
+    for b in branches:
+        d = curve.circ_dist(b[0], u)
+        if d < best_d:
+            best, best_d = b, d
+    return best
 
 
 def _group_midpoints(indices, n):

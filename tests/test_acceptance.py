@@ -21,7 +21,14 @@ from cordalg.energy import (
     hessian,
     mirror_partners,
 )
-from cordalg.flow import FlowContext, boundary_D, mirror_trace, select_k_pm, _Tracer
+from cordalg.flow import (
+    FlowContext,
+    _torus_delta,
+    _Tracer,
+    boundary_D,
+    mirror_trace,
+    select_k_pm,
+)
 from cordalg.incidence import f_arc_ends, framing_event, tangent_boundary_cords
 from cordalg.knots import build_curve, build_framing
 from cordalg.pipeline import compare, compute_cord_algebra
@@ -31,6 +38,7 @@ from cordalg.tolerances import DEFAULT_TOL, Tolerances
 
 _SPECS = Path(__file__).resolve().parent.parent / "specs"
 TREFOIL_SPEC = json.loads((_SPECS / "trefoil.json").read_text())
+ELLIPSE_SPEC = json.loads((_SPECS / "ellipse.json").read_text())
 
 # radius of the F^s arc-end circle around a tangency cord, as a fraction of L
 F_ARC_RADIUS = 10 * 1e-4
@@ -241,9 +249,59 @@ def test_trefoil_flow_step_count(trefoil_result):
         totals += _tree_counts(trm)
     traces, steps, splits = totals
     assert (traces, splits) == (68, 24)
-    assert steps < 20_000
+    assert steps < 7_000
     print(f"\n[pass] trefoil flow: {steps} accepted steps, {traces} traces, "
           f"{splits} splits")
+
+
+@pytest.fixture(scope="module")
+def ellipse_result():
+    return compute_cord_algebra(dict(ELLIPSE_SPEC), framing="seifert", seed=0)
+
+
+def test_ellipse_flow_step_count(ellipse_result):
+    """Away from knot branches a step moves the cord three screen steps."""
+    totals = np.zeros(3, dtype=int)
+    for trp, trm in ellipse_result.traces.values():
+        totals += _tree_counts(trp)
+        totals += _tree_counts(trm)
+    traces, steps, splits = totals
+    assert (traces, splits) == (4, 0)
+    assert steps < 300
+    print(f"\n[pass] ellipse flow: {steps} accepted steps, {traces} traces")
+
+
+def _tree_paths(tr):
+    """The path of a trace and of each split child below it."""
+    yield tr.path
+    for sp in tr.splits:
+        for child in sp["children"]:
+            yield from _tree_paths(child)
+
+
+@pytest.mark.parametrize("name", ["trefoil", "ellipse"])
+def test_steps_stay_within_the_branch_screen(name, trefoil_result, ellipse_result):
+    """Every accepted step moves the cord at most the reach on the torus,
+    and a chord point moved that far stays inside the screen radius, so no
+    knot branch reaches the chord unscreened.  A basepoint retry keeps L
+    and the sample count, so the first attempt's context has the same
+    screen as the accepted one."""
+    spec, result = {"trefoil": (TREFOIL_SPEC, trefoil_result),
+                    "ellipse": (ELLIPSE_SPEC, ellipse_result)}[name]
+    curve = build_curve(dict(spec))
+    ctx = FlowContext(curve, build_framing(curve), [])
+    assert ctx.reach * (1.0 + DEFAULT_TOL.tol_arc) < ctx.branch_radius
+    longest = 0.0
+    for pair in result.traces.values():
+        for tr in pair:
+            for path in _tree_paths(tr):
+                for (_, s0, t0), (_, s1, t1) in zip(path, path[1:]):
+                    d = math.hypot(*_torus_delta((s1, t1), (s0, t0), curve.L))
+                    longest = max(longest, d)
+    # the slack covers the rounding of the wrap onto the torus
+    assert 0.0 < longest <= ctx.reach * (1.0 + 1e-12)
+    print(f"\n[pass] {name}: longest step {longest / ctx.screen.step:.3f} "
+          f"screen steps, reach {ctx.reach / ctx.screen.step:.3f}")
 
 
 def test_trefoil_takes_no_retry(trefoil_result):

@@ -15,6 +15,7 @@ from cordalg.cli import main
 from cordalg.errors import StepCollapse
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture()
@@ -56,6 +57,19 @@ def test_compute_refuses_the_torus_knot_in_the_seifert_framing(capsys):
     assert main(["compute", str(SPECS / "torus_2_3.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("spec error:") and "lk = -3" in err
+
+
+@pytest.mark.parametrize("spec, options, golden", [
+    ("trefoil.json", [], "compute_trefoil.json"),
+    ("trefoil.json", ["--framing", "blackboard"], "compute_trefoil_blackboard.json"),
+    ("ellipse.json", [], "compute_ellipse.json"),
+    ("circle.json", [], "compute_circle.json"),
+])
+def test_compute_matches_the_byte_golden(spec, options, golden, tmp_path):
+    """The shipped specs compute byte for byte the pinned outputs."""
+    out = tmp_path / "out.json"
+    assert main(["compute", str(SPECS / spec), *options, "-o", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_compute_deterministic_bytes(ellipse_spec, tmp_path):

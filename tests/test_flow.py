@@ -11,6 +11,7 @@ from cordalg.flow import (
     _Step,
     _Tracer,
     _event_free,
+    _nearest_branch,
     _state,
     _torus_delta,
     boundary_D,
@@ -206,6 +207,43 @@ def test_interpolant_endpoint_is_the_accepted_step(unknot):
         fa, _ea, Ha, _terms = _state(ctx, ya)
         yb = _Step(ya, tau1 - tau0, fa, Ha, L).at(1.0)
         assert np.hypot(*_torus_delta(yb, (s1, t1), L)) < 1e-9 * L
+
+
+def test_interpolant_stays_within_the_step(unknot):
+    """|y(theta) - y0| grows with theta, also where H has a negative
+    eigenvalue, so the whole interpolant lies within |y(1) - y0| of y0."""
+    curve, framing, ctx = unknot
+    k = next(p for p in ctx.saddles if p.label == "h1_s")
+    plus, _minus, _ = select_k_pm(curve, framing, k, ctx)
+    y0 = np.array(plus)
+    f, _e, H, _terms = _state(ctx, y0)
+    h11, h12, h22 = H
+    lam_min = 0.5 * (h11 + h22) - np.hypot(0.5 * (h11 - h22), h12)
+    assert lam_min < 0.0
+    step = _Step(y0, 0.49 / -lam_min, f, H, curve.L)
+    norms = [np.hypot(*step.delta(theta)) for theta in np.linspace(0.0, 1.0, 65)]
+    assert norms[0] == 0.0
+    assert all(a < b for a, b in zip(norms, norms[1:]))
+    # the growth is more than the first-order step h |f|
+    assert norms[-1] > step.h * np.hypot(*f)
+
+
+def test_branch_matching_takes_the_nearest(unknot):
+    """A new branch is matched to the nearest previous branch in the
+    window, not to the first one listed."""
+    curve, _framing, ctx = unknot
+    w = 8.0 * ctx.screen.step
+    far = (1.0 + 0.7 * w, 1.0, 0.5, None, 0.0)
+    near = (1.0 - 0.2 * w, -1.0, 0.5, None, 0.0)
+    assert _nearest_branch(curve, [far, near], 1.0, w) is near
+    assert _nearest_branch(curve, [near, far], 1.0, w) is near
+    assert _nearest_branch(curve, [far], 1.0, w) is far
+    assert _nearest_branch(curve, [far], 1.0, 0.5 * w) is None
+    assert _nearest_branch(curve, [], 1.0, w) is None
+    # across the basepoint: L - 0.1 w is 0.2 w from 0.1 w
+    ahead = (0.6 * w, 1.0, 0.5, None, 0.0)
+    wrapped = (curve.L - 0.1 * w, 1.0, 0.5, None, 0.0)
+    assert _nearest_branch(curve, [ahead, wrapped], 0.1 * w, w) is wrapped
 
 
 def test_step_bisect_finds_the_crossing_fraction():
