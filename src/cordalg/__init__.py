@@ -1,7 +1,7 @@
 """cordalg: the cord algebra of knots via Morse theory on linear cords."""
 
 from .ring import AlgebraElement, Presentation, framing_transform, parse, serialize
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 __all__ = [
     "AlgebraElement",
@@ -10,7 +10,6 @@ __all__ = [
     "parse",
     "serialize",
     "DEFAULT_TOL",
-    "Tolerances",
 ]
 
 __version__ = "0.1.0"

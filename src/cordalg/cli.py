@@ -83,8 +83,7 @@ def _jsonable(x):
 
 def _setup(args):
     """Curve and framing of the spec file named in ``args``."""
-    curve, frame, _rules = setup_knot(_load_spec(args.spec))
-    return curve, frame
+    return setup_knot(_load_spec(args.spec))
 
 
 def cmd_compute(args):

@@ -120,7 +120,7 @@ def hessian(curve, s, t):
     return terms.hess[0] if scalar else terms.hess
 
 
-def _newton_polish(curve, seeds, tol, iters=60):
+def _newton_polish(curve, seeds, iters=60):
     """Damped Newton on grad E = 0, batched over seed points."""
     pts = np.array(seeds, dtype=float)
     L = curve.L
@@ -128,7 +128,7 @@ def _newton_polish(curve, seeds, tol, iters=60):
         terms = cord_terms(curve, pts[:, 0], pts[:, 1])
         g, H = terms.grad, terms.hess
         gn = np.linalg.norm(g, axis=1)
-        if np.all(gn < tol.newton_tol * L):
+        if np.all(gn < DEFAULT_TOL.newton_tol * L):
             break
         det = H[:, 0, 0] * H[:, 1, 1] - H[:, 0, 1] * H[:, 1, 0]
         bad = np.abs(det) < 1e-14
@@ -144,7 +144,7 @@ def _newton_polish(curve, seeds, tol, iters=60):
     return pts
 
 
-def find_critical_points(curve, tol=DEFAULT_TOL):
+def find_critical_points(curve):
     """All nondegenerate off-diagonal critical points of E.
 
     Seeds from the local minima of |grad E|^2 on an escalating dense grid
@@ -157,16 +157,17 @@ def find_critical_points(curve, tol=DEFAULT_TOL):
     Bott-type degeneracy.
     """
     L = curve.L
-    n_grid = tol.grid_start
+    n_grid = DEFAULT_TOL.grid_start
     last_err = None
-    while n_grid <= tol.grid_max:
+    while n_grid <= DEFAULT_TOL.grid_max:
         axis, g2 = _grid_grad_sq(curve, n_grid)
         si, ti = np.nonzero(_grid_local_minima(g2))
         seeds = np.stack([axis[si], axis[ti]], axis=1)
-        off_diag = curve.circ_dist(seeds[:, 0], seeds[:, 1]) > 0.5 * tol.diag_tube * L
+        off_diag = (curve.circ_dist(seeds[:, 0], seeds[:, 1])
+                    > 0.5 * DEFAULT_TOL.diag_tube * L)
         seeds = seeds[off_diag]
         try:
-            points = _collect(curve, seeds, tol, cluster_dist=3.0 * L / n_grid)
+            points = _collect(curve, seeds, 3.0 * L / n_grid)
         except DegenerateCritical as exc:
             last_err = exc
             n_grid *= 2
@@ -213,7 +214,7 @@ def _grid_local_minima(g2):
     return mask
 
 
-def _collect(curve, seeds, tol, cluster_dist=0.0):
+def _collect(curve, seeds, cluster_dist):
     """The critical points polished from ``seeds``, in exact mirror pairs.
 
     E is symmetric under the swap (s,t) <-> (t,s), and so, bit for bit, are
@@ -226,13 +227,13 @@ def _collect(curve, seeds, tol, cluster_dist=0.0):
     L = curve.L
     if len(seeds) == 0:
         return []
-    polished = _newton_polish(curve, seeds, tol)
+    polished = _newton_polish(curve, seeds)
     g = gradient(curve, polished[:, 0], polished[:, 1])
     gn = np.linalg.norm(g, axis=1)
-    ok = gn < tol.newton_tol * L
+    ok = gn < DEFAULT_TOL.newton_tol * L
     polished = polished[ok]
     gn = gn[ok]
-    keep = curve.circ_dist(polished[:, 0], polished[:, 1]) > tol.diag_tube * L
+    keep = curve.circ_dist(polished[:, 0], polished[:, 1]) > DEFAULT_TOL.diag_tube * L
     polished, gn = polished[keep], gn[keep]
     if len(polished) == 0:
         return []
@@ -243,7 +244,7 @@ def _collect(curve, seeds, tol, cluster_dist=0.0):
     flip = polished[:, 0] > polished[:, 1]
     reps = np.vstack([polished[~flip], polished[flip][:, ::-1]])
     gn = np.concatenate([gn[~flip], gn[flip]])
-    r = tol.merge_tol * L
+    r = DEFAULT_TOL.merge_tol * L
     near = _close_pairs(curve, reps, r) | _close_pairs(curve, reps, r, reps[:, ::-1])
     kept = np.ones(len(reps), dtype=bool)
     for i in range(len(reps)):
@@ -254,7 +255,7 @@ def _collect(curve, seeds, tol, cluster_dist=0.0):
 
     # isolated criticals cannot sit at grid scale from each other; a cluster
     # of converged points along a valley is a Bott-degenerate family
-    if cluster_dist > 0 and np.triu(_close_pairs(curve, merged, cluster_dist), 1).any():
+    if np.triu(_close_pairs(curve, merged, cluster_dist), 1).any():
         raise DegenerateCritical(
             "critical points cluster at grid scale (Bott family)"
         )
@@ -263,7 +264,7 @@ def _collect(curve, seeds, tol, cluster_dist=0.0):
     eigvals, eigvecs = np.linalg.eigh(hessian(curve, reps[kept, 0], reps[kept, 1]))
     eigvals = np.concatenate([eigvals, eigvals])
     eigvecs = np.concatenate([eigvecs, eigvecs[:, ::-1, :]])
-    floor = tol.nondegeneracy_rel * np.max(np.abs(eigvals))
+    floor = DEFAULT_TOL.nondegeneracy_rel * np.max(np.abs(eigvals))
     if np.any(np.abs(eigvals) < floor):
         i = int(np.argmin(np.abs(eigvals).min(axis=1)))
         raise DegenerateCritical(

@@ -124,25 +124,26 @@ class FlowContext:
     before the reach halves the step.
     """
 
-    def __init__(self, curve, framing, critical_points, tol=DEFAULT_TOL):
+    def __init__(self, curve, framing, critical_points):
         self.curve = curve
         self.framing = framing
-        self.tol = tol
         self.screen = ChordScreen(curve, n=min(len(curve.samples), 1024))
         self.branch_radius = 4.0 * self.screen.step
         self.reach = 0.875 * self.branch_radius
         self.free_cap = 0.75 * self.branch_radius
-        # knot branches this close to either end of a cord are not S events
-        self.excl = max(tol.endpoint_margin * curve.L, 3.0 * self.screen.step)
+        # knot branches this close to either end of a cord are not S events;
+        # the screen has at most 1,024 cells, so three screen steps always
+        # exceed the endpoint margin of 1e-3 L
+        self.excl = 3.0 * self.screen.step
         self.minima = [p for p in critical_points if p.index == 0]
         self.saddles = [p for p in critical_points if p.index == 1]
         self.basins = [self._basin_radius(p) for p in self.minima]
-        self.split_budget = tol.max_splits
+        self.split_budget = DEFAULT_TOL.max_splits
 
     def _basin_radius(self, p):
         """Certified ball around an index-0 point: convex and event-free."""
         L = self.curve.L
-        r = self.tol.basin_frac * L
+        r = DEFAULT_TOL.basin_frac * L
         center = np.array([p.s, p.t])
         for _ in range(14):
             if self._ball_certified(center, r):
@@ -218,7 +219,7 @@ def _state(ctx, y):
 
 def _interior_hits(ctx, s, t):
     from .incidence import chord_knot_intersections
-    return chord_knot_intersections(ctx.curve, s, t, ctx.tol, screen=ctx.screen)
+    return chord_knot_intersections(ctx.curve, s, t, screen=ctx.screen)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +288,6 @@ class _Tracer:
 
     def run(self, s, t, depth=0):
         ctx = self.ctx
-        tol = ctx.tol
         curve = ctx.curve
         L = curve.L
         y = np.array([float(s) % L, float(t) % L])
@@ -310,7 +310,7 @@ class _Tracer:
         tau = 0.0
         h_min = 1e-15 * L
 
-        for _ in range(tol.max_steps):
+        for _ in range(DEFAULT_TOL.max_steps):
             # the near-Bott valleys make the flow stiff; the linearly
             # implicit step has no stability limit, so the step is capped by
             # displacement only: ctx.free_cap per step, one screen step while
@@ -345,7 +345,7 @@ class _Tracer:
             t_term = None
             if term:
                 t_term = step.bisect(lambda ym: not self._terminal_check(ym),
-                                     tol.event_tol * L)
+                                     DEFAULT_TOL.event_tol * L)
                 crossings = [c for c in crossings if c[0] < t_term]
             s_crossings, s_branches_new = self._bracket_s(
                 step, s_branches, y_new, terms.points, cut=t_term)
@@ -372,7 +372,7 @@ class _Tracer:
     def _terminal_check(self, y):
         ctx = self.ctx
         L = ctx.curve.L
-        if ctx.curve.circ_dist(y[0], y[1]) < ctx.tol.diag_tube * L:
+        if ctx.curve.circ_dist(y[0], y[1]) < DEFAULT_TOL.diag_tube * L:
             return "contractible"
         for p, r in zip(ctx.minima, ctx.basins):
             if math.hypot(*(_torus_delta(y, (p.s, p.t), L))) < r:
@@ -383,7 +383,7 @@ class _Tracer:
         """Raise if the segment y0 -> y1 enters a foreign saddle's ball."""
         ctx = self.ctx
         L = ctx.curve.L
-        r = ctx.tol.trajectory_tol * L
+        r = DEFAULT_TOL.trajectory_tol * L
         v0, v1 = _torus_delta(y1, y0, L)
         vv = v0 * v0 + v1 * v1
         for p in ctx.saddles:
@@ -415,7 +415,7 @@ class _Tracer:
                 ev = _events(ctx, ym, *curve.spline.eval_multi(ym, (0, 1)))
                 return math.copysign(1.0, ev[kind]) == sign0
 
-            frac = step.bisect(same_side, ctx.tol.event_tol * curve.L)
+            frac = step.bisect(same_side, DEFAULT_TOL.event_tol * curve.L)
             if kind[0] == "F" and not framing_event(
                     curve, ctx.framing, *step.at(frac), kind[2:]).positive:
                 continue  # a crossing on the -nu side is not an event
@@ -466,7 +466,7 @@ class _Tracer:
                     or curve.circ_dist(u[k], y[1]) < excl):
                 continue
             if parallel[k]:
-                if dist[k] < 4.0 * ctx.tol.intersect_tol * curve.L:
+                if dist[k] < 4.0 * DEFAULT_TOL.intersect_tol * curve.L:
                     raise GenericityViolation("tangential chord/knot contact",
                                               reason="knot")
                 continue
@@ -502,14 +502,14 @@ class _Tracer:
                 val = res[1] if float(res[3] @ n0) >= 0.0 else -res[1]
                 return math.copysign(1.0, val) == sign0
 
-            frac = step.bisect(same_side, ctx.tol.event_tol * curve.L)
+            frac = step.bisect(same_side, DEFAULT_TOL.event_tol * curve.L)
             res = None if frac is None else branch(step.at(frac))
             if res is None:
                 continue
             u_hit, tau_hit, dist = res[0], res[2], res[4]
-            if dist > 10.0 * ctx.tol.intersect_tol * curve.L:
+            if dist > 10.0 * DEFAULT_TOL.intersect_tol * curve.L:
                 continue  # the branch slips around the chord, no crossing
-            tau_floor = ctx.tol.tau_floor
+            tau_floor = DEFAULT_TOL.tau_floor
             if tau_hit < -tau_floor or tau_hit > 1.0 + tau_floor:
                 continue  # knot crosses the chord's extension, not the cord
             if cut is not None and frac >= cut:
@@ -526,7 +526,7 @@ class _Tracer:
         for i, (frac, kind, sigma, aux) in enumerate(events):
             if i + 1 < len(events):
                 nfrac, nkind = events[i + 1][0], events[i + 1][1]
-                if (nfrac - frac) * h < ctx.tol.event_tol * L:
+                if (nfrac - frac) * h < DEFAULT_TOL.event_tol * L:
                     pair = {kind, nkind}
                     if pair != {"F-start", "F-end"}:
                         raise GenericityViolation(
@@ -554,15 +554,16 @@ class _Tracer:
         if depth > 8:
             raise MaxSplits("split recursion too deep")
         curve = ctx.curve
-        tol = ctx.tol
         u, tau_frac, _dist = aux
-        if not (tol.tau_floor < tau_frac < 1.0 - tol.tau_floor) or \
-                curve.circ_dist(u, y[0]) < tol.endpoint_margin * curve.L or \
-                curve.circ_dist(u, y[1]) < tol.endpoint_margin * curve.L:
+        tau_floor = DEFAULT_TOL.tau_floor
+        margin = DEFAULT_TOL.endpoint_margin
+        if not (tau_floor < tau_frac < 1.0 - tau_floor) or \
+                curve.circ_dist(u, y[0]) < margin * curve.L or \
+                curve.circ_dist(u, y[1]) < margin * curve.L:
             raise GenericityViolation("crossing inside the endpoint zone",
                                       reason="knot")
         others = [hit for hit in _interior_hits(ctx, y[0], y[1])
-                  if curve.circ_dist(hit[0], u) > 4.0 * tol.endpoint_margin * curve.L]
+                  if curve.circ_dist(hit[0], u) > 4.0 * margin * curve.L]
         if others:
             raise GenericityViolation("cord met the knot twice (S2)",
                                       reason="knot")
@@ -571,7 +572,7 @@ class _Tracer:
         c2 = (u, y[1])
         len1 = make_cord(curve, *c1).length
         len2 = make_cord(curve, *c2).length
-        floor = ctx.tol.min_split_decrease * curve.L
+        floor = DEFAULT_TOL.min_split_decrease * curve.L
         if len1 > parent_len - floor or len2 > parent_len - floor:
             raise GenericityViolation("split child not shorter than parent",
                                       reason="knot")
@@ -701,7 +702,7 @@ def terminal_generator_values(ctx):
     return vals
 
 
-def select_k_pm(curve, framing, k, ctx):
+def select_k_pm(curve, k, ctx):
     """Offsets k+ and k- along the unstable eigenvector of an index-1 point.
 
     k+ moves the startpoint in the direction of the knot orientation; the
@@ -710,7 +711,6 @@ def select_k_pm(curve, framing, k, ctx):
     Returns ((s+, t+), (s-, t-), flagged) where flagged marks the
     vertical-eigenvector convention case.
     """
-    tol = ctx.tol
     L = curve.L
     i_min = int(np.argmin(k.eigvals))
     if k.eigvals[i_min] >= 0:
@@ -726,7 +726,7 @@ def select_k_pm(curve, framing, k, ctx):
         if e[1] < 0:
             e = -e
     center = np.array([k.s, k.t])
-    h = 4.0 * tol.trajectory_tol * L
+    h = 4.0 * DEFAULT_TOL.trajectory_tol * L
     e_val = energy(curve, k.s, k.t)
     lam = abs(k.eigvals[i_min])
     for _ in range(40):
@@ -751,10 +751,13 @@ def select_k_pm(curve, framing, k, ctx):
 def boundary_D(curve, framing, k, ctx):
     """D(k) = Dhat(k+) - Dhat(k-) for an index-1 critical point.
 
-    Each boundary value gets its own split budget of ``tol.max_splits``.
+    Each boundary value gets its own split budget of
+    ``DEFAULT_TOL.max_splits``.  The flow reads ``ctx.framing``; the
+    ``framing`` argument is not read and stays for the callers that pass
+    it, perfbench/workloads.py among them.
     """
-    (plus, minus, flagged) = select_k_pm(curve, framing, k, ctx)
-    ctx.split_budget = ctx.tol.max_splits
+    (plus, minus, flagged) = select_k_pm(curve, k, ctx)
+    ctx.split_budget = DEFAULT_TOL.max_splits
     tr_plus = _Tracer(ctx, origin_saddle=k).run(*plus)
     tr_minus = _Tracer(ctx, origin_saddle=k).run(*minus)
     tr_plus.flagged.extend(flagged)
@@ -819,7 +822,7 @@ def _neg(exps):
     return (-exps[0], -exps[1])
 
 
-def mirror_boundary_D(curve, framing, k, flowed, partner_labels, ctx):
+def mirror_boundary_D(curve, k, flowed, partner_labels, ctx):
     """D(k) for the swap k of a flowed index-1 cord, without a flow.
 
     ``flowed`` holds the partner's (trace+, trace-).  k's own ``select_k_pm``
@@ -828,7 +831,7 @@ def mirror_boundary_D(curve, framing, k, flowed, partner_labels, ctx):
     under the swap); otherwise MirrorMismatch is raised.  Returns
     (D, trace+, trace-) like ``boundary_D``.
     """
-    plus, minus, flagged = select_k_pm(curve, framing, k, ctx)
+    plus, minus, flagged = select_k_pm(curve, k, ctx)
     a, b = (mirror_trace(tr, partner_labels) for tr in flowed)
     # a trace starts at its cord wrapped the way _Tracer.run wraps it
     L = curve.L

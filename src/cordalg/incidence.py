@@ -131,7 +131,7 @@ class ChordScreen:
         return np.nonzero(dist < radius)[0]
 
 
-def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None):
+def chord_knot_intersections(curve, s, t, screen=None):
     """All interior intersections (u, tau) of the chord with the knot.
 
     u is the curve parameter of the hit, tau in (0,1) the chord fraction.
@@ -152,9 +152,10 @@ def chord_knot_intersections(curve, s, t, tol=DEFAULT_TOL, screen=None):
         curve, p, d, screen.params[cand] + 0.5 * screen.step)[:4]
     if flat.any():
         raise TangentialContact("flat distance minimum along the chord")
-    margin = tol.endpoint_margin * L
-    keep = ((dist <= tol.intersect_tol * L)
-            & (tol.tau_floor < tau) & (tau < 1.0 - tol.tau_floor)
+    margin = DEFAULT_TOL.endpoint_margin * L
+    tau_floor = DEFAULT_TOL.tau_floor
+    keep = ((dist <= DEFAULT_TOL.intersect_tol * L)
+            & (tau_floor < tau) & (tau < 1.0 - tau_floor)
             & ~(curve.circ_dist(u, s) < margin)
             & ~(curve.circ_dist(u, t) < margin))
     hits = []
@@ -250,7 +251,7 @@ def _newton_hits(curve, p, d, u0, iters):
 # the boundary dS: cords tangent to the knot at one endpoint
 # ---------------------------------------------------------------------------
 
-def tangent_boundary_cords(curve, tol=DEFAULT_TOL, n_grid=256):
+def tangent_boundary_cords(curve, n_grid=256):
     """Finite list of dS cords (tangent at the startpoint), as (s, t) pairs.
 
     Off-diagonal solutions of gamma(t) - gamma(s) parallel to gamma'(s),
@@ -260,7 +261,7 @@ def tangent_boundary_cords(curve, tol=DEFAULT_TOL, n_grid=256):
     curves have none).
     """
     L = curve.L
-    near_diag = 4.0 * tol.endpoint_margin * L
+    near_diag = 4.0 * DEFAULT_TOL.endpoint_margin * L
     axis = np.arange(n_grid) * (L / n_grid)
     P, V = curve.spline.eval_multi(axis, (0, 1))
     chord = P[None, :, :] - P[:, None, :]  # [i, j]: gamma(axis_j) - gamma(axis_i)

@@ -225,17 +225,17 @@ class KnotCurve:
 
     # -- invariants ------------------------------------------------------
 
-    def validate(self, tol=DEFAULT_TOL):
+    def validate(self):
         probe = np.linspace(0.0, self.L, 4 * len(self.samples), endpoint=False)
         speed = np.linalg.norm(self.spline(probe, d=1), axis=1)
-        if np.any(np.abs(speed - 1.0) > tol.tol_arc):
+        if np.any(np.abs(speed - 1.0) > DEFAULT_TOL.tol_arc):
             raise DegenerateSpec(
                 f"arclength parametrization off by {np.max(np.abs(speed - 1.0)):.2e}"
             )
-        if self.clearance <= tol.embedding_floor * self.L:
+        if self.clearance <= DEFAULT_TOL.embedding_floor * self.L:
             raise NonEmbedded(f"clearance {self.clearance:.3e} below floor")
         curv = np.linalg.norm(self.spline(probe, d=2), axis=1)
-        if np.any(curv < tol.curvature_floor):
+        if np.any(curv < DEFAULT_TOL.curvature_floor):
             raise DegenerateSpec("curvature below floor at some parameter")
         return self
 
@@ -296,10 +296,6 @@ class Framing:
         """nu at each parameter of the array s, one row each."""
         tangents = self.curve.unit_tangent(s).tolist()
         return np.array([self.at(si, *ti) for si, ti in zip(s.tolist(), tangents)])
-
-    def with_winding(self, extra):
-        return build_framing(self.curve, rotation=self.rotation,
-                             winding=self.winding + extra)
 
 
 def build_framing(curve, kind="blackboard", rotation=0.0, winding=0):
@@ -649,13 +645,13 @@ def spec_field(spec, key, convert=float, default=_REQUIRED):
         raise SpecError(f"bad spec field {key!r}: {exc}") from exc
 
 
-def build_curve(spec, tol=DEFAULT_TOL):
+def build_curve(spec):
     """Build a validated KnotCurve from a knot spec dict.
 
     Spec types: samples | circle | ellipse | torus_knot | braid.  Optional
-    field: basepoint_shift (fraction of L).  The framing fields
-    (framing_rotation, seifert_rules) are read by ``pipeline.setup_knot``,
-    which also refuses a ``framing`` key.  Every field is read and converted
+    field: basepoint_shift (fraction of L).  The framing field
+    (framing_rotation) is read by ``pipeline.setup_knot``, which also
+    refuses the keys it does not support.  Every field is read and converted
     before any numerics run.
     """
     kind = spec.get("type")
@@ -693,9 +689,9 @@ def build_curve(spec, tol=DEFAULT_TOL):
 
     samples, L = _resample_arclength(pts, n_out)
     clearance = _min_clearance(samples[:: max(1, len(samples) // 512)])
-    curve = KnotCurve(samples, L, clearance, meta).validate(tol)
+    curve = KnotCurve(samples, L, clearance, meta).validate()
     if shift:
-        curve = curve.shift_basepoint(shift * L).validate(tol)
+        curve = curve.shift_basepoint(shift * L).validate()
     return curve
 
 
@@ -719,12 +715,11 @@ def perturb_basepoint(curve, magnitude, seed=0):
     return curve.shift_basepoint(_signed_draw(magnitude, seed))
 
 
-def perturb_curve(curve, magnitude, seed=0, center=None, width=None,
-                  tol=DEFAULT_TOL):
-    """Seeded bump of the knot, supported within ``width`` (default 0.3 L)
-    of its center on either side; re-validates all invariants.
+def perturb_curve(curve, magnitude, seed=0):
+    """Seeded bump of the knot, supported within 0.3 L of a seeded center on
+    either side; re-validates all invariants.
 
-    The default support covers 60% of the knot, more than half: a round
+    The support covers 60% of the knot, more than half: a round
     arc keeps its diameters as a Bott family of critical cords on every
     pair of points outside the support, and with a support over half the
     knot every antipodal pair has an endpoint inside it.  The wide bump is
@@ -733,8 +728,8 @@ def perturb_curve(curve, magnitude, seed=0, center=None, width=None,
     if magnitude >= curve.clearance / 4.0:
         raise InvariantLost("perturbation magnitude too large for the clearance")
     rng = np.random.default_rng(seed)
-    center = center if center is not None else rng.random() * curve.L
-    width = width or 0.3 * curve.L
+    center = rng.random() * curve.L
+    width = 0.3 * curve.L
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
     n = len(curve.samples)
@@ -745,7 +740,7 @@ def perturb_curve(curve, magnitude, seed=0, center=None, width=None,
     try:
         samples, L = _resample_arclength(pts, n)
         clearance = _min_clearance(samples[:: max(1, len(samples) // 512)])
-        return KnotCurve(samples, L, clearance, curve.metadata).validate(tol)
+        return KnotCurve(samples, L, clearance, curve.metadata).validate()
     except (NonEmbedded, DegenerateSpec) as exc:
         raise InvariantLost(str(exc)) from exc
 

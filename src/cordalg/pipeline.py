@@ -16,10 +16,8 @@ from .errors import (
     DegenerateCritical,
     GenericityExhausted,
     GenericityViolation,
-    GrammarError,
     InvariantLost,
     SeedingInsufficient,
-    SelfReference,
     SpecError,
     UnsupportedFraming,
     VerticalTangent,
@@ -38,11 +36,9 @@ from .knots import (
 from .ring import (
     AlgebraElement,
     Presentation,
-    check_rules,
     framing_transform,
     mono_inv,
     normalize_relation,
-    parse,
     reduce_modulo,
     relations_equivalent,
     serialize,
@@ -173,7 +169,7 @@ class ComputeResult:
         return diagonal_data()["M"]["boundary"]
 
 
-def genericity_check(curve, framing, critical_points, tol=DEFAULT_TOL):
+def genericity_check(curve, framing, critical_points):
     """Report-only check of Lemma-level genericity for Crit_{0,1}.
 
     Lists critical cords of index 0/1 lying on B, F or S within event
@@ -181,7 +177,9 @@ def genericity_check(curve, framing, critical_points, tol=DEFAULT_TOL):
     itself and surface as GenericityViolation.
     """
     report = []
-    margin = max(1e3 * tol.event_tol, 1e-4) * curve.L
+    # a cord endpoint this close to the basepoint lies on B; the margin is
+    # wider than a thousand event tolerances (1e-6 L)
+    margin = 1e-4 * curve.L
     for p in critical_points:
         if p.index > 1:
             continue
@@ -191,35 +189,35 @@ def genericity_check(curve, framing, critical_points, tol=DEFAULT_TOL):
             ev = framing_event(curve, framing, p.s, p.t, endpoint)
             if abs(ev.value) < 1e-4 and ev.positive:
                 report.append((p.label, f"F-{endpoint}", "critical cord on the framing set"))
-        if chord_knot_intersections(curve, p.s, p.t, tol):
+        if chord_knot_intersections(curve, p.s, p.t):
             report.append((p.label, "S", "critical cord meets the knot interior"))
     return report
 
 
-def _perturb_for(reason, curve, framing, magnitude, seed, tol):
+def _perturb_for(reason, curve, framing, magnitude, seed):
     """The curve and framing of a retry, the framing built on that curve."""
     if reason == "framing":
         return curve, perturb_framing(framing, 0.3, seed)
     if reason == "basepoint":
-        # a basepoint shift is a pure reparametrization: its scale comes from
-        # the diagonal tube (it must clear the degenerate zone), not from the
-        # embedding clearance that caps geometric bumps
-        shift = max(curve.L / 8.0, 4.0 * tol.diag_tube * curve.L)
-        curve = perturb_basepoint(curve, shift, seed)
+        # a basepoint shift is a pure reparametrization: its scale is set to
+        # clear the diagonal tube (four tube widths are 0.08 L, less than
+        # L / 8), not by the embedding clearance that caps geometric bumps
+        curve = perturb_basepoint(curve, curve.L / 8.0, seed)
     else:
-        curve = perturb_curve(curve, magnitude, seed, tol=tol)
+        curve = perturb_curve(curve, magnitude, seed)
     return curve, build_framing(curve, rotation=framing.rotation,
                                 winding=framing.winding)
 
 
-def setup_knot(spec, tol=DEFAULT_TOL):
-    """The curve, its blackboard framing and the explicit Seifert rules of a
-    knot spec dict, as (curve, framing, seifert_rules or None).
+def setup_knot(spec):
+    """The curve and its blackboard framing of a knot spec dict, as
+    (curve, framing).
 
     ``framing_rotation`` rotates the framing in the normal planes; braid
     layouts default to ``BRAID_ROTATION``.  Every computation runs with this
     framing, so a ``framing`` key, which would ask for another one, raises
-    SpecError.
+    SpecError, and so does a ``seifert_rules`` key, which would replace the
+    derived Seifert rules.
     """
     if not isinstance(spec, dict):
         raise SpecError(f"a knot spec is a JSON object, not a {type(spec).__name__}")
@@ -227,43 +225,37 @@ def setup_knot(spec, tol=DEFAULT_TOL):
         raise SpecError("the spec key 'framing' is not supported: computations"
                         " use the blackboard framing, rotated by"
                         " 'framing_rotation'")
+    if "seifert_rules" in spec:
+        raise SpecError("the spec key 'seifert_rules' is not supported: the"
+                        " Seifert framing uses the derived winding-sweep rules")
     rotation = spec_field(spec, "framing_rotation", float, 0.0)
-    rules = spec.get("seifert_rules")
-    if rules is not None:
-        try:
-            rules = [(g, parse(txt)) for g, txt in rules]
-            check_rules(dict(rules))
-        except (GrammarError, SelfReference, TypeError, ValueError) as exc:
-            raise SpecError(f"bad 'seifert_rules': {exc}") from exc
-    curve = build_curve(spec, tol=tol)
+    curve = build_curve(spec)
     if curve.metadata.get("layout") == "braid" and rotation == 0.0:
         rotation = BRAID_ROTATION
     try:
         frame = build_framing(curve, kind="blackboard", rotation=rotation)
     except VerticalTangent as exc:
         raise UnsupportedFraming(f"no blackboard framing: {exc}") from exc
-    return curve, frame, rules
+    return curve, frame
 
 
-def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
+def compute_cord_algebra(spec, framing="seifert", seed=0):
     """Full pipeline: knot spec dict -> criticals -> flows -> presentation.
 
     ``framing`` selects the output framing: computations always run with the
     blackboard framing; 'seifert' applies the change-of-framing transform
-    l -> l u^lk plus the winding sweep rules afterwards, which the spec's
-    ``seifert_rules`` key overrides; a knot off the braid layout with
-    lk != 0 has no such rules and is refused with ``UnsupportedFraming``
-    before the census.  The presentation is simplified.
+    l -> l u^lk plus the winding sweep rules afterwards; a knot off the
+    braid layout with lk != 0 has no such rules and is refused with
+    ``UnsupportedFraming`` before the census.  The presentation is simplified.
     Genericity failures trigger seeded perturbation with retries
     (geometrically shrinking magnitude), each logged in ``metadata["retries"]``
     with its reason, the error that caused it and its outcome.
     """
-    curve, frame, seifert_rules = setup_knot(spec, tol)
+    curve, frame = setup_knot(spec)
     # a basepoint shift reparametrizes the knot and a framing retry turns nu
     # by a constant angle, so only a knot redraw can change lk
     lk = linking_number(curve, frame)
-    if framing == "seifert" and seifert_rules is None and \
-            curve.metadata.get("layout") != "braid":
+    if framing == "seifert" and curve.metadata.get("layout") != "braid":
         # no census or flow can lift the refusal of derive_seifert_rules,
         # which needs only lk and the layout
         derive_seifert_rules(curve, None, lk)
@@ -274,8 +266,7 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
     magnitude = curve.clearance / 8.0
     while True:
         try:
-            return _run_once(curve, frame, lk, framing, tol, seifert_rules,
-                             seed, retries)
+            return _run_once(curve, frame, lk, framing, seed, retries)
         except (GenericityViolation, DegenerateCritical, SeedingInsufficient,
                 InvariantLost) as exc:
             # drop the traceback: it would pin the failed attempt's frames
@@ -290,13 +281,13 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
         # one attempt, and none is drawn once the budget is spent
         redrawn = False
         while not redrawn:
-            if attempt >= tol.max_perturb:
+            if attempt >= DEFAULT_TOL.max_perturb:
                 raise GenericityExhausted(
                     f"perturb-and-retry budget exhausted: {last}")
             attempt += 1
             try:
                 curve, frame = _perturb_for(reason, curve, frame, magnitude,
-                                            seed + attempt, tol)
+                                            seed + attempt)
                 redrawn = True
             except InvariantLost as exc:
                 last = exc.with_traceback(None)
@@ -307,14 +298,14 @@ def compute_cord_algebra(spec, framing="seifert", seed=0, tol=DEFAULT_TOL):
             lk = linking_number(curve, frame)
 
 
-def _run_once(curve, frame, lk, framing, tol, seifert_rules, seed, retries):
-    critical = find_critical_points(curve, tol)
-    report = genericity_check(curve, frame, critical, tol)
+def _run_once(curve, frame, lk, framing, seed, retries):
+    critical = find_critical_points(curve)
+    report = genericity_check(curve, frame, critical)
     if report:
         kind = report[0][1][0]
         reason = {"B": "basepoint", "F": "framing", "S": "knot"}[kind]
         raise GenericityViolation(f"genericity check: {report}", reason=reason)
-    ctx = FlowContext(curve, frame, critical, tol)
+    ctx = FlowContext(curve, frame, critical)
     partners = mirror_partners(critical)
     saddles = {k.label: k for k in ctx.saddles}
     flowed, mirrored = {}, {}
@@ -333,8 +324,8 @@ def _run_once(curve, frame, lk, framing, tol, seifert_rules, seed, retries):
             D, trp, trm = flow(k.label)
         else:
             rep = partners[k.label]
-            D, trp, trm = mirror_boundary_D(curve, frame, k, flow(rep)[1:],
-                                            partners, ctx)
+            D, trp, trm = mirror_boundary_D(curve, k, flow(rep)[1:], partners,
+                                            ctx)
             mirrored[k.label] = rep
         boundary_values[k.label] = D
         traces[k.label] = (trp, trm)
@@ -343,8 +334,8 @@ def _run_once(curve, frame, lk, framing, tol, seifert_rules, seed, retries):
                 continue
             near_bp = min(curve.circ_dist(tr.terminal_state[0], 0.0),
                           curve.circ_dist(tr.terminal_state[1], 0.0))
-            if near_bp < 2.0 * tol.diag_tube * curve.L or \
-                    _b_event_near_end(tr, curve, tol):
+            if near_bp < 2.0 * DEFAULT_TOL.diag_tube * curve.L or \
+                    _b_event_near_end(tr, curve):
                 raise GenericityViolation("contraction point at the basepoint",
                                           reason="basepoint")
 
@@ -355,10 +346,7 @@ def _run_once(curve, frame, lk, framing, tol, seifert_rules, seed, retries):
         "framing": "blackboard", "lk": lk, "seed": seed, "census": census,
     })
     if framing == "seifert":
-        rules = seifert_rules
-        if rules is None:
-            rules = derive_seifert_rules(curve, ctx, lk)
-        pres = framing_transform(pres, lk, rules)
+        pres = framing_transform(pres, lk, derive_seifert_rules(curve, ctx, lk))
         pres.metadata["framing"] = "seifert"
     out = simplify(pres)
     return ComputeResult(
@@ -373,12 +361,13 @@ def _run_once(curve, frame, lk, framing, tol, seifert_rules, seed, retries):
     )
 
 
-def _b_event_near_end(trace, curve, tol):
+def _b_event_near_end(trace, curve):
     if not trace.events:
         return False
     last = trace.events[-1]
+    near = 3.0 * DEFAULT_TOL.diag_tube * curve.L
     return last.kind.startswith("B") and \
-        curve.circ_dist(last.state[0], last.state[1]) < 3.0 * tol.diag_tube * curve.L
+        curve.circ_dist(last.state[0], last.state[1]) < near
 
 
 def derive_seifert_rules(curve, ctx, lk):
@@ -397,7 +386,7 @@ def derive_seifert_rules(curve, ctx, lk):
     if layout != "braid":
         raise UnsupportedFraming(
             f"no Seifert winding-sweep rules for layout {layout!r} with lk = {lk};"
-            " give the spec 'seifert_rules' or use the blackboard framing")
+            " use the blackboard framing")
     return winding_sweep_rules(curve, ctx, lk)
 
 

@@ -1,9 +1,9 @@
-"""Tolerance defaults for the whole pipeline, collected in one table.
+"""The numerical tolerances of the whole pipeline, collected in one table.
 
 Values marked ``*L`` are fractions of the curve period L and are multiplied
 by L where they are used, values marked ``abs`` are dimensionless, and the
-unmarked ones are counts.  The CLI runs with ``DEFAULT_TOL``; library
-callers may pass another table.
+unmarked ones are counts.  Every computation reads the one frozen table
+``DEFAULT_TOL``; no function takes another.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     # knot_model
-    tol_arc: float = 1e-4            # |gamma'| in [1-tol, 1+tol]            (abs)
+    tol_arc: float = 1e-4            # |gamma'| within this of 1             (abs)
     embedding_floor: float = 1e-6    # min clearance between far segments    (*L)
     curvature_floor: float = 1e-4    # |gamma''| lower bound at samples      (abs)
 

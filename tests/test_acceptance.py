@@ -8,12 +8,14 @@ run on the canonical braid layout shipped in specs/trefoil.json.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from cordalg import flow
 from cordalg.energy import (
     energy,
     find_critical_points,
@@ -34,7 +36,7 @@ from cordalg.knots import build_curve, build_framing
 from cordalg.pipeline import compare, compute_cord_algebra
 from cordalg.ring import parse, serialize
 from cordalg.seifert import winding_sweep_rules
-from cordalg.tolerances import DEFAULT_TOL, Tolerances
+from cordalg.tolerances import DEFAULT_TOL
 
 _SPECS = Path(__file__).resolve().parent.parent / "specs"
 TREFOIL_SPEC = json.loads((_SPECS / "trefoil.json").read_text())
@@ -309,13 +311,14 @@ def test_trefoil_takes_no_retry(trefoil_result):
     assert trefoil_result.metadata["retries"] == []
 
 
-def test_split_budget_is_per_boundary_value(trefoil_result):
+def test_split_budget_is_per_boundary_value(trefoil_result, monkeypatch):
     """Each saddle has its own split budget: 5 each suffice, 24 in total."""
+    monkeypatch.setattr(flow, "DEFAULT_TOL", replace(DEFAULT_TOL, max_splits=5))
     spec = dict(TREFOIL_SPEC)
     curve = build_curve(spec)
     framing = build_framing(curve, rotation=spec.get("framing_rotation", 0.15))
-    tol = Tolerances(max_splits=5)
-    ctx = FlowContext(curve, framing, find_critical_points(curve, tol), tol)
+    ctx = FlowContext(curve, framing, find_critical_points(curve))
+    assert ctx.split_budget == 5
     total = 0
     for k in ctx.saddles:
         value, trp, trm = boundary_D(curve, framing, k, ctx)

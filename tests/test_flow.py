@@ -23,6 +23,7 @@ from cordalg.flow import (
 )
 from cordalg.knots import build_curve, build_framing
 from cordalg.ring import AlgebraElement as A, parse, serialize
+from cordalg.tolerances import DEFAULT_TOL
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +53,8 @@ def test_swapped_saddle_is_the_mirror_of_its_partner(unknot):
     partners = mirror_partners(ctx.minima + ctx.saddles)
     assert partners["h1_t"] == "h1_s"
     _D, trp, trm = boundary_D(curve, framing, saddles["h1_s"], ctx)
-    derived, dp, dm = mirror_boundary_D(curve, framing, saddles["h1_t"],
-                                        (trp, trm), partners, ctx)
+    derived, dp, dm = mirror_boundary_D(curve, saddles["h1_t"], (trp, trm),
+                                        partners, ctx)
     flowed, fp, fm = boundary_D(curve, framing, saddles["h1_t"], ctx)
     assert derived == flowed
     assert (dp.path, dm.path) == (fp.path, fm.path)
@@ -62,8 +63,7 @@ def test_swapped_saddle_is_the_mirror_of_its_partner(unknot):
         (fp.left, fp.right, fm.left, fm.right)
     # the unswapped saddle's start points are not the mirrored ones
     with pytest.raises(MirrorMismatch):
-        mirror_boundary_D(curve, framing, saddles["h1_s"], (trp, trm),
-                          partners, ctx)
+        mirror_boundary_D(curve, saddles["h1_s"], (trp, trm), partners, ctx)
 
 
 def test_mirror_of_a_synthetic_split():
@@ -97,7 +97,7 @@ def test_mirror_of_a_synthetic_split():
 def test_trace_event_structure(unknot):
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, minus, flagged = select_k_pm(curve, framing, k, ctx)
+    plus, minus, flagged = select_k_pm(curve, k, ctx)
     assert not flagged
     trp = _Tracer(ctx, origin_saddle=k).run(*plus)
     trm = _Tracer(ctx, origin_saddle=k).run(*minus)
@@ -109,7 +109,7 @@ def test_trace_event_structure(unknot):
 def test_energy_monotone_along_path(unknot):
     curve, framing, ctx = unknot
     for k in ctx.saddles:
-        plus, minus, _ = select_k_pm(curve, framing, k, ctx)
+        plus, minus, _ = select_k_pm(curve, k, ctx)
         for start in (plus, minus):
             tr = _Tracer(ctx, origin_saddle=k).run(*start)
             es = [energy(curve, s, t) for (_tau, s, t) in tr.path]
@@ -130,7 +130,7 @@ def test_trace_inside_basin_is_trivial(unknot):
 def test_select_k_pm_descends_both_sides(unknot):
     curve, framing, ctx = unknot
     k = ctx.saddles[0]
-    plus, minus, _ = select_k_pm(curve, framing, k, ctx)
+    plus, minus, _ = select_k_pm(curve, k, ctx)
     e0 = energy(curve, k.s, k.t)
     assert energy(curve, *plus) < e0
     assert energy(curve, *minus) < e0
@@ -166,7 +166,7 @@ def test_end_point_basepoint_crossing_gives_inverse_lambda(unknot):
     lambda^-sigma on the right."""
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    _plus, minus, _ = select_k_pm(curve, framing, k, ctx)
+    _plus, minus, _ = select_k_pm(curve, k, ctx)
     trm = _Tracer(ctx, origin_saddle=k).run(*minus)
     assert [(e.kind, e.sigma, e.exponent) for e in trm.events] == [("B-end", 1, -1)]
     assert (trm.left, trm.right) == ((0, 0), (-1, 0))
@@ -179,7 +179,7 @@ def test_contractible_value_is_one_minus_mu(unknot):
     # a cord displaced from the saddle toward the diagonal contracts and
     # yields exactly 1 - u
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, _minus, _ = select_k_pm(curve, framing, k, ctx)
+    plus, _minus, _ = select_k_pm(curve, k, ctx)
     tr = _Tracer(ctx, origin_saddle=k).run(*plus)
     assert tr.terminal == "contractible"
     assert dhat_of_trace(tr, {}) == A.one() - A.mu()
@@ -189,7 +189,7 @@ def test_interpolant_endpoint_is_the_accepted_step(unknot):
     curve, framing, ctx = unknot
     L = curve.L
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    _plus, minus, _ = select_k_pm(curve, framing, k, ctx)
+    _plus, minus, _ = select_k_pm(curve, k, ctx)
     y0 = np.array(minus)
     f, _e, (h11, h12, h22), _terms = _state(ctx, y0)
     h = 0.7
@@ -214,7 +214,7 @@ def test_interpolant_stays_within_the_step(unknot):
     eigenvalue, so the whole interpolant lies within |y(1) - y0| of y0."""
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, _minus, _ = select_k_pm(curve, framing, k, ctx)
+    plus, _minus, _ = select_k_pm(curve, k, ctx)
     y0 = np.array(plus)
     f, _e, H, _terms = _state(ctx, y0)
     h11, h12, h22 = H
@@ -289,7 +289,7 @@ def test_saddle_guard_checks_the_whole_segment(unknot):
     curve, framing, ctx = unknot
     L = curve.L
     p = ctx.saddles[0]
-    r = ctx.tol.trajectory_tol * L
+    r = DEFAULT_TOL.trajectory_tol * L
     center = np.array([p.s, p.t])
     tracer = _Tracer(ctx)
     # both endpoints outside the ball, the segment through its center

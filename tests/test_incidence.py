@@ -480,7 +480,7 @@ def k11_s_flow():
     import cordalg.flow as flow
     from cordalg.energy import find_critical_points
     from cordalg.pipeline import setup_knot
-    curve, frame, _rules = setup_knot(json.loads((SPECS / "trefoil.json").read_text()))
+    curve, frame = setup_knot(json.loads((SPECS / "trefoil.json").read_text()))
     ctx = flow.FlowContext(curve, frame, find_critical_points(curve))
     branches, calls = [], []
     read = flow._Tracer._branch_values

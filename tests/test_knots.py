@@ -170,9 +170,9 @@ def test_linking_stable_under_eps(trefoil):
 
 
 def test_extra_winding_decrements_linking(trefoil):
-    f = build_framing(trefoil, rotation=0.15)
-    assert linking_number(trefoil, f.with_winding(1)) == 2
-    assert linking_number(trefoil, f.with_winding(3)) == 0
+    for winding in (1, 3):
+        f = build_framing(trefoil, rotation=0.15, winding=winding)
+        assert linking_number(trefoil, f) == 3 - winding
 
 
 def test_basepoint_shift_pure_reparametrization(ellipse):
@@ -189,14 +189,16 @@ def test_perturb_basepoint_deterministic(ellipse):
 
 
 def test_perturb_curve_local_and_valid(ellipse):
-    out = perturb_curve(ellipse, 0.02, seed=3, center=1.0, width=0.4)
+    """The bump is supported within 0.3 L of its seeded center, so 40% of
+    the perturbed knot still lies on the original one."""
+    out = perturb_curve(ellipse, 0.02, seed=3)
     assert out.validate() is out
-    probe = np.linspace(0, ellipse.L, 400)
-    moved = np.linalg.norm(out.point(probe) - ellipse.point(probe), axis=1)
-    # displacement concentrated near the bump window
-    assert moved.max() > 1e-3
-    far = moved[(probe > 3.0) & (probe < ellipse.L - 2.0)]
-    assert far.max() < 5e-3
+    dense = ellipse.point(np.linspace(0, ellipse.L, 20000, endpoint=False))
+    probe = out.point(np.linspace(0, out.L, 400, endpoint=False))
+    # the distance to the original knot, read to half the dense spacing
+    off = np.array([np.min(np.linalg.norm(dense - p, axis=1)) for p in probe])
+    assert off.max() > 1e-3
+    assert np.mean(off < 1e-3) >= 0.4
 
 
 def test_perturb_magnitude_cap(ellipse):
@@ -380,8 +382,8 @@ def test_gauss_linking_matches_quad_sum(ellipse, trefoil):
     """The crossing count is the rounded Gauss integral of the same
     polylines, summed quad by quad as solid angles."""
     for curve, winding in ((ellipse, 0), (trefoil, 0), (trefoil, 1), (trefoil, 3)):
-        f = build_framing(curve, rotation=0.15 if curve is trefoil else 0.0)
-        f = f.with_winding(winding)
+        f = build_framing(curve, rotation=0.15 if curve is trefoil else 0.0,
+                          winding=winding)
         params = np.arange(1024) * (curve.L / 1024)
         base = curve.point(params)
         push = base + f.eps * f.nu(params)
@@ -428,7 +430,7 @@ def _push_off(curve, winding=0, scale=1.0):
     """The polylines of ``linking_number``: the knot and its push-off by
     ``scale`` times the framing's eps."""
     rotation = 0.15 if curve.metadata.get("layout") == "braid" else 0.0
-    f = build_framing(curve, rotation=rotation).with_winding(winding)
+    f = build_framing(curve, rotation=rotation, winding=winding)
     params = np.arange(LINKING_SAMPLES) * (curve.L / LINKING_SAMPLES)
     base = curve.point(params)
     return base, base + scale * f.eps * f.nu(params)
@@ -460,7 +462,7 @@ def test_crossing_count_keeps_no_pair_matrix(trefoil):
 
 @pytest.mark.parametrize("winding", [0, 1, 3])
 def test_crossings_over_and_under_the_push_off_agree(trefoil, winding):
-    f = build_framing(trefoil, rotation=0.15).with_winding(winding)
+    f = build_framing(trefoil, rotation=0.15, winding=winding)
     params = np.arange(1024) * (trefoil.L / 1024)
     base = trefoil.point(params)
     for eps in (f.eps, f.eps / 4):

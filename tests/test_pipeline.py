@@ -17,7 +17,13 @@ from cordalg.errors import (
     SpecError,
     UnsupportedFraming,
 )
-from cordalg.knots import BraidLayoutSpec, build_curve, build_framing, ellipse_points
+from cordalg.knots import (
+    BraidLayoutSpec,
+    KnotCurve,
+    build_curve,
+    build_framing,
+    ellipse_points,
+)
 from cordalg.pipeline import (
     compare,
     compute_cord_algebra,
@@ -145,7 +151,7 @@ def _forced_retries(monkeypatch, perturb_fails):
             raise GenericityViolation("forced", reason="knot")
         return "result"
 
-    def perturb_for(reason, curve, framing, magnitude, seed, tol):
+    def perturb_for(reason, curve, framing, magnitude, seed):
         draws.append((magnitude, seed))
         if len(draws) <= perturb_fails:
             raise InvariantLost("forced")
@@ -169,14 +175,12 @@ def test_invariant_lost_redraws_without_rerunning(monkeypatch):
 
 
 def test_invariant_lost_redraws_spend_the_budget(monkeypatch):
-    from cordalg.tolerances import Tolerances
     runs, draws = _forced_retries(monkeypatch, perturb_fails=99)
     with pytest.raises(GenericityExhausted, match="forced"):
-        compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1},
-                             tol=Tolerances(max_perturb=3))
+        compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1})
     assert len(runs) == 1
-    # the fourth draw could never be run, so it is not made
-    assert [seed for _m, seed in draws] == [1, 2, 3]
+    # the ninth draw could never be run, so it is not made
+    assert [seed for _m, seed in draws] == list(range(1, 9))
 
 
 def test_first_knot_perturbation_is_accepted(monkeypatch):
@@ -189,9 +193,9 @@ def test_first_knot_perturbation_is_accepted(monkeypatch):
             raise GenericityViolation("forced", reason="knot")
         return "result"
 
-    def spy(reason, curve, framing, magnitude, seed, tol):
+    def spy(reason, curve, framing, magnitude, seed):
         try:
-            out = perturb_for(reason, curve, framing, magnitude, seed, tol)
+            out = perturb_for(reason, curve, framing, magnitude, seed)
         except InvariantLost:
             draws.append((magnitude, "refused"))
             raise
@@ -216,9 +220,9 @@ def test_no_draw_after_budget_spent(monkeypatch):
         runs.append(curve)
         raise DegenerateCritical("forced")
 
-    def perturb_spy(reason, curve, framing, magnitude, seed, tol):
+    def perturb_spy(reason, curve, framing, magnitude, seed):
         draws.append(seed)
-        return perturb_for(reason, curve, framing, magnitude, seed, tol)
+        return perturb_for(reason, curve, framing, magnitude, seed)
 
     monkeypatch.setattr(pipeline, "_run_once", run_once)
     monkeypatch.setattr(pipeline, "_perturb_for", perturb_spy)
@@ -247,43 +251,12 @@ def test_circle_computes_the_unknot_after_one_knot_draw():
     ]
 
 
-@pytest.mark.parametrize("reason", ["knot", "basepoint"])
-def test_perturbations_use_the_run_tolerances(reason, monkeypatch):
-    """A perturbed curve is validated against the run's tolerances, and the
-    basepoint shift clears the run's diagonal tube."""
-    from dataclasses import replace
-
-    from cordalg.tolerances import DEFAULT_TOL
-    tol = replace(DEFAULT_TOL, diag_tube=0.05)
-    runs, calls = [], []
-
-    def run_once(curve, *args):
-        runs.append(curve)
-        if len(runs) == 1:
-            raise GenericityViolation("forced", reason=reason)
-        return "result"
-
-    def perturb_curve(curve, magnitude, seed=0, tol=DEFAULT_TOL):
-        calls.append(tol)
-        return curve
-
-    def perturb_basepoint(curve, shift, seed=0):
-        calls.append(shift / curve.L)
-        return curve
-
-    monkeypatch.setattr(pipeline, "_run_once", run_once)
-    monkeypatch.setattr(pipeline, "perturb_curve", perturb_curve)
-    monkeypatch.setattr(pipeline, "perturb_basepoint", perturb_basepoint)
-    assert compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1},
-                                tol=tol) == "result"
-    expected = [tol] if reason == "knot" else [pytest.approx(0.2)]
-    assert calls == expected
-
-
 def test_basepoint_retry_frames_its_own_curve(monkeypatch):
     """After a basepoint retry the framing is rebuilt on the shifted curve,
-    so nu is normal to that curve's own tangents."""
-    attempts = []
+    so nu is normal to that curve's own tangents.  The shift is drawn from
+    [L/16, L/8)."""
+    attempts, shifts = [], []
+    shift_basepoint = KnotCurve.shift_basepoint
 
     def run_once(curve, frame, *args):
         attempts.append((curve, frame))
@@ -291,12 +264,20 @@ def test_basepoint_retry_frames_its_own_curve(monkeypatch):
             raise GenericityViolation("forced", reason="basepoint")
         return "result"
 
+    def shift_spy(curve, delta):
+        shifts.append(delta / curve.L)
+        return shift_basepoint(curve, delta)
+
     monkeypatch.setattr(pipeline, "_run_once", run_once)
     spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
                        / "trefoil.json").read_text())
+    monkeypatch.setattr(KnotCurve, "shift_basepoint", shift_spy)
     assert compute_cord_algebra(spec) == "result"
     (first, _), (curve, frame) = attempts
     assert curve is not first
+    # the spec's own basepoint_shift, then the retry's draw
+    assert len(shifts) == 2
+    assert 1 / 16 <= abs(shifts[1]) < 1 / 8
     assert frame.curve is curve
     probe = np.linspace(0.0, curve.L, 64, endpoint=False)
     dots = np.einsum("ij,ij->i", frame.nu(probe), curve.unit_tangent(probe))
@@ -327,7 +308,7 @@ def test_retry_log_lists_refused_draws(monkeypatch):
             raise DegenerateCritical("forced")
         return "result"
 
-    def perturb_for(reason, curve, framing, magnitude, seed, tol):
+    def perturb_for(reason, curve, framing, magnitude, seed):
         if seed == 1:
             raise InvariantLost("forced")
         return curve, framing
@@ -344,14 +325,14 @@ def test_retry_log_lists_refused_draws(monkeypatch):
 
 
 def test_setup_rotates_braid_framings_once():
-    curve, frame, rules = pipeline.setup_knot({"type": "braid", "word": [1, 1, 1]})
+    curve, frame = pipeline.setup_knot({"type": "braid", "word": [1, 1, 1]})
     assert curve.metadata["layout"] == "braid"
-    assert frame.rotation == 0.15 and rules is None
+    assert frame.rotation == 0.15
     spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
                        / "trefoil.json").read_text())
-    _curve, frame, _rules = pipeline.setup_knot(spec)
+    _curve, frame = pipeline.setup_knot(spec)
     assert frame.rotation == -0.15
-    _curve, frame, _rules = pipeline.setup_knot({"type": "ellipse", "a": 2, "b": 1})
+    _curve, frame = pipeline.setup_knot({"type": "ellipse", "a": 2, "b": 1})
     assert frame.rotation == 0.0
 
 
@@ -359,14 +340,6 @@ def test_setup_refuses_a_framing_key():
     with pytest.raises(SpecError, match="framing"):
         compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1,
                               "framing": {"kind": "custom", "table": []}})
-
-
-def test_spec_seifert_rules_replace_the_derivation():
-    """The spec's seifert_rules key is the one way to override the sweep."""
-    res = compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1,
-                                "seifert_rules": [["g1_s", "u g1_s"]]})
-    assert res.raw.metadata["framing_transform"]["rules"] == {"g1_s": "u g1_s"}
-    assert res.presentation.relations == [UNKNOT_RELATION]
 
 
 def test_seifert_rules_refuse_non_braid_layout():
@@ -383,9 +356,9 @@ def test_unsupported_seifert_request_is_refused_before_the_census(monkeypatch):
     framing is refused from lk alone, before any census runs."""
     calls = []
 
-    def census(curve, tol):
+    def census(curve):
         calls.append(curve)
-        return find_critical_points(curve, tol)
+        return find_critical_points(curve)
 
     monkeypatch.setattr(pipeline, "find_critical_points", census)
     with pytest.raises(UnsupportedFraming, match="lk = -3"):
