@@ -18,6 +18,8 @@ from .knots import row_dots
 from .ring import AlgebraElement
 from .tolerances import DEFAULT_TOL
 
+_BAND = 64  # grid rows per block of the census scan
+
 
 @dataclass(frozen=True)
 class CordPoint:
@@ -148,7 +150,7 @@ def find_critical_points(curve):
     """All nondegenerate off-diagonal critical points of E.
 
     Seeds from the local minima of |grad E|^2 on an escalating dense grid
-    (evaluated on its axis, see ``_grid_grad_sq``), polishes by Newton, merges
+    (scanned in bands, see ``_grid_seeds``), polishes by Newton, merges
     duplicates, rejects the diagonal tube, classifies by the Hessian, and
     requires the Euler count n0 - n1 + n2 = 0 (chi(T^2) = 0 with the
     diagonal contributing m and M) as a completeness certificate before
@@ -160,8 +162,7 @@ def find_critical_points(curve):
     n_grid = DEFAULT_TOL.grid_start
     last_err = None
     while n_grid <= DEFAULT_TOL.grid_max:
-        axis, g2 = _grid_grad_sq(curve, n_grid)
-        si, ti = np.nonzero(_grid_local_minima(g2))
+        axis, si, ti = _grid_seeds(curve, n_grid)
         seeds = np.stack([axis[si], axis[ti]], axis=1)
         off_diag = (curve.circ_dist(seeds[:, 0], seeds[:, 1])
                     > 0.5 * DEFAULT_TOL.diag_tube * L)
@@ -182,36 +183,41 @@ def find_critical_points(curve):
     raise last_err if last_err else SeedingInsufficient("no critical points found")
 
 
-def _grid_grad_sq(curve, n):
-    """|grad E|^2 on the n x n grid over the axis k L / n, k < n; the spline
-    is evaluated once on the axis and the pair differences are broadcast,
-    64 rows at a time.
+def _grid_seeds(curve, n):
+    """The axis k L / n, k < n, and the row-major indices (si, ti) of the
+    cells of the periodic n x n grid of |grad E|^2 that are no larger than
+    any of their eight neighbours.
 
-    Only the s-component gs(i, j) = <d(i, j), gamma'(s_i)> is computed: the
-    t-component is -<d(i, j), gamma'(s_j)> = <d(j, i), gamma'(s_j)> = gs(j, i)
-    exactly, since negation is exact, so |grad E|^2 = gs^2 + (gs^2)^T.
+    The spline is evaluated once on the axis.  Only the s-component
+    gs(i, j) = <d(i, j), gamma'(s_i)> is computed: the t-component is
+    -<d(i, j), gamma'(s_j)> = <d(j, i), gamma'(s_j)> = gs(j, i) exactly, since
+    negation is exact, so g2 = gs(i, j)^2 + gs(j, i)^2 and its mask of minima
+    are symmetric.  The cells j >= i are tested ``_BAND`` rows at a time on a
+    block with a one-cell wrapped halo, and the hits off the diagonal are
+    mirrored, so no n x n array is formed.
     """
     axis = np.arange(n) * (curve.L / n)
     P, V = curve.spline.eval_multi(axis, (0, 1))
-    sq = np.empty((n, n))
-    for i in range(0, n, 64):
-        d = P[i:i + 64, None, :] - P[None, :, :]
-        sq[i:i + 64] = row_dots(d, V[i:i + 64, None, :])
-    sq *= sq
-    return axis, sq + sq.T
-
-
-def _grid_local_minima(g2):
-    """Mask of the cells of the periodic grid ``g2`` that are no larger than
-    any of their eight neighbours, read from one wrap-padded copy."""
-    n = len(g2)
-    padded = np.pad(g2, 1, mode="wrap")
-    mask = np.ones_like(g2, dtype=bool)
-    for ds in range(3):
-        for dt in range(3):
-            if ds != 1 or dt != 1:
-                mask &= g2 <= padded[ds:ds + n, dt:dt + n]
-    return mask
+    hits = []
+    for r0 in range(0, n, _BAND):
+        rows = np.arange(r0 - 1, min(r0 + _BAND, n) + 1) % n
+        cols = np.arange(r0 - 1, n + 1) % n
+        gs = row_dots(P[rows, None] - P[None, cols], V[rows, None])
+        gt = row_dots(P[cols, None] - P[None, rows], V[cols, None]).T
+        g2 = gs * gs + gt * gt
+        h, w = len(rows) - 2, len(cols) - 2
+        mask = np.ones((h, w), dtype=bool)
+        for ds in range(3):
+            for dt in range(3):
+                if ds != 1 or dt != 1:
+                    mask &= g2[1:-1, 1:-1] <= g2[ds:ds + h, dt:dt + w]
+        bi, bj = np.nonzero(np.triu(mask))
+        hits.append((r0 + bi, r0 + bj))
+    i, j = (np.concatenate(part) for part in zip(*hits))
+    off = i != j
+    si, ti = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
+    order = np.lexsort((ti, si))
+    return axis, si[order], ti[order]
 
 
 def _collect(curve, seeds, cluster_dist):

@@ -475,9 +475,10 @@ def reduce_modulo(elem, rules):
     Each rule's largest word is used as a rewrite head with boundary-unit
     flexibility; commutation-type rules are absorbed into an l-leftmost
     canonical form so interior matching can fire.  The greedy rewrite path
-    depends on rule order, so a few deterministic orderings are attempted;
-    reaching literal zero proves ideal membership, anything else proves
-    nothing.  No completeness claim is made (no Groebner machinery).
+    depends on rule order, so the rules are tried in the given order and
+    then reversed, and the shorter remainder is returned; reaching literal
+    zero proves ideal membership, anything else proves nothing.  No
+    completeness claim is made (no Groebner machinery).
     """
     moves = {}
     for r in rules:
@@ -495,12 +496,8 @@ def reduce_modulo(elem, rules):
         w, c = lead
         compiled.append((w, c, rc - AlgebraElement({w: c})))
 
-    orderings = [compiled, list(reversed(compiled))]
-    orderings.append(sorted(compiled, key=lambda t: word_key(t[0])))
-    orderings.append(sorted(compiled, key=lambda t: word_key(t[0]), reverse=True))
-
     best = None
-    for ordering in orderings:
+    for ordering in (compiled, compiled[::-1]):
         cur = canonical_element(elem, moves)
         for _ in range(REWRITE_CAP):
             if cur.is_zero():

@@ -1,13 +1,14 @@
 """Energy landscape: values, derivatives, critical point census."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import cordalg.energy as energy_mod
 from cordalg.energy import (
     CordPoint,
-    _grid_grad_sq,
-    _grid_local_minima,
+    _grid_seeds,
     diagonal_data,
     energy,
     find_critical_points,
@@ -146,34 +147,47 @@ def test_circle_census_escalates_through_every_grid_level(monkeypatch):
     assert grids == [64, 128, 256, 512, 1024]
 
 
-@pytest.mark.parametrize("n", [64, 256])
-@pytest.mark.parametrize("name", ["ellipse", "trefoil"])
-def test_grid_grad_sq_matches_per_cell_gradient(name, n, request):
-    curve = request.getfixturevalue(name)
-    axis, g2 = _grid_grad_sq(curve, n)
-    assert np.array_equal(axis, np.arange(n) * (curve.L / n))
-    S, T = np.meshgrid(axis, axis, indexing="ij")
-    g = gradient(curve, S.ravel(), T.ravel())
-    assert np.array_equal(g2, (g * g).sum(axis=1).reshape(n, n))
-
-
 @pytest.fixture(scope="module")
 def circle():
     return build_curve({"type": "circle", "r": 1})
 
 
-@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("n", [64, 100, 256, 1024])
 @pytest.mark.parametrize("name", ["circle", "ellipse", "trefoil"])
-def test_grid_local_minima_match_rolled_neighbours(name, n, request):
-    """The padded local-minimum test picks the cells the eight rolled
-    neighbour comparisons pick."""
-    _axis, g2 = _grid_grad_sq(request.getfixturevalue(name), n)
-    expected = np.ones_like(g2, dtype=bool)
+def test_grid_seeds_match_dense_reference(name, n, request):
+    """The banded scan returns, in row-major order, exactly the cells of the
+    dense |grad E|^2 grid (per-cell ``gradient``) that are no larger than
+    their eight rolled neighbours; n = 100 ends on a partial band.  The
+    reference is built 64 rows at a time to keep the test small."""
+    curve = request.getfixturevalue(name)
+    axis, si, ti = _grid_seeds(curve, n)
+    assert np.array_equal(axis, np.arange(n) * (curve.L / n))
+    g2 = np.empty((n, n))
+    for i in range(0, n, 64):
+        S, T = np.meshgrid(axis[i:i + 64], axis, indexing="ij")
+        g = gradient(curve, S.ravel(), T.ravel())
+        g2[i:i + 64] = (g * g).sum(axis=1).reshape(-1, n)
+    mask = np.ones_like(g2, dtype=bool)
     for ds in (-1, 0, 1):
         for dt in (-1, 0, 1):
             if ds or dt:
-                expected &= g2 <= np.roll(np.roll(g2, ds, 0), dt, 1)
-    assert np.array_equal(_grid_local_minima(g2), expected)
+                mask &= g2 <= np.roll(np.roll(g2, ds, 0), dt, 1)
+    ref_si, ref_ti = np.nonzero(mask)
+    assert np.array_equal(si, ref_si)
+    assert np.array_equal(ti, ref_ti)
+
+
+def test_grid_seeds_hold_no_dense_grid(circle):
+    """The n = 1024 scan peaks below 6 MiB: one n x n float64 array alone
+    would take 8 MiB."""
+    _grid_seeds(circle, 1024)
+    tracemalloc.start()
+    try:
+        _grid_seeds(circle, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("name", ["ellipse", "trefoil"])
