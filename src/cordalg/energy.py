@@ -202,15 +202,7 @@ def _grid_seeds(curve, n):
     for r0 in range(0, n, _BAND):
         rows = np.arange(r0 - 1, min(r0 + _BAND, n) + 1) % n
         cols = np.arange(r0 - 1, n + 1) % n
-        gs = row_dots(P[rows, None] - P[None, cols], V[rows, None])
-        gt = row_dots(P[cols, None] - P[None, rows], V[cols, None]).T
-        g2 = gs * gs + gt * gt
-        h, w = len(rows) - 2, len(cols) - 2
-        mask = np.ones((h, w), dtype=bool)
-        for ds in range(3):
-            for dt in range(3):
-                if ds != 1 or dt != 1:
-                    mask &= g2[1:-1, 1:-1] <= g2[ds:ds + h, dt:dt + w]
+        mask = _interior_minima(_block_grad_sq(P, V, rows, cols))
         bi, bj = np.nonzero(np.triu(mask))
         hits.append((r0 + bi, r0 + bj))
     i, j = (np.concatenate(part) for part in zip(*hits))
@@ -218,6 +210,26 @@ def _grid_seeds(curve, n):
     si, ti = np.concatenate([i, j[off]]), np.concatenate([j, i[off]])
     order = np.lexsort((ti, si))
     return axis, si[order], ti[order]
+
+
+def _block_grad_sq(P, V, rows, cols):
+    """|grad E|^2 on the cells (rows x cols) of the grid whose axis has the
+    spline values P and derivatives V, as gs(i, j)^2 + gs(j, i)^2."""
+    gs = row_dots(P[rows, None] - P[None, cols], V[rows, None])
+    gt = row_dots(P[cols, None] - P[None, rows], V[cols, None]).T
+    return gs * gs + gt * gt
+
+
+def _interior_minima(g2):
+    """The mask of the cells of ``g2`` without its one-cell halo that are no
+    larger than any of their eight neighbours."""
+    h, w = g2.shape[0] - 2, g2.shape[1] - 2
+    mask = np.ones((h, w), dtype=bool)
+    for ds in range(3):
+        for dt in range(3):
+            if ds != 1 or dt != 1:
+                mask &= g2[1:-1, 1:-1] <= g2[ds:ds + h, dt:dt + w]
+    return mask
 
 
 def _collect(curve, seeds, cluster_dist):

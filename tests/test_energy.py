@@ -8,7 +8,9 @@ import pytest
 import cordalg.energy as energy_mod
 from cordalg.energy import (
     CordPoint,
+    _block_grad_sq,
     _grid_seeds,
+    _interior_minima,
     diagonal_data,
     energy,
     find_critical_points,
@@ -147,6 +149,22 @@ def test_circle_census_escalates_through_every_grid_level(monkeypatch):
     assert grids == [64, 128, 256, 512, 1024]
 
 
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("name", ["ellipse", "trefoil"])
+def test_grid_grad_sq_matches_per_cell_gradient(name, n, request):
+    """The scan's |grad E|^2, from the spline values on the axis and the
+    swap symmetry, is the squared per-cell ``gradient`` bit for bit, also on
+    a wrapped halo."""
+    curve = request.getfixturevalue(name)
+    axis = np.arange(n) * (curve.L / n)
+    P, V = curve.spline.eval_multi(axis, (0, 1))
+    idx = np.arange(-1, n + 1) % n
+    g2 = _block_grad_sq(P, V, idx, idx)
+    S, T = np.meshgrid(axis[idx], axis[idx], indexing="ij")
+    g = gradient(curve, S.ravel(), T.ravel())
+    assert np.array_equal(g2, (g * g).sum(axis=1).reshape(n + 2, n + 2))
+
+
 @pytest.fixture(scope="module")
 def circle():
     return build_curve({"type": "circle", "r": 1})
@@ -175,6 +193,25 @@ def test_grid_seeds_match_dense_reference(name, n, request):
     ref_si, ref_ti = np.nonzero(mask)
     assert np.array_equal(si, ref_si)
     assert np.array_equal(ti, ref_ti)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("name", ["circle", "ellipse", "trefoil"])
+def test_grid_local_minima_match_rolled_neighbours(name, n, request):
+    """The halo test picks the cells the eight rolled neighbour comparisons
+    pick on the periodic grid."""
+    curve = request.getfixturevalue(name)
+    axis = np.arange(n) * (curve.L / n)
+    P, V = curve.spline.eval_multi(axis, (0, 1))
+    cols = np.arange(n)
+    g2 = np.concatenate([_block_grad_sq(P, V, cols[i:i + 64], cols)
+                         for i in range(0, n, 64)])
+    expected = np.ones_like(g2, dtype=bool)
+    for ds in (-1, 0, 1):
+        for dt in (-1, 0, 1):
+            if ds or dt:
+                expected &= g2 <= np.roll(np.roll(g2, ds, 0), dt, 1)
+    assert np.array_equal(_interior_minima(np.pad(g2, 1, mode="wrap")), expected)
 
 
 def test_grid_seeds_hold_no_dense_grid(circle):
