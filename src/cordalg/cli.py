@@ -21,7 +21,13 @@ import numpy as np
 from .energy import diagonal_data, find_critical_points
 from .errors import CordAlgError, GenericityExhausted, SpecError
 from .flow import FlowContext, _Tracer, dhat_of_trace, terminal_generator_values
-from .incidence import ChordScreen, chord_knot_intersections, framing_event
+# framing_event is re-exported: perfbench/layers.py counts its calls here
+from .incidence import (  # noqa: F401
+    ChordScreen,
+    chord_knot_intersections,
+    cord_events,
+    framing_event,
+)
 # build_curve is re-exported: perfbench/layers.py wraps it here and in
 # pipeline, where setup_knot calls it
 from .knots import build_curve, linking_number  # noqa: F401
@@ -135,34 +141,29 @@ def cmd_sets(args):
     curve, frame = _setup(args)
     n = args.resolution
     axis = np.arange(n) * (curve.L / n)
+    P, V = curve.spline.eval_multi(axis, (0, 1))
     tube = DEFAULT_TOL.diag_tube * curve.L
+    si, ti = np.nonzero(~(curve.circ_dist(axis[:, None], axis[None, :]) < tube))
     doc = {"L": curve.L, "B": [[0.0, "full-s-line"], [0.0, "full-t-line"]]}
     f_start = []
-    for s in axis:
-        for t in axis:
-            if curve.circ_dist(s, t) < tube:
-                continue
-            try:
-                ev = framing_event(curve, frame, s, t, "start")
-            except CordAlgError:
-                continue
-            if ev.positive and abs(ev.value) < 2.5 / n:
-                f_start.append([float(s), float(t)])
+    for i, j in zip(si.tolist(), ti.tolist()):
+        # the event kernel at the grid values; a cell where either F value
+        # is undefined is skipped
+        try:
+            value, alpha = cord_events(frame, axis[i], axis[j], P[[i, j]],
+                                       V[[i, j]])["F-start"]
+        except CordAlgError:
+            continue
+        if alpha > 0.0 and abs(value) < 2.5 / n:
+            f_start.append([float(axis[i]), float(axis[j])])
     doc["F_s"] = f_start
     # F-end at (s, t) is F-start at (t, s): same base point, same chord
     doc["F_e"] = sorted([t, s] for s, t in f_start)
-    s_pts = []
-    screen = ChordScreen(curve)
-    for s in axis:
-        for t in axis:
-            if curve.circ_dist(s, t) < tube:
-                continue
-            try:
-                if chord_knot_intersections(curve, s, t, screen=screen):
-                    s_pts.append([float(s), float(t)])
-            except CordAlgError:
-                continue
-    doc["S"] = s_pts
+    # a cord with a flat minimum (None) is not exported
+    hits = chord_knot_intersections(curve, axis[si], axis[ti],
+                                    screen=ChordScreen(curve))
+    doc["S"] = [[float(axis[i]), float(axis[j])]
+                for i, j, h in zip(si, ti, hits) if h]
     _emit(doc, args)
     return 0
 

@@ -93,7 +93,7 @@ def framing_event(curve, framing, s, t, endpoint="start"):
 # ---------------------------------------------------------------------------
 
 class ChordScreen:
-    """Broad-phase screen of the curve against a moving chord.
+    """Broad-phase screen of the curve against chords.
 
     The curve is cached as segments once; per query a vectorized
     segment-to-segment distance pass returns candidate parameter windows,
@@ -112,24 +112,40 @@ class ChordScreen:
         self.step = curve.L / n
 
     def candidates(self, s, t, radius, points=None):
-        """Segment indices whose distance to the chord is below ``radius``.
+        """Segment indices whose distance to the chord (s, t) is below ``radius``.
 
-        ``points`` holds gamma(s) and gamma(t) when the caller has them.
+        ``s`` and ``t`` are scalars, or arrays of one length that screen a
+        block of chords in one pass; the block's result holds one (cord,
+        segment) row per candidate, cord by cord, each cord's segments
+        ascending as its scalar call returns them.  ``points`` holds gamma(s)
+        and gamma(t) when the caller has them.  A chord shorter than 1e-150
+        has no candidates.
         """
         if points is None:
-            points = self.curve.spline.eval_multi(np.array([s, t], dtype=float),
-                                                  (0,))[0]
+            x = self.curve.spline.eval_multi(np.ravel([s, t]), (0,))[0]
+            points = x.reshape(2, *np.shape(s), 3)
         p, q = points
-        d = q - p
-        dd = float(d @ d)
-        if dd < 1e-300:
-            return np.empty(0, dtype=int)
-        # distance from segment midpoints to the chord segment
-        u = np.clip(((self.mid - p) @ d) / dd, 0.0, 1.0)
-        closest = p + u[:, None] * d
-        off = self.mid - closest
-        dist = np.sqrt(np.add.reduce(off * off, axis=1)) - self.half
-        return np.nonzero(dist < radius)[0]
+        p = p.reshape(-1, 3)
+        d = q.reshape(-1, 3) - p
+        dd = row_dots(d, d)
+        # distance from segment midpoints to each chord segment; each cord's
+        # (mid - p) @ d is one matrix-vector product of the batch
+        u = np.matmul(self.mid - p[:, None], d[:, :, None])[..., 0]
+        u /= np.maximum(dd, 1e-300)[:, None]
+        np.clip(u, 0.0, 1.0, out=u)
+        # mid - (p + u d), squared, in one (cords, cells, 3) temporary
+        off = u[..., None] * d[:, None]
+        off += p[:, None]
+        np.subtract(self.mid, off, out=off)
+        off *= off
+        near = np.sqrt(np.add.reduce(off, axis=-1)) - self.half < radius
+        near[dd < 1e-300] = False
+        return np.nonzero(near[0])[0] if np.ndim(s) == 0 else np.argwhere(near)
+
+
+# cords per block of ``chord_knot_intersections``: the screen's temporaries
+# hold block x screen cells x 3 floats, 1.5 MiB at 1,024 cells
+_BLOCK = 64
 
 
 def chord_knot_intersections(curve, s, t, screen=None):
@@ -141,48 +157,76 @@ def chord_knot_intersections(curve, s, t, screen=None):
     outside (tau_floor, 1 - tau_floor), belong to the endpoint contact zone
     and are excluded.  Raises TangentialContact on a flat (non-transverse)
     minimum at any candidate.
+
+    ``s`` and ``t`` may be sequences of one length instead: then the result is
+    one hit list per cord, or None for a cord with a flat minimum, each the
+    bits of that cord's scalar call.  The cords go through the kernel
+    ``_BLOCK`` at a time.
     """
-    L = curve.L
     screen = screen or ChordScreen(curve)
-    cand = screen.candidates(s, t, 3.0 * screen.step)
-    if len(cand) == 0:
-        return []
-    p = curve.point(s)
-    d = curve.point(t) - p
+    if np.ndim(s) == 0:
+        hits = _block_hits(curve, np.array([s], dtype=float),
+                           np.array([t], dtype=float), screen)[0]
+        if hits is None:
+            raise TangentialContact("flat distance minimum along the chord")
+        return hits
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    out = []
+    for b0 in range(0, len(s), _BLOCK):
+        out += _block_hits(curve, s[b0:b0 + _BLOCK], t[b0:b0 + _BLOCK], screen)
+    return out
+
+
+def _block_hits(curve, s, t, screen):
+    """``chord_knot_intersections`` of the cords (s[i], t[i]) of one block:
+    the candidates of every cord refined in one Newton batch."""
+    L = curve.L
+    k = len(s)
+    x = curve.spline.eval_multi(np.concatenate([s, t]), (0,))[0]
+    p, d = x[:k], x[k:] - x[:k]
+    out = [[] for _ in range(k)]
+    cord, seg = screen.candidates(s, t, 3.0 * screen.step, (x[:k], x[k:])).T
+    if len(cord) == 0:
+        return out
     u, tau, dist, flat = _refine_crossings(
-        curve, p, d, screen.params[cand] + 0.5 * screen.step)[:4]
-    if flat.any():
-        raise TangentialContact("flat distance minimum along the chord")
+        curve, p[cord], d[cord], screen.params[seg] + 0.5 * screen.step)[:4]
     margin = DEFAULT_TOL.endpoint_margin * L
     tau_floor = DEFAULT_TOL.tau_floor
     keep = ((dist <= DEFAULT_TOL.intersect_tol * L)
             & (tau_floor < tau) & (tau < 1.0 - tau_floor)
-            & ~(curve.circ_dist(u, s) < margin)
-            & ~(curve.circ_dist(u, t) < margin))
-    hits = []
-    for uk, tk in zip(u[keep], tau[keep]):
-        if any(curve.circ_dist(uk, u2) < 4.0 * margin for u2, _ in hits):
+            & ~(curve.circ_dist(u, s[cord]) < margin)
+            & ~(curve.circ_dist(u, t[cord]) < margin))
+    for i in cord[flat]:
+        out[i] = None
+    for i, uk, tk in zip(cord[keep].tolist(), u[keep], tau[keep]):
+        hits = out[i]
+        if hits is None or any(curve.circ_dist(uk, u2) < 4.0 * margin
+                               for u2, _ in hits):
             continue
         hits.append((float(uk), float(tk)))
-    hits.sort(key=lambda h: h[1])
-    return hits
+    for hits in out:
+        if hits:
+            hits.sort(key=lambda h: h[1])
+    return out
 
 
 def _refine_crossings(curve, p, d, u0):
     """Newton on the closest-point system between the curve and the chord line.
 
-    Refines every seed in ``u0`` together (``_newton_hits``).  Returns the
-    arrays (u, tau, dist, flat, value, n_hat, parallel): the refined
-    parameters, their chord fractions and distances to the chord line, and
-    the seeds whose distance minimum went flat (|h| < 1e-12), which stop
-    where they are; a non-finite distance marks a lost seed.  The last
-    spline call also evaluates gamma' at u: value is the offset of gamma(u)
-    from the chord line along n_hat, the unit vector of chord x tangent(u).
-    Its sign is carried by n_hat, so callers can keep the orientation
-    continuous along a flow (n_hat reverses whenever the chord rotates past
-    the branch tangent, which is not a crossing).  ``parallel`` marks the
-    seeds where the chord is parallel to the tangent, whose value means
-    nothing.
+    Refines every seed in ``u0`` together (``_newton_hits``), against one
+    chord p -> p + d, or against one chord per seed when p and d hold a row
+    per seed.  Returns the arrays (u, tau, dist, flat, value, n_hat,
+    parallel): the refined parameters, their chord fractions and distances
+    to the chord line, and the seeds whose distance minimum went flat
+    (|h| < 1e-12), which stop where they are; a non-finite distance marks a
+    lost seed.  The last spline call also evaluates gamma' at u: value is
+    the offset of gamma(u) from the chord line along n_hat, the unit vector
+    of chord x tangent(u).  Its sign is carried by n_hat, so callers can
+    keep the orientation continuous along a flow (n_hat reverses whenever
+    the chord rotates past the branch tangent, which is not a crossing).
+    ``parallel`` marks the seeds where the chord is parallel to the
+    tangent, whose value means nothing.
     """
     u, flat = _newton_hits(curve, p, d, u0, 40)
     x, v = curve.spline.eval_multi(u, (0, 1))
@@ -190,9 +234,10 @@ def _refine_crossings(curve, p, d, u0):
     # d x v/|v| in the ufuncs np.cross and np.linalg.norm run, without
     # their Python wrappers: same bits, a fraction of the call cost
     w = v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
-    n = np.stack([d[1] * w[:, 2] - d[2] * w[:, 1],
-                  d[2] * w[:, 0] - d[0] * w[:, 2],
-                  d[0] * w[:, 1] - d[1] * w[:, 0]], axis=-1)
+    d0, d1, d2 = d[..., 0], d[..., 1], d[..., 2]
+    n = np.stack([d1 * w[:, 2] - d2 * w[:, 1],
+                  d2 * w[:, 0] - d0 * w[:, 2],
+                  d0 * w[:, 1] - d1 * w[:, 0]], axis=-1)
     nn = np.sqrt(row_dots(n, n))
     parallel = nn < 1e-12
     n_hat = n / np.where(parallel, 1.0, nn)[:, None]
@@ -201,8 +246,9 @@ def _refine_crossings(curve, p, d, u0):
 
 
 def _chord_offsets(x, p, d):
-    """Chord fraction of the foot of each point of x, and its offset there."""
-    tau = row_dots(x - p, d) / float(d @ d)
+    """Chord fraction of the foot of each point of x, and its offset there;
+    p and d are one chord or one chord per point."""
+    tau = row_dots(x - p, d) / row_dots(d, d)
     return tau, x - (p + tau[:, None] * d)
 
 
@@ -214,10 +260,12 @@ def _newton_hits(curve, p, d, u0, iters):
     bit for bit, its iterate two steps back (it jumps back and forth between
     two points, both clipped at +-0.25) would repeat the pair until the
     budget ends, so it stops at once on the point the last iteration would
-    reach.
+    reach.  With one chord per seed, each seed reads its own row of p and d.
     """
     L = curve.L
-    dd = float(d @ d)
+    dd = row_dots(d, d)
+    per_seed = d.ndim == 2
+    pa, da, dda = p, d, dd
     u = np.array(u0, dtype=float)
     back = np.full(len(u), np.nan)  # each seed's iterate one step back
     flat = np.zeros(len(u), dtype=bool)
@@ -225,13 +273,15 @@ def _newton_hits(curve, p, d, u0, iters):
     for it in range(iters):
         if len(active) == 0:
             break
+        if per_seed:
+            pa, da, dda = p[active], d[active], dd[active]
         x, v, acc = curve.spline.eval_multi(u[active], (0, 1, 2))
-        tau = row_dots(x - p, d) / dd
-        r = x - (p + tau[:, None] * d)
+        tau = row_dots(x - pa, da) / dda
+        r = x - (pa + tau[:, None] * da)
         g = row_dots(r, v)
         # (v.d)^2 through libm pow, which rounds as a scalar ``** 2`` does
         # (a product differs in the last bit)
-        h = (row_dots(v, v) - np.float_power(row_dots(v, d), 2.0) / dd
+        h = (row_dots(v, v) - np.float_power(row_dots(v, da), 2.0) / dda
              + row_dots(r, acc))
         is_flat = np.abs(h) < 1e-12
         flat[active[is_flat]] = True

@@ -19,6 +19,7 @@ from .errors import (
     InvariantLost,
     SeedingInsufficient,
     SpecError,
+    TangentialContact,
     UnsupportedFraming,
     VerticalTangent,
 )
@@ -180,16 +181,20 @@ def genericity_check(curve, framing, critical_points):
     # a cord endpoint this close to the basepoint lies on B; the margin is
     # wider than a thousand event tolerances (1e-6 L)
     margin = 1e-4 * curve.L
-    for p in critical_points:
-        if p.index > 1:
-            continue
+    cords = [p for p in critical_points if p.index <= 1]
+    # every cord screened at once; a flat minimum raises at its own cord
+    hits = chord_knot_intersections(curve, [p.s for p in cords],
+                                    [p.t for p in cords])
+    for p, p_hits in zip(cords, hits):
         if min(curve.circ_dist(p.s, 0.0), curve.circ_dist(p.t, 0.0)) < margin:
             report.append((p.label, "B", "critical cord endpoint at the basepoint"))
         for endpoint in ("start", "end"):
             ev = framing_event(curve, framing, p.s, p.t, endpoint)
             if abs(ev.value) < 1e-4 and ev.positive:
                 report.append((p.label, f"F-{endpoint}", "critical cord on the framing set"))
-        if chord_knot_intersections(curve, p.s, p.t):
+        if p_hits is None:
+            raise TangentialContact("flat distance minimum along the chord")
+        if p_hits:
             report.append((p.label, "S", "critical cord meets the knot interior"))
     return report
 

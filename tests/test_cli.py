@@ -59,16 +59,20 @@ def test_compute_refuses_the_torus_knot_in_the_seifert_framing(capsys):
     assert err.startswith("spec error:") and "lk = -3" in err
 
 
+# each golden's name starts with the subcommand that writes it
 @pytest.mark.parametrize("spec, options, golden", [
     ("trefoil.json", [], "compute_trefoil.json"),
     ("trefoil.json", ["--framing", "blackboard"], "compute_trefoil_blackboard.json"),
     ("ellipse.json", [], "compute_ellipse.json"),
     ("circle.json", [], "compute_circle.json"),
+    ("ellipse.json", ["--resolution", "6"], "sets_ellipse.json"),
+    ("trefoil.json", ["--resolution", "6"], "sets_trefoil.json"),
 ])
 def test_compute_matches_the_byte_golden(spec, options, golden, tmp_path):
-    """The shipped specs compute byte for byte the pinned outputs."""
+    """The shipped specs compute and export byte for byte the pinned outputs."""
+    command = golden.split("_")[0]
     out = tmp_path / "out.json"
-    assert main(["compute", str(SPECS / spec), *options, "-o", str(out)]) == 0
+    assert main([command, str(SPECS / spec), *options, "-o", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
 
 

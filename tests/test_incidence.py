@@ -23,7 +23,7 @@ from cordalg.incidence import (
     framing_event,
     tangent_boundary_cords,
 )
-from cordalg.knots import Framing, KnotCurve, build_curve, build_framing, row_dots
+from cordalg.knots import Framing, KnotCurve, build_curve, build_framing
 from cordalg.tolerances import DEFAULT_TOL
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -178,6 +178,45 @@ def test_chord_screen_candidates_match_per_call_geometry(trefoil):
                                   np.nonzero(dist < radius)[0])
 
 
+def test_chord_screen_block_rows_are_the_scalar_calls(trefoil):
+    """A block of chords screens to the scalar calls' segments, cord by cord."""
+    screen = ChordScreen(trefoil)
+    s, t = np.random.default_rng(5).random((2, 40)) * trefoil.L
+    rows = screen.candidates(s, t, 0.5)
+    for i in range(len(s)):
+        assert np.array_equal(rows[rows[:, 0] == i, 1],
+                              screen.candidates(s[i], t[i], 0.5))
+    assert len(rows) > len(s)
+
+
+@pytest.mark.parametrize("name", ["ellipse", "trefoil"])
+def test_array_call_is_the_scalar_calls(name, request):
+    """On the 12 x 12 grid off the diagonal tube (more cords than one block),
+    plus the constructed hit cords of the trefoil both ways round, the array
+    call gives every cord the hits of its scalar call bit for bit, and None
+    where the scalar call raises."""
+    curve = request.getfixturevalue(name)
+    axis = np.arange(12) * (curve.L / 12)
+    tube = DEFAULT_TOL.diag_tube * curve.L
+    si, ti = np.nonzero(~(curve.circ_dist(axis[:, None], axis[None, :]) < tube))
+    s, t = list(axis[si]), list(axis[ti])
+    if name == "trefoil":
+        for a, b in request.getfixturevalue("trefoil_hit_cords"):
+            s += [a, b]
+            t += [b, a]
+    assert len(s) > 64
+    screen = ChordScreen(curve)
+    batch = chord_knot_intersections(curve, s, t, screen=screen)
+    assert len(batch) == len(s)
+    for a, b, hits in zip(s, t, batch):
+        try:
+            assert hits == chord_knot_intersections(curve, a, b, screen=screen)
+        except TangentialContact:
+            assert hits is None
+    if name == "trefoil":
+        assert sum(1 for hits in batch if hits) >= 6
+
+
 def test_synthetic_transverse_hit():
     # chord from (0,0,0) to (2,0,0) with a curve passing through (1,0,0):
     # builds a closed curve whose plane crosses the chord transversely
@@ -212,39 +251,6 @@ def _signed_crossing_value(curve, s, t, u):
     return float(r @ n), tau, n
 
 
-def _refine_seed_on_chords(curve, p, ds, u0, iters=40):
-    """`_refine_crossings` of one seed against the chords p -> p + ds[i], all
-    at once in the kernel's arithmetic.
-
-    Returns (u, tau, ok): the refined parameter and its chord fraction per
-    chord, and whether it is a hit (not flat, not lost), each equal bit for
-    bit to `_refine_crossings` on that chord alone.
-    """
-    L = curve.L
-    dd = row_dots(ds, ds)
-    u = np.full(len(ds), float(u0))
-    flat = np.zeros(len(ds), dtype=bool)
-    active = np.arange(len(ds))
-    for _ in range(iters):
-        if len(active) == 0:
-            break
-        d, dda = ds[active], dd[active]
-        x, v, acc = curve.spline.eval_multi(u[active], (0, 1, 2))
-        tau = row_dots(x - p, d) / dda
-        r = x - (p + tau[:, None] * d)
-        g = row_dots(r, v)
-        h = (row_dots(v, v) - np.float_power(row_dots(v, d), 2.0) / dda
-             + row_dots(r, acc))
-        is_flat = np.abs(h) < 1e-12
-        flat[active[is_flat]] = True
-        moving = active[~is_flat]
-        step = np.clip(g[~is_flat] / h[~is_flat], -0.25, 0.25)
-        u[moving] = (u[moving] - step) % L
-        active = moving[~(np.abs(step) < 1e-13 * L)]
-    x = curve.spline.eval_multi(u, (0,))[0]
-    return u, row_dots(x - p, ds) / dd, ~flat & np.isfinite(u)
-
-
 @pytest.fixture(scope="module")
 def trefoil_hit_cords(trefoil):
     """Up to five trefoil cords (s, t) with interior hits, constructed.
@@ -252,8 +258,9 @@ def trefoil_hit_cords(trefoil):
     A cord through a knot point gamma(u) is built by choosing the chord
     through gamma(u) between two other curve parameters solved to pass
     exactly through it.  Each draw scans t over a grid, with the Newton of
-    one seed run against every chord of the scan at once, for a sign change
-    of the branch's signed crossing value, then bisects the bracket.
+    one seed run against every chord of the scan at once (one chord per row
+    of ``_refine_crossings``), for a sign change of the branch's signed
+    crossing value, then bisects the bracket.
     """
     screen = ChordScreen(trefoil)
     rng = np.random.default_rng(11)
@@ -286,8 +293,10 @@ def trefoil_hit_cords(trefoil):
         scan = t_grid[~((trefoil.circ_dist(t_grid, s) < 1.0)
                         | (trefoil.circ_dist(t_grid, u) < 1.0))]
         p = trefoil.point(s)
-        refined, tau, ok = _refine_seed_on_chords(
-            trefoil, p, trefoil.point(scan) - p, u)
+        ds = trefoil.point(scan) - p
+        refined, tau, dist, flat = _refine_crossings(
+            trefoil, np.broadcast_to(p, ds.shape), ds, np.full(len(scan), u))[:4]
+        ok = ~flat & np.isfinite(dist)
         # the reference's chord fraction, read off first: most rows end there
         ok &= (0.1 < tau) & (tau < 0.9)
         prev = None
@@ -379,11 +388,13 @@ def _refine_hit_scalar(curve, p, d, u0, iters=40):
 
 
 def _assert_matches_scalar(curve, p, d, seeds):
-    """`_refine_crossings` on all seeds equals the scalar loop seed by seed."""
+    """`_refine_crossings` on all seeds equals the scalar loop seed by seed;
+    p and d are one chord, or one chord per seed."""
     u, tau, dist, flat = _refine_crossings(curve, p, d, seeds)[:4]
     for k, u0 in enumerate(seeds):
+        pk, dk = (p[k], d[k]) if d.ndim == 2 else (p, d)
         try:
-            ref = _refine_hit_scalar(curve, p, d, u0)
+            ref = _refine_hit_scalar(curve, pk, dk, u0)
         except TangentialContact:
             assert flat[k]
             continue
@@ -418,6 +429,10 @@ def test_refine_hits_matches_scalar_on_random_seeds(name, request):
         p = curve.point(s)
         d = curve.point(t) - p
         _assert_matches_scalar(curve, p, d, rng.random(200) * curve.L)
+    # one chord per seed
+    s, t = rng.random((2, 200)) * curve.L
+    p = curve.point(s)
+    _assert_matches_scalar(curve, p, curve.point(t) - p, rng.random(200) * curve.L)
 
 
 def test_refine_hits_matches_scalar_on_constructed_hits(trefoil, trefoil_hit_cords):
@@ -462,13 +477,20 @@ def test_flat_seed_raises_but_leaves_other_seeds_valid():
     assert list(flat) == [False, True]
     assert (u[0], tau[0], dist[0]) == (2.0, 0.5, 0.0)
 
-    def screen(*seeds):
+    def screen(seeds, pairs):
+        """A screen whose candidates are the (cord, seed) rows ``pairs``."""
         return SimpleNamespace(params=np.array(seeds) - 0.5, step=1.0,
-                               candidates=lambda s, t, r: np.arange(len(seeds)))
+                               candidates=lambda s, t, r, points: np.array(pairs))
 
-    assert chord_knot_intersections(curve, 6.0, 8.0, screen=screen(1.5)) == [(2.0, 0.5)]
+    one = screen([1.5], [[0, 0]])
+    assert chord_knot_intersections(curve, 6.0, 8.0, screen=one) == [(2.0, 0.5)]
     with pytest.raises(TangentialContact):
-        chord_knot_intersections(curve, 6.0, 8.0, screen=screen(1.5, 7.0))
+        chord_knot_intersections(curve, 6.0, 8.0,
+                                 screen=screen([1.5, 7.0], [[0, 0], [0, 1]]))
+    # in a batch only the cord with the flat seed gets None
+    both = screen([1.5, 7.0], [[0, 0], [0, 1], [1, 0]])
+    assert chord_knot_intersections(curve, [6.0, 6.0], [8.0, 9.0],
+                                    screen=both) == [None, [(2.0, 1 / 3)]]
 
 
 # -- the S-branch kernel of the flow ---------------------------------------------
