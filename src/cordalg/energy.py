@@ -21,40 +21,26 @@ from .tolerances import DEFAULT_TOL
 _BAND = 64  # grid rows per block of the census scan
 
 
-@dataclass(frozen=True)
-class CordPoint:
-    """A linear cord, i.e. a point (s, t) of the torus K x K."""
-
-    s: float
-    t: float
-    chord: tuple
-    length: float
-
-
-def make_cord(curve, s, t):
-    s = float(s) % curve.L
-    t = float(t) % curve.L
-    chord = curve.point(t) - curve.point(s)
-    return CordPoint(s, t, tuple(chord), float(np.linalg.norm(chord)))
+def cord_length(curve, s, t):
+    """|gamma(t) - gamma(s)|, the length of the linear cord (s, t)."""
+    L = curve.L
+    return float(np.linalg.norm(curve.point(float(t) % L)
+                                - curve.point(float(s) % L)))
 
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    location: CordPoint
+    """A critical cord (s, t) of E, with s and t in [0, L)."""
+
+    s: float
+    t: float
+    length: float
     index: int
     energy: float
     grad_norm: float
     eigvals: tuple
     eigvecs: tuple  # columns match eigvals
     label: str = ""
-
-    @property
-    def s(self):
-        return self.location.s
-
-    @property
-    def t(self):
-        return self.location.t
 
     def with_label(self, label):
         return replace(self, label=label)
@@ -290,12 +276,13 @@ def _collect(curve, seeds, cluster_dist):
         )
     out = []
     for i, (p, gnorm) in enumerate(zip(merged, merged_gn)):
-        cord = make_cord(curve, p[0], p[1])
-        index = int(np.sum(eigvals[i] < 0))
+        length = cord_length(curve, p[0], p[1])
         out.append(CriticalPoint(
-            location=cord,
-            index=index,
-            energy=0.5 * cord.length ** 2,
+            s=float(p[0]) % L,
+            t=float(p[1]) % L,
+            length=length,
+            index=int(np.sum(eigvals[i] < 0)),
+            energy=0.5 * length ** 2,
             grad_norm=float(gnorm),
             eigvals=tuple(eigvals[i]),
             eigvecs=tuple(map(tuple, eigvecs[i].T)),
@@ -374,7 +361,7 @@ def _braid_labels(curve, points):
     seen = {}
     by_family = {}
     for key, p in pairs.items():
-        if p.location.length < short_cut:
+        if p.length < short_cut:
             fam = {0: "s", 1: "S"}.get(p.index, "c")
         else:
             fam = {1: "k", 2: "l"}.get(p.index, "b")

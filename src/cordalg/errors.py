@@ -53,11 +53,11 @@ class TangentialContact(CordAlgError):
 class GenericityViolation(CordAlgError):
     """A flow trace hit a non-generic configuration; perturb and recompute.
 
-    Carries a short machine-readable reason in ``reason`` so the pipeline can
-    pick the right perturbation target (basepoint, framing, or knot).
+    Every raise names its ``reason``, "basepoint", "framing" or "knot", the
+    perturbation target the pipeline's retry picks.
     """
 
-    def __init__(self, message, reason="generic"):
+    def __init__(self, message, reason):
         super().__init__(message)
         self.reason = reason
 

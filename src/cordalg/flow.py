@@ -27,6 +27,10 @@ sign, and its middle factor is mu^-1 exactly when the chord points to the
 +nu side at the crossing point, read as the F events read it, else 1
 (``_Tracer._split_rule``).
 
+A top-level trace of an index-1 cord that contracts at the basepoint
+raises GenericityViolation with reason "basepoint"
+(``_contracts_at_basepoint``); split children and free traces are exempt.
+
 E is symmetric under the swap (s,t) <-> (t,s), which reverses the cord, and
 so is the flow: the index-1 cords come in mirror pairs k = (s,t),
 k-bar = (t,s), and the trace from k-bar's start is the mirror of the trace
@@ -46,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import cord_terms, diagonal_data, energy, make_cord
+from .energy import cord_length, cord_terms, diagonal_data, energy
 from .errors import (
     GenericityViolation,
     MaxSplits,
@@ -84,7 +88,6 @@ class TraceEvent:
     sigma: int
     exponent: int      # applied lambda/mu exponent (0 for splits)
     state: tuple       # (s, t) at the event
-    aux: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -95,9 +98,6 @@ class FlowTrace:
     left: tuple              # accumulated (lambda, mu) exponents, left side
     right: tuple
     splits: list             # list of dicts with sign, monomials, children
-    energy_drop: tuple       # (E_initial, E_terminal)
-    terminal_state: tuple = (0.0, 0.0)
-    flagged: list = field(default_factory=list)
     path: list = field(default_factory=list)  # (tau, s, t) at accepted steps
 
 
@@ -294,16 +294,13 @@ class _Tracer:
         f, e_prev, H, terms = _state(ctx, y)
         trace = FlowTrace(
             initial=(y[0], y[1]), events=[], terminal="", left=(0, 0),
-            right=(0, 0), splits=[], energy_drop=(e_prev, 0.0),
+            right=(0, 0), splits=[],
         )
 
         trace.path.append((0.0, float(y[0]), float(y[1])))
         term = self._terminal_check(y)
         if term:
-            trace.terminal = term
-            trace.terminal_state = (float(y[0]), float(y[1]))
-            trace.energy_drop = (e_prev, e_prev)
-            return trace
+            return self._finish(trace, term, y)
 
         ev_prev = _events(ctx, y, terms.points, terms.tangents)
         s_branches = self._s_branches(y, terms.points)
@@ -359,15 +356,26 @@ class _Tracer:
             f, H = f_new, H_new
             trace.path.append((tau, float(y_new[0]), float(y_new[1])))
             if term:
-                trace.terminal = term
-                trace.terminal_state = (float(y_new[0]), float(y_new[1]))
-                trace.energy_drop = (trace.energy_drop[0], e_new)
-                return trace
+                return self._finish(trace, term, y_new)
             self._saddle_guard(y, y_new)
             y = y_new
         raise StepCollapse("flow exceeded the step budget")
 
     # -- terminal conditions ------------------------------------------------
+
+    def _finish(self, trace, term, y):
+        """End the trace at the cord y with terminal ``term``.
+
+        A top-level trace of a saddle must not contract at the basepoint
+        (``_contracts_at_basepoint``); split children and free traces are
+        exempt.
+        """
+        if self.origin is not None and term == "contractible" and \
+                _contracts_at_basepoint(self.ctx.curve, y, trace.events):
+            raise GenericityViolation("contraction point at the basepoint",
+                                      reason="basepoint")
+        trace.terminal = term
+        return trace
 
     def _terminal_check(self, y):
         ctx = self.ctx
@@ -567,11 +575,11 @@ class _Tracer:
         if others:
             raise GenericityViolation("cord met the knot twice (S2)",
                                       reason="knot")
-        parent_len = make_cord(curve, y[0], y[1]).length
+        parent_len = cord_length(curve, y[0], y[1])
         c1 = (y[0], u)
         c2 = (u, y[1])
-        len1 = make_cord(curve, *c1).length
-        len2 = make_cord(curve, *c2).length
+        len1 = cord_length(curve, *c1)
+        len2 = cord_length(curve, *c2)
         floor = DEFAULT_TOL.min_split_decrease * curve.L
         if len1 > parent_len - floor or len2 > parent_len - floor:
             raise GenericityViolation("split child not shorter than parent",
@@ -587,12 +595,10 @@ class _Tracer:
             "right": trace.right,
             "children": (child1, child2),
             "hit": (float(u), float(tau_frac)),
-            "lengths": (parent_len, len1, len2),
         })
         trace.events.append(TraceEvent(
             time=at_time, kind="split", sigma=sign, exponent=0,
             state=(float(y[0]), float(y[1])),
-            aux={"u": float(u), "tau": float(tau_frac)},
         ))
 
     def _split_rule(self, y, tau_frac, u):
@@ -630,6 +636,25 @@ def _chord_motion(curve, y, tau_frac):
     sdot, tdot = -terms.grad[0]
     d = q - p
     return d / np.linalg.norm(d), (1.0 - tau_frac) * vs * sdot + tau_frac * vt * tdot
+
+
+def _contracts_at_basepoint(curve, y, events):
+    """Whether a trace that ends contractible at the cord y contracts at
+    the basepoint.
+
+    It does when y lies within two diagonal tubes of the basepoint in s or
+    in t, or when its last event (a split counts) is a B event at a cord
+    within three tubes of the diagonal.  The rule reads s and t alike, so
+    it gives the same answer on a trace and on its ``mirror_trace``.
+    """
+    tube = DEFAULT_TOL.diag_tube * curve.L
+    if min(curve.circ_dist(y[0], 0.0), curve.circ_dist(y[1], 0.0)) < 2.0 * tube:
+        return True
+    if not events:
+        return False
+    last = events[-1]
+    return last.kind.startswith("B") and \
+        curve.circ_dist(last.state[0], last.state[1]) < 3.0 * tube
 
 
 def _torus_delta(y, p, L):
@@ -708,8 +733,8 @@ def select_k_pm(curve, k, ctx):
     k+ moves the startpoint in the direction of the knot orientation; the
     offset grows geometrically until both points sit outside the saddle's
     indecision zone and the segment between them is event-free.
-    Returns ((s+, t+), (s-, t-), flagged) where flagged marks the
-    vertical-eigenvector convention case.
+    Returns ((s+, t+), (s-, t-)).  A vertical eigenvector does not move the
+    startpoint; there k+ moves the endpoint forward, a convention.
     """
     L = curve.L
     i_min = int(np.argmin(k.eigvals))
@@ -717,14 +742,11 @@ def select_k_pm(curve, k, ctx):
         raise ValueError("select_k_pm needs an index-1 point")
     e = np.array(k.eigvecs[i_min], dtype=float)
     e = e / np.linalg.norm(e)
-    flagged = []
     if abs(e[0]) > 1e-9:
         if e[0] < 0:
             e = -e
-    else:
-        flagged.append("vertical-eigenvector: side labels are conventional")
-        if e[1] < 0:
-            e = -e
+    elif e[1] < 0:
+        e = -e
     center = np.array([k.s, k.t])
     h = 4.0 * DEFAULT_TOL.trajectory_tol * L
     e_val = energy(curve, k.s, k.t)
@@ -740,7 +762,7 @@ def select_k_pm(curve, k, ctx):
             # no event on the segments [k, k +- h e]
             ys = (center + np.linspace(-1.0, 1.0, 17)[:, None] * h * e) % L
             if _event_free(ctx, ys, cord_terms(curve, ys[:, 0], ys[:, 1])):
-                return (tuple(plus), tuple(minus), flagged)
+                return (tuple(plus), tuple(minus))
         h *= 1.5
         if h > 0.02 * L:
             break
@@ -752,15 +774,15 @@ def boundary_D(curve, framing, k, ctx):
     """D(k) = Dhat(k+) - Dhat(k-) for an index-1 critical point.
 
     Each boundary value gets its own split budget of
-    ``DEFAULT_TOL.max_splits``.  The flow reads ``ctx.framing``; the
-    ``framing`` argument is not read and stays for the callers that pass
-    it, perfbench/workloads.py among them.
+    ``DEFAULT_TOL.max_splits``.  Either trace that contracts at the
+    basepoint raises GenericityViolation (reason "basepoint").  The flow
+    reads ``ctx.framing``; the ``framing`` argument is not read and stays
+    for the callers that pass it, perfbench/workloads.py among them.
     """
-    (plus, minus, flagged) = select_k_pm(curve, k, ctx)
+    plus, minus = select_k_pm(curve, k, ctx)
     ctx.split_budget = DEFAULT_TOL.max_splits
     tr_plus = _Tracer(ctx, origin_saddle=k).run(*plus)
     tr_minus = _Tracer(ctx, origin_saddle=k).run(*minus)
-    tr_plus.flagged.extend(flagged)
     vals = terminal_generator_values(ctx)
     return (dhat_of_trace(tr_plus, vals) - dhat_of_trace(tr_minus, vals),
             tr_plus, tr_minus)
@@ -792,11 +814,7 @@ def mirror_trace(trace, partner_labels):
             "children": tuple(mirror_trace(c, partner_labels)
                               for c in reversed(sp["children"])),
             "hit": (sp["hit"][0], 1.0 - sp["hit"][1]),
-            "lengths": (sp["lengths"][0], sp["lengths"][2], sp["lengths"][1]),
         } for sp in trace.splits],
-        energy_drop=trace.energy_drop,
-        terminal_state=_swap(trace.terminal_state),
-        flagged=list(trace.flagged),
         path=[(tau, t, s) for tau, s, t in trace.path],
     )
 
@@ -808,8 +826,7 @@ _MIRROR_KIND = {"F-start": "F-end", "F-end": "F-start",
 def _mirror_event(ev):
     if ev.kind == "split":
         return TraceEvent(time=ev.time, kind="split", sigma=-ev.sigma, exponent=0,
-                          state=_swap(ev.state),
-                          aux={"u": ev.aux["u"], "tau": 1.0 - ev.aux["tau"]})
+                          state=_swap(ev.state))
     return TraceEvent(time=ev.time, kind=_MIRROR_KIND[ev.kind], sigma=ev.sigma,
                       exponent=-ev.exponent, state=_swap(ev.state))
 
@@ -828,10 +845,12 @@ def mirror_boundary_D(curve, k, flowed, partner_labels, ctx):
     ``flowed`` holds the partner's (trace+, trace-).  k's own ``select_k_pm``
     start points must be the swapped partner start points bit for bit, in
     either order (the unstable eigenvector may change its sign convention
-    under the swap); otherwise MirrorMismatch is raised.  Returns
-    (D, trace+, trace-) like ``boundary_D``.
+    under the swap); otherwise MirrorMismatch is raised.  The mirrored
+    traces are not checked for a contraction at the basepoint again: the
+    rule reads s and t alike.  Returns (D, trace+, trace-) like
+    ``boundary_D``.
     """
-    plus, minus, flagged = select_k_pm(curve, k, ctx)
+    plus, minus = select_k_pm(curve, k, ctx)
     a, b = (mirror_trace(tr, partner_labels) for tr in flowed)
     # a trace starts at its cord wrapped the way _Tracer.run wraps it
     L = curve.L
@@ -844,7 +863,6 @@ def mirror_boundary_D(curve, k, flowed, partner_labels, ctx):
         raise MirrorMismatch(
             f"the start points of {k.label} are not the swapped start points"
             " of its partner")
-    tr_plus.flagged, tr_minus.flagged = list(flagged), []
     vals = terminal_generator_values(ctx)
     return (dhat_of_trace(tr_plus, vals) - dhat_of_trace(tr_minus, vals),
             tr_plus, tr_minus)

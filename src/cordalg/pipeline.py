@@ -279,8 +279,6 @@ def compute_cord_algebra(spec, framing="seifert", seed=0):
             last = exc.with_traceback(None)
             error = type(exc).__name__
             reason = getattr(exc, "reason", "knot")
-            if reason not in ("basepoint", "framing"):
-                reason = "knot"
         # a perturbation that breaks an invariant is redrawn smaller with the
         # next seed, without rerunning the unchanged input; each draw spends
         # one attempt, and none is drawn once the budget is spent
@@ -334,15 +332,6 @@ def _run_once(curve, frame, lk, framing, seed, retries):
             mirrored[k.label] = rep
         boundary_values[k.label] = D
         traces[k.label] = (trp, trm)
-        for tr in (trp, trm):
-            if tr.terminal != "contractible":
-                continue
-            near_bp = min(curve.circ_dist(tr.terminal_state[0], 0.0),
-                          curve.circ_dist(tr.terminal_state[1], 0.0))
-            if near_bp < 2.0 * DEFAULT_TOL.diag_tube * curve.L or \
-                    _b_event_near_end(tr, curve):
-                raise GenericityViolation("contraction point at the basepoint",
-                                          reason="basepoint")
 
     generators = sorted({p.label for p in ctx.minima})
     relations = [v for v in boundary_values.values() if not v.is_zero()]
@@ -366,15 +355,6 @@ def _run_once(curve, frame, lk, framing, seed, retries):
     )
 
 
-def _b_event_near_end(trace, curve):
-    if not trace.events:
-        return False
-    last = trace.events[-1]
-    near = 3.0 * DEFAULT_TOL.diag_tube * curve.L
-    return last.kind.startswith("B") and \
-        curve.circ_dist(last.state[0], last.state[1]) < near
-
-
 def derive_seifert_rules(curve, ctx, lk):
     """Winding-sweep rules for braid layouts (see change-of-framing).
 
@@ -394,34 +374,3 @@ def derive_seifert_rules(curve, ctx, lk):
             " use the blackboard framing")
     return winding_sweep_rules(curve, ctx, lk)
 
-
-def compare(p, q):
-    """Compare two presentations: identical | identical-after-simplify | inconclusive.
-
-    Never claims non-isomorphism.
-    """
-    if p.ring != q.ring:
-        raise ValueError("presentations over different rings")
-
-    def same(a, b):
-        if sorted(a.generators) != sorted(b.generators):
-            return False
-        if len(a.relations) != len(b.relations):
-            return False
-        used = set()
-        for r in a.relations:
-            hit = next(
-                (j for j, s in enumerate(b.relations)
-                 if j not in used and relations_equivalent(r, s)),
-                None,
-            )
-            if hit is None:
-                return False
-            used.add(hit)
-        return True
-
-    if same(p, q):
-        return "identical"
-    if same(simplify(p), simplify(q)):
-        return "identical-after-simplify"
-    return "inconclusive"

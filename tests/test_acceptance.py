@@ -17,6 +17,7 @@ import pytest
 
 from cordalg import flow
 from cordalg.energy import (
+    cord_length,
     energy,
     find_critical_points,
     gradient,
@@ -33,7 +34,7 @@ from cordalg.flow import (
 )
 from cordalg.incidence import f_arc_ends, framing_event, tangent_boundary_cords
 from cordalg.knots import build_curve, build_framing
-from cordalg.pipeline import compare, compute_cord_algebra
+from cordalg.pipeline import compute_cord_algebra
 from cordalg.ring import parse, serialize
 from cordalg.seifert import winding_sweep_rules
 from cordalg.tolerances import DEFAULT_TOL
@@ -218,11 +219,14 @@ def test_criterion_6_energy_monotone_and_split_contract(trefoil_result):
         es = [energy(curve, s, t) for (_tau, s, t) in tr.path]
         assert all(b < a for a, b in zip(es, es[1:]))
         for sp in tr.splits:
-            parent_len, l1, l2 = sp["lengths"]
+            # the split cord (s, t) has children (s, u) and (u, t)
+            c1, c2 = sp["children"]
+            parent_len = cord_length(curve, c1.initial[0], c2.initial[1])
+            l1, l2 = cord_length(curve, *c1.initial), cord_length(curve, *c2.initial)
             assert l1 <= parent_len - floor * curve.L
             assert l2 <= parent_len - floor * curve.L
-            for c in sp["children"]:
-                walk(c)
+            walk(c1)
+            walk(c2)
 
     n_splits = 0
     for trp, trm in trefoil_result.traces.values():
@@ -333,19 +337,11 @@ def test_split_budget_is_per_boundary_value(trefoil_result, monkeypatch):
 def _assert_same_tree(a, b):
     """a and b agree exactly, but for chord fractions, where 1 - (1 - tau)
     may differ from tau in the last place."""
-    assert (a.initial, a.terminal, a.left, a.right, a.energy_drop,
-            a.terminal_state, a.flagged, a.path) == \
-        (b.initial, b.terminal, b.left, b.right, b.energy_drop,
-         b.terminal_state, b.flagged, b.path)
-    assert len(a.events) == len(b.events) and len(a.splits) == len(b.splits)
-    for ea, eb in zip(a.events, b.events):
-        assert (ea.time, ea.kind, ea.sigma, ea.exponent, ea.state) == \
-            (eb.time, eb.kind, eb.sigma, eb.exponent, eb.state)
-        assert ea.aux.get("u") == eb.aux.get("u")
-        assert ea.aux.get("tau", 0.0) == pytest.approx(eb.aux.get("tau", 0.0),
-                                                      rel=0, abs=1e-15)
+    assert (a.initial, a.terminal, a.left, a.right, a.events, a.path) == \
+        (b.initial, b.terminal, b.left, b.right, b.events, b.path)
+    assert len(a.splits) == len(b.splits)
     for sa, sb in zip(a.splits, b.splits):
-        plain = ("time", "sign", "birth_mu", "left", "right", "lengths")
+        plain = ("time", "sign", "birth_mu", "left", "right")
         assert [sa[k] for k in plain] == [sb[k] for k in plain]
         assert sa["hit"][0] == sb["hit"][0]
         assert sa["hit"][1] == pytest.approx(sb["hit"][1], rel=0, abs=1e-15)
@@ -447,5 +443,7 @@ def test_criterion_9_invariance_smoke(unknot_result):
     runs.append({"type": "samples", "points": pts.tolist(), "basepoint_shift": 0.4})
     for spec in runs:
         res = compute_cord_algebra(spec, framing="seifert")
-        assert compare(res.presentation, reference) == "identical", spec
+        got = res.presentation
+        assert (got.generators, got.relations) == \
+            (reference.generators, reference.relations), spec
     print("\n[pass] criterion 9: invariance smoke across embeddings/basepoints")

@@ -7,16 +7,15 @@ import pytest
 
 import cordalg.energy as energy_mod
 from cordalg.energy import (
-    CordPoint,
     _block_grad_sq,
     _grid_seeds,
     _interior_minima,
+    cord_length,
     diagonal_data,
     energy,
     find_critical_points,
     gradient,
     hessian,
-    make_cord,
 )
 from cordalg.errors import DegenerateCritical
 from cordalg.knots import build_curve
@@ -56,11 +55,15 @@ def test_energy_matches_raw_samples(ellipse):
     assert abs(energy(ellipse, s, t) - direct) < 1e-10
 
 
-def test_cord_point_cached_length(ellipse):
-    c = make_cord(ellipse, 1.0, 4.0)
+def test_cord_length_wraps_its_ends(ellipse):
     direct = float(np.linalg.norm(ellipse.point(4.0) - ellipse.point(1.0)))
-    assert abs(c.length - direct) <= 1e-12 * max(direct, 1.0)
-    assert 0 <= c.s < ellipse.L and 0 <= c.t < ellipse.L
+    assert cord_length(ellipse, 1.0, 4.0) == direct
+    L = ellipse.L
+    assert cord_length(ellipse, 1.0 + L, 4.0 - L) == pytest.approx(direct, rel=1e-12)
+    for p in find_critical_points(ellipse):
+        assert 0 <= p.s < L and 0 <= p.t < L
+        assert p.length == cord_length(ellipse, p.s, p.t)
+        assert p.energy == 0.5 * p.length ** 2
 
 
 def test_gradient_zero_on_diagonal(ellipse):

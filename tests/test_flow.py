@@ -8,6 +8,8 @@ from cordalg.errors import GenericityViolation, MirrorMismatch
 from cordalg.flow import (
     FlowContext,
     FlowTrace,
+    TraceEvent,
+    _contracts_at_basepoint,
     _Step,
     _Tracer,
     _event_free,
@@ -33,6 +35,14 @@ def unknot():
     points = find_critical_points(curve)
     ctx = FlowContext(curve, framing, points)
     return curve, framing, ctx
+
+
+@pytest.fixture(scope="module")
+def bare_ellipse():
+    """The ellipse at its own basepoint, whose k- contracts next to it."""
+    curve = build_curve({"type": "ellipse", "a": 2, "b": 1})
+    framing = build_framing(curve)
+    return curve, framing, FlowContext(curve, framing, find_critical_points(curve))
 
 
 def test_unknot_boundary_values_golden(unknot):
@@ -70,22 +80,22 @@ def test_mirror_of_a_synthetic_split():
     """A split's sign, birth meridian, monomials, children and chord
     fraction follow the cord reversal."""
     child1 = FlowTrace(initial=(1.0, 3.0), events=[], terminal="g_s",
-                       left=(0, 1), right=(0, 0), splits=[], energy_drop=(1, 0))
+                       left=(0, 1), right=(0, 0), splits=[])
     child2 = FlowTrace(initial=(3.0, 2.0), events=[], terminal="contractible",
-                       left=(0, 0), right=(-1, 0), splits=[], energy_drop=(1, 0))
+                       left=(0, 0), right=(-1, 0), splits=[])
     parent = FlowTrace(
         initial=(1.0, 2.0), events=[], terminal="g_t", left=(1, 0), right=(0, 2),
         splits=[{"time": 1.0, "sign": -1, "birth_mu": -1, "left": (0, -1),
                  "right": (2, 0), "children": (child1, child2),
-                 "hit": (3.0, 0.25), "lengths": (3, 1, 2)}],
-        energy_drop=(2, 0), path=[(0.0, 1.0, 2.0)],
+                 "hit": (3.0, 0.25)}],
+        path=[(0.0, 1.0, 2.0)],
     )
     m = mirror_trace(parent, {"g_s": "g_t", "g_t": "g_s"})
     assert (m.initial, m.terminal, m.left, m.right, m.path) == \
         ((2.0, 1.0), "g_s", (0, -2), (-1, 0), [(0.0, 2.0, 1.0)])
     sp = m.splits[0]
-    assert (sp["sign"], sp["birth_mu"], sp["left"], sp["right"], sp["hit"],
-            sp["lengths"]) == (1, 0, (-2, 0), (0, 1), (3.0, 0.75), (3, 2, 1))
+    assert (sp["sign"], sp["birth_mu"], sp["left"], sp["right"], sp["hit"]) == \
+        (1, 0, (-2, 0), (0, 1), (3.0, 0.75))
     c1, c2 = sp["children"]
     assert (c1.initial, c1.terminal, c1.left, c1.right) == \
         ((2.0, 3.0), "contractible", (1, 0), (0, 0))
@@ -94,11 +104,56 @@ def test_mirror_of_a_synthetic_split():
     assert mirror_trace(m, {"g_s": "g_t", "g_t": "g_s"}) == parent
 
 
+def _contracts(curve, tr):
+    return _contracts_at_basepoint(curve, tr.path[-1][1:], tr.events)
+
+
+def test_contraction_rule_is_swap_invariant(unknot, bare_ellipse):
+    """The contraction-point rule gives a trace and its mirror the same
+    answer: on the unknot's traces, on the bare ellipse's, and on synthetic
+    traces whose last event is a B-start near the diagonal or a split after
+    it."""
+    answers = []
+    for c, _f, cx in (unknot, bare_ellipse):
+        partners = mirror_partners(cx.minima + cx.saddles)
+        for k in cx.saddles:
+            for start in select_k_pm(c, k, cx):
+                tr = _Tracer(cx).run(*start)   # a free trace is exempt
+                assert tr.terminal == "contractible"
+                answers.append(_contracts(c, tr))
+                assert _contracts(c, mirror_trace(tr, partners)) == answers[-1]
+    assert answers == [False] * 4 + [False, True, True, False]
+
+    curve = unknot[0]
+    L = curve.L
+    tube = DEFAULT_TOL.diag_tube * L
+    b_start = TraceEvent(time=0.5, kind="B-start", sigma=1, exponent=1,
+                         state=(1e-12, 2.0 * tube))
+    split = TraceEvent(time=0.7, kind="split", sigma=-1, exponent=0,
+                       state=(0.1 * L, 0.1 * L + 5.0 * tube))
+    end = (0.3 * L, 0.3 * L + 0.5 * tube)   # far from the basepoint
+    for events, expect in (([b_start], True), ([b_start, split], False)):
+        tr = FlowTrace(initial=(0.2 * L, 0.4 * L), events=events,
+                       terminal="contractible", left=(1, 0), right=(0, 0),
+                       splits=[], path=[(0.0, 0.2 * L, 0.4 * L), (1.0, *end)])
+        assert _contracts(curve, tr) == expect
+        assert _contracts(curve, mirror_trace(tr, {})) == expect
+
+
+def test_boundary_value_refuses_a_contraction_at_the_basepoint(bare_ellipse):
+    """The flow itself raises the basepoint retry, for either saddle of the
+    pair."""
+    curve, framing, ctx = bare_ellipse
+    for k in ctx.saddles:
+        with pytest.raises(GenericityViolation, match="contraction point") as info:
+            boundary_D(curve, framing, k, ctx)
+        assert info.value.reason == "basepoint"
+
+
 def test_trace_event_structure(unknot):
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, minus, flagged = select_k_pm(curve, k, ctx)
-    assert not flagged
+    plus, minus = select_k_pm(curve, k, ctx)
     trp = _Tracer(ctx, origin_saddle=k).run(*plus)
     trm = _Tracer(ctx, origin_saddle=k).run(*minus)
     assert trp.terminal == "contractible" and trp.events == []
@@ -109,12 +164,11 @@ def test_trace_event_structure(unknot):
 def test_energy_monotone_along_path(unknot):
     curve, framing, ctx = unknot
     for k in ctx.saddles:
-        plus, minus, _ = select_k_pm(curve, k, ctx)
-        for start in (plus, minus):
+        for start in select_k_pm(curve, k, ctx):
             tr = _Tracer(ctx, origin_saddle=k).run(*start)
             es = [energy(curve, s, t) for (_tau, s, t) in tr.path]
+            assert len(es) > 1
             assert all(b < a for a, b in zip(es, es[1:]))
-            assert tr.energy_drop[1] < tr.energy_drop[0]
 
 
 def test_trace_inside_basin_is_trivial(unknot):
@@ -130,7 +184,7 @@ def test_trace_inside_basin_is_trivial(unknot):
 def test_select_k_pm_descends_both_sides(unknot):
     curve, framing, ctx = unknot
     k = ctx.saddles[0]
-    plus, minus, _ = select_k_pm(curve, k, ctx)
+    plus, minus = select_k_pm(curve, k, ctx)
     e0 = energy(curve, k.s, k.t)
     assert energy(curve, *plus) < e0
     assert energy(curve, *minus) < e0
@@ -141,17 +195,16 @@ def test_select_k_pm_descends_both_sides(unknot):
 
 def test_dhat_fold_with_synthetic_split():
     child1 = FlowTrace(initial=(0, 0), events=[], terminal="g1",
-                       left=(0, 1), right=(0, 0), splits=[], energy_drop=(1, 0))
+                       left=(0, 1), right=(0, 0), splits=[])
     child2 = FlowTrace(initial=(0, 0), events=[], terminal="contractible",
-                       left=(0, 0), right=(-1, 0), splits=[], energy_drop=(1, 0))
+                       left=(0, 0), right=(-1, 0), splits=[])
     parent = FlowTrace(
         initial=(0, 0), events=[], terminal="g2", left=(0, 0), right=(1, 0),
         splits=[{
             "time": 1.0, "sign": -1,
             "left": (0, -1), "right": (0, 0),
-            "children": (child1, child2), "hit": (0, 0.5), "lengths": (3, 1, 1),
+            "children": (child1, child2), "hit": (0, 0.5),
         }],
-        energy_drop=(2, 0),
     )
     vals = {"g1": A.gen("g1"), "g2": A.gen("g2")}
     got = dhat_of_trace(parent, vals)
@@ -166,7 +219,7 @@ def test_end_point_basepoint_crossing_gives_inverse_lambda(unknot):
     lambda^-sigma on the right."""
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    _plus, minus, _ = select_k_pm(curve, k, ctx)
+    _plus, minus = select_k_pm(curve, k, ctx)
     trm = _Tracer(ctx, origin_saddle=k).run(*minus)
     assert [(e.kind, e.sigma, e.exponent) for e in trm.events] == [("B-end", 1, -1)]
     assert (trm.left, trm.right) == ((0, 0), (-1, 0))
@@ -179,7 +232,7 @@ def test_contractible_value_is_one_minus_mu(unknot):
     # a cord displaced from the saddle toward the diagonal contracts and
     # yields exactly 1 - u
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, _minus, _ = select_k_pm(curve, k, ctx)
+    plus, _minus = select_k_pm(curve, k, ctx)
     tr = _Tracer(ctx, origin_saddle=k).run(*plus)
     assert tr.terminal == "contractible"
     assert dhat_of_trace(tr, {}) == A.one() - A.mu()
@@ -189,7 +242,7 @@ def test_interpolant_endpoint_is_the_accepted_step(unknot):
     curve, framing, ctx = unknot
     L = curve.L
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    _plus, minus, _ = select_k_pm(curve, k, ctx)
+    _plus, minus = select_k_pm(curve, k, ctx)
     y0 = np.array(minus)
     f, _e, (h11, h12, h22), _terms = _state(ctx, y0)
     h = 0.7
@@ -214,7 +267,7 @@ def test_interpolant_stays_within_the_step(unknot):
     eigenvalue, so the whole interpolant lies within |y(1) - y0| of y0."""
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, _minus, _ = select_k_pm(curve, k, ctx)
+    plus, _minus = select_k_pm(curve, k, ctx)
     y0 = np.array(plus)
     f, _e, H, _terms = _state(ctx, y0)
     h11, h12, h22 = H
