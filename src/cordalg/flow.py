@@ -12,10 +12,17 @@ y <- y + h (I + hH)^-1 f with f = -grad E and H the Hessian of E at y (Hairer
 and Wanner, Solving ODEs II, ch. IV.7).  The step has no stability limit;
 its length is set by a displacement cap tied to the knot-branch screen
 (``FlowContext.free_cap``, one chord-screen step while a knot branch is near
-the cord), it is kept where I + hH stays positive definite, and it is halved
-until it stays within ``FlowContext.reach`` of its start and the energy
-decreases.  Events are located on the step's own interpolant, whose endpoint
-is the accepted step.
+the cord or the branch values wait), it is kept where I + hH stays positive
+definite, and it is halved until it stays within ``FlowContext.reach`` of its
+start and the energy decreases.  Events are located on the step's own
+interpolant, whose endpoint is the accepted step.
+
+The knot branches are screened at every accepted cord, but the branch Newton
+runs only where its result can matter: a cord whose live branches all lie
+clear of the endpoint zones lets its values wait, and a step whose chord
+cannot come within reach of a screened branch skips the S bracket
+(``FlowContext`` states both rules).  The traces are those of the eager flow,
+which reads the values at every cord and brackets every step.
 
 The paper fixes the sign rules only through its figures; they are pinned
 here by the worked unknot and trefoil.  An event with crossing direction
@@ -122,6 +129,27 @@ class FlowContext:
     A step with no live branch is capped at ``free_cap``, 3/4 of the
     radius, which leaves room for the growth by (I + hH)^-1 near a saddle
     before the reach halves the step.
+
+    The screen groups its candidate cells into runs.  A run whose middle
+    cell lies farther than ``excl`` (in parameter) from both ends of the
+    cord is live, and seeds one branch Newton (``_Tracer._branch_values``).
+    A live run is detached when all of its cells lie that far out, and the
+    cord's margin is the smallest gap (``ChordScreen.gaps``) between the
+    chord and a cell of a live run that lies that far out.
+
+    - Cap.  A cord whose live runs are all detached lets its branch values
+      wait (``_values_wait``), and its step is capped at one screen step.
+      Any other cord reads them at once, and its step is capped at one
+      screen step when a branch is found, else at ``free_cap``.
+    - Skip.  Along the step y0 -> y1 the chord moves at most
+      m = (1 + tol_arc) |dy| (above).  ``_Tracer._bracket_s`` accepts a hit
+      no farther than eps = tau_floor |chord(y0)| + 10 intersect_tol L from
+      the chord: its distance and chord-fraction limits, from DEFAULT_TOL.
+      When the margins at y0 and at y1 both exceed m + eps, no branch can
+      cross the chord, and a step with waiting values at either end skips
+      the S bracket.  Otherwise it reads the waiting values and brackets.
+      A step between two read cords always brackets, so that the flow with
+      ``_values_wait`` forced False is the eager flow, step for step.
     """
 
     def __init__(self, curve, framing, critical_points):
@@ -217,6 +245,40 @@ def _state(ctx, y):
     return -terms.grad[0], float(terms.E[0]), (h11, h12, h22), terms
 
 
+class _Near:
+    """The knot branches near one accepted cord y, as the screen sees them.
+
+    ``seeds`` holds one seed per live run and ``cells`` the cells of the
+    live runs that lie outside the endpoint zones; ``margin`` is their
+    smallest gap to the chord (``_Tracer._margin``, inf without a live
+    run, None until a step reads it).  ``values`` holds the branch values
+    (``_Tracer._branch_values``), or None while they wait (``waits``).
+    """
+
+    __slots__ = ("y", "ends", "seeds", "cells", "margin", "waits", "values")
+
+    def __init__(self, y, ends):
+        self.y, self.ends = y, ends
+        self.seeds = self.cells = None
+        self.margin = math.inf
+        self.waits = False
+        self.values = []
+
+
+def _values_wait(zone):
+    """Whether a cord's branch values may wait until a step needs them.
+
+    ``zone`` marks the cells of the cord's live runs that lie in an
+    endpoint zone.  When no cell does, every live run is detached, and
+    its Newton, seeded clear of the zones, finds its branch: the cap is one
+    screen step whether or not the values are read (the suite compares the
+    traces with the eager flow's).  A run that touches a zone can have its
+    Newton land there and find no branch, which frees the cap, so its
+    values are read at once.
+    """
+    return not zone.any()
+
+
 def _interior_hits(ctx, s, t):
     from .incidence import chord_knot_intersections
     return chord_knot_intersections(ctx.curve, s, t, screen=ctx.screen)
@@ -303,7 +365,7 @@ class _Tracer:
             return self._finish(trace, term, y)
 
         ev_prev = _events(ctx, y, terms.points, terms.tangents)
-        s_branches = self._s_branches(y, terms.points)
+        near = self._s_branches(y, terms.points)
         tau = 0.0
         h_min = 1e-15 * L
 
@@ -311,16 +373,17 @@ class _Tracer:
             # the near-Bott valleys make the flow stiff; the linearly
             # implicit step has no stability limit, so the step is capped by
             # displacement only: ctx.free_cap per step, one screen step while
-            # a knot branch is near the cord (the S-branch matching assumes
-            # the chord moves less than that per step), and a step that
-            # would move farther than ctx.reach is halved before it is
-            # evaluated.  Near the origin saddle H has a negative eigenvalue;
-            # keeping h below 0.5/|lambda_min| keeps I + hH positive definite.
+            # a knot branch is near the cord or its values wait (the
+            # S-branch matching assumes the chord moves less than that per
+            # step), and a step that would move farther than ctx.reach is
+            # halved before it is evaluated.  Near the origin saddle H has a
+            # negative eigenvalue; keeping h below 0.5/|lambda_min| keeps
+            # I + hH positive definite.
             speed = math.hypot(f[0], f[1])
             if speed < 1e-14:
                 raise GenericityViolation("flow stalled away from any basin",
                                           reason="knot")
-            cap = ctx.screen.step if s_branches else ctx.free_cap
+            cap = ctx.screen.step if near.waits or near.values else ctx.free_cap
             h = cap / speed
             h11, h12, h22 = H
             lam_min = 0.5 * (h11 + h22) - math.hypot(0.5 * (h11 - h22), h12)
@@ -328,7 +391,8 @@ class _Tracer:
                 h = min(h, 0.5 / -lam_min)
             while True:
                 step = _Step(y, h, f, H, L)
-                if math.hypot(*step.delta(1.0)) <= ctx.reach:
+                dy = math.hypot(*step.delta(1.0))
+                if dy <= ctx.reach:
                     y_new = step.at(1.0)
                     f_new, e_new, H_new, terms = _state(ctx, y_new)
                     if e_new < e_prev:
@@ -344,15 +408,21 @@ class _Tracer:
                 t_term = step.bisect(lambda ym: not self._terminal_check(ym),
                                      DEFAULT_TOL.event_tol * L)
                 crossings = [c for c in crossings if c[0] < t_term]
-            s_crossings, s_branches_new = self._bracket_s(
-                step, s_branches, y_new, terms.points, cut=t_term)
+            near_new = self._s_branches(y_new, terms.points)
+            # the step reads no waiting values when no live run at either
+            # end lies within the chord's reach of the step (FlowContext)
+            s_crossings = []
+            if not (near.waits or near_new.waits) or \
+                    self._may_cross(near, near_new, dy):
+                s_crossings = self._bracket_s(step, self._values(near),
+                                              self._values(near_new), cut=t_term)
             all_events = sorted(crossings + s_crossings, key=lambda c: c[0])
             self._apply_events(trace, tau, step, all_events, depth)
 
             tau += h
             e_prev = e_new
             ev_prev = ev_new
-            s_branches = s_branches_new
+            near = near_new
             f, H = f_new, H_new
             trace.path.append((tau, float(y_new[0]), float(y_new[1])))
             if term:
@@ -433,21 +503,74 @@ class _Tracer:
     # -- S events ---------------------------------------------------------------
 
     def _s_branches(self, y, ends):
-        """Signed crossing values of nearby knot branches as
-        (u, value, tau, n_hat, dist); ``ends`` holds gamma at both ends of y."""
+        """The knot branches near the cord y, as a ``_Near``; ``ends`` holds
+        gamma at both ends of y.
+
+        The candidate cells of the screen are grouped into runs, and a run
+        whose middle cell lies outside the endpoint zones is live and
+        seeds one branch Newton.  The Newton runs at once unless
+        ``_values_wait`` says it may wait.
+        """
         ctx = self.ctx
+        screen = ctx.screen
+        near = _Near(y, ends)
         # a chord shorter than the endpoint exclusion zones cannot carry a
         # valid interior hit; skip the screen entirely (the long family
         # sweeps of short cords dominate the step count)
         chord = ends[1] - ends[0]
         if float(chord @ chord) < (1.8 * ctx.excl) ** 2:
-            return []
-        cand = ctx.screen.candidates(y[0], y[1], ctx.branch_radius, ends)
+            return near
+        cand = screen.candidates(y[0], y[1], ctx.branch_radius, ends)
         if len(cand) == 0:
-            return []
-        seeds = ctx.screen.params[_group_midpoints(cand, len(ctx.screen.params))]
-        return [res for res in self._branch_values(y, ends, seeds)
-                if res is not None]
+            return near
+        lo, hi = _group_runs(cand, len(screen.params))
+        seeds = screen.params[cand[lo + (hi - lo) // 2]]
+        live = ~self._in_zones(seeds, y)
+        if not live.any():
+            return near
+        # negative positions index the tail of a run across the wrap
+        cells = cand[np.concatenate([np.arange(a, b) for a, b in
+                                     zip(lo[live], hi[live])])]
+        zone = self._in_zones(screen.params[cells], y)
+        near.seeds, near.cells, near.margin = seeds[live], cells[~zone], None
+        near.waits = _values_wait(zone)
+        near.values = None
+        if not near.waits:
+            self._values(near)
+        return near
+
+    def _in_zones(self, u, y):
+        """Whether the knot parameters u lie in the endpoint zones of y."""
+        curve, excl = self.ctx.curve, self.ctx.excl
+        return (curve.circ_dist(u, y[0]) < excl) | (curve.circ_dist(u, y[1]) < excl)
+
+    def _values(self, near):
+        """The branch values of ``near``: the live seeds' branch Newton,
+        run the first time they are read."""
+        if near.values is None:
+            near.values = [res for res in self._branch_values(
+                near.y, near.ends, near.seeds) if res is not None]
+        return near.values
+
+    def _margin(self, near):
+        """The smallest gap (``ChordScreen.gaps``) between the chord of
+        ``near`` and its live cells, computed the first time it is read."""
+        if near.margin is None:
+            p, q = near.ends
+            near.margin = float(self.ctx.screen.gaps(
+                p[None], (q - p)[None], near.cells).min())
+        return near.margin
+
+    def _may_cross(self, near0, near1, dy):
+        """Whether a live branch at either end of a step of length dy may
+        come as near the chord as ``_bracket_s`` accepts a hit
+        (``FlowContext``)."""
+        p, q = near0.ends
+        chord = q - p
+        eps = (DEFAULT_TOL.tau_floor * math.sqrt(float(chord @ chord))
+               + 10.0 * DEFAULT_TOL.intersect_tol * self.ctx.curve.L)
+        reach = (1.0 + DEFAULT_TOL.tol_arc) * dy + eps
+        return self._margin(near0) <= reach or self._margin(near1) <= reach
 
     def _branch_values(self, y, ends, seeds):
         """(u, value, tau, n_hat, dist) of the branch near each seed, or None.
@@ -460,8 +583,7 @@ class _Tracer:
         curve = ctx.curve
         excl = ctx.excl
         out = [None] * len(seeds)
-        live = np.nonzero(~((curve.circ_dist(seeds, y[0]) < excl)
-                            | (curve.circ_dist(seeds, y[1]) < excl)))[0]
+        live = np.nonzero(~self._in_zones(seeds, y))[0]
         if len(live) == 0:
             return out
         p = ends[0]
@@ -481,10 +603,10 @@ class _Tracer:
             out[i] = (u[k], value[k], tau[k], n_hat[k], float(dist[k]))
         return out
 
-    def _bracket_s(self, step, branches0, y1, ends1, cut=None):
+    def _bracket_s(self, step, branches0, branches1, cut=None):
+        """The S crossings of the step, from the branch values at its ends."""
         ctx = self.ctx
         curve = ctx.curve
-        branches1 = self._s_branches(y1, ends1)
         window = 8.0 * ctx.screen.step
         out = []
         for (u1, v1, tau1, n1, d1) in branches1:
@@ -523,7 +645,7 @@ class _Tracer:
             if cut is not None and frac >= cut:
                 continue
             out.append((frac, "split", 0, (u_hit, tau_hit, dist)))
-        return out, branches1
+        return out
 
     # -- applying events ---------------------------------------------------------
 
@@ -674,18 +796,19 @@ def _nearest_branch(curve, branches, u, window):
     return best
 
 
-def _group_midpoints(indices, n):
-    """Middle index of each run of the sorted indices ``indices`` of an
-    n-cycle; a gap of more than 4 ends a run.  A run across the wrap is
-    listed first and its middle counted from its start near n."""
+def _group_runs(indices, n):
+    """Runs of the sorted indices ``indices`` of an n-cycle, as positions
+    (lo, hi) into ``indices``; a gap of more than 4 ends a run.  A run
+    across the wrap is listed first, with a negative lo that indexes the
+    tail of ``indices``, so its middle lo + (hi - lo) // 2 is counted from
+    its start near n."""
     starts = np.flatnonzero(np.diff(indices) > 4) + 1
     lo = np.concatenate([[0], starts])
     hi = np.concatenate([starts, [len(indices)]])
     if len(starts) and indices[0] + n - indices[-1] <= 4:
-        # negative positions index the tail of the last run
         lo[0] = lo[-1] - len(indices)
         lo, hi = lo[:-1], hi[:-1]
-    return indices[lo + (hi - lo) // 2]
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -127,20 +127,32 @@ class ChordScreen:
         p, q = points
         p = p.reshape(-1, 3)
         d = q.reshape(-1, 3) - p
+        near = self.gaps(p, d) < radius
+        near[row_dots(d, d) < 1e-300] = False
+        return np.nonzero(near[0])[0] if np.ndim(s) == 0 else np.argwhere(near)
+
+    def gaps(self, p, d, cells=None):
+        """Distance of each cell to each chord p -> p + d, less the cell's
+        half-length: no point of the cell's segment lies closer to the chord.
+
+        p and d hold one row per chord; the result holds one row per chord
+        and one column per cell, of every cell or of the indices ``cells``.
+        """
+        mid, half = self.mid, self.half
+        if cells is not None:
+            mid, half = mid[cells], half[cells]
         dd = row_dots(d, d)
         # distance from segment midpoints to each chord segment; each cord's
         # (mid - p) @ d is one matrix-vector product of the batch
-        u = np.matmul(self.mid - p[:, None], d[:, :, None])[..., 0]
+        u = np.matmul(mid - p[:, None], d[:, :, None])[..., 0]
         u /= np.maximum(dd, 1e-300)[:, None]
         np.clip(u, 0.0, 1.0, out=u)
         # mid - (p + u d), squared, in one (cords, cells, 3) temporary
         off = u[..., None] * d[:, None]
         off += p[:, None]
-        np.subtract(self.mid, off, out=off)
+        np.subtract(mid, off, out=off)
         off *= off
-        near = np.sqrt(np.add.reduce(off, axis=-1)) - self.half < radius
-        near[dd < 1e-300] = False
-        return np.nonzero(near[0])[0] if np.ndim(s) == 0 else np.argwhere(near)
+        return np.sqrt(np.add.reduce(off, axis=-1)) - half
 
 
 # cords per block of ``chord_knot_intersections``: the screen's temporaries

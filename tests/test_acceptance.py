@@ -27,10 +27,8 @@ from cordalg.energy import (
 from cordalg.flow import (
     FlowContext,
     _torus_delta,
-    _Tracer,
     boundary_D,
     mirror_trace,
-    select_k_pm,
 )
 from cordalg.incidence import f_arc_ends, framing_event, tangent_boundary_cords
 from cordalg.knots import build_curve, build_framing

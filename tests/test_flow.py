@@ -1,8 +1,12 @@
 """Gradient flow traces, event bookkeeping, boundary values on the unknot."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cordalg import flow
 from cordalg.energy import cord_terms, energy, find_critical_points, mirror_partners
 from cordalg.errors import GenericityViolation, MirrorMismatch
 from cordalg.flow import (
@@ -24,7 +28,8 @@ from cordalg.flow import (
     terminal_generator_values,
 )
 from cordalg.knots import build_curve, build_framing
-from cordalg.ring import AlgebraElement as A, parse, serialize
+from cordalg.pipeline import compute_cord_algebra, setup_knot
+from cordalg.ring import AlgebraElement as A, parse
 from cordalg.tolerances import DEFAULT_TOL
 
 
@@ -356,3 +361,56 @@ def test_saddle_guard_checks_the_whole_segment(unknot):
     tracer._saddle_guard((y0 + [0.0, 2.0 * r]) % L, (y1 + [0.0, 2.0 * r]) % L)
     # the trace's own origin saddle is exempt
     _Tracer(ctx, origin_saddle=p)._saddle_guard(y0, y1)
+
+
+TREFOIL_SPEC = json.loads(
+    (Path(__file__).resolve().parent.parent / "specs" / "trefoil.json").read_text())
+
+
+def _lazy_and_eager(run):
+    """repr of ``run()`` and its number of branch Newtons, as the flow
+    gives them, then with every cord's branch values read at once
+    (``_values_wait`` forced False: the eager flow, which brackets every
+    step)."""
+    out = []
+    kernel = flow._refine_crossings
+    for eager in (False, True):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            if eager:
+                mp.setattr(flow, "_values_wait", lambda zone: False)
+            mp.setattr(flow, "_refine_crossings",
+                       lambda *a: calls.append(1) or kernel(*a))
+            out.append((repr(run()), len(calls)))
+    return out
+
+
+def test_waiting_branch_values_flow_the_eager_traces():
+    """boundary_D(k11_s) on the pinned trefoil: the traces equal the eager
+    flow's bit for bit, with at most 60% of its branch Newtons."""
+    curve, framing = setup_knot(TREFOIL_SPEC)
+    ctx = FlowContext(curve, framing, find_critical_points(curve))
+    k = next(p for p in ctx.saddles if p.label == "k11_s")
+    (lazy, n_lazy), (eager, n_eager) = _lazy_and_eager(
+        lambda: boundary_D(curve, framing, k, ctx)[1:])
+    assert lazy == eager
+    assert n_lazy <= 0.6 * n_eager
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec, framing", [
+    pytest.param(TREFOIL_SPEC, "seifert", id="trefoil"),
+    pytest.param(TREFOIL_SPEC, "blackboard", id="trefoil blackboard"),
+    pytest.param({"type": "torus_knot", "p": 2, "q": 3}, "blackboard",
+                 id="T(2,3) blackboard"),
+])
+def test_waiting_branch_values_compute_the_eager_traces(spec, framing):
+    """The whole computation flows the eager flow's traces bit for bit and
+    gives its presentation and retries."""
+    def run():
+        res = compute_cord_algebra(spec, framing=framing)
+        return (res.traces, res.presentation.to_dict(), res.metadata["retries"])
+
+    (lazy, n_lazy), (eager, n_eager) = _lazy_and_eager(run)
+    assert lazy == eager
+    assert n_lazy < n_eager

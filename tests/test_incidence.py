@@ -10,7 +10,7 @@ import pytest
 
 from cordalg.energy import cord_terms
 from cordalg.errors import TangentialContact, VerticalTangent, ZeroProjection
-from cordalg.flow import _events, _group_midpoints
+from cordalg.flow import _events, _group_runs
 from cordalg.incidence import (
     ChordScreen,
     _framing_coordinates,
@@ -187,6 +187,29 @@ def test_chord_screen_block_rows_are_the_scalar_calls(trefoil):
         assert np.array_equal(rows[rows[:, 0] == i, 1],
                               screen.candidates(s[i], t[i], 0.5))
     assert len(rows) > len(s)
+
+
+def test_chord_screen_gaps_bound_the_cell_distance(trefoil):
+    """A cell's gap is the gap of its column of the full screen, on any
+    subset of cells, and no point of the cell's segment lies closer to the
+    chord than its gap."""
+    screen = ChordScreen(trefoil)
+    a = trefoil.point(screen.params)
+    b = np.roll(a, -1, axis=0)
+    rng = np.random.default_rng(7)
+    w = np.linspace(0.0, 1.0, 11)[:, None]
+    for _ in range(20):
+        s, t = rng.random(2) * trefoil.L
+        p = trefoil.point(s)[None]
+        d = trefoil.point(t)[None] - p
+        full = screen.gaps(p, d)[0]
+        cells = np.sort(rng.choice(len(screen.params), 30, replace=False))
+        assert np.array_equal(screen.gaps(p, d, cells)[0], full[cells])
+        for c in cells:
+            x = a[c] + w * (b[c] - a[c])
+            u = np.clip((x - p) @ d[0] / float(d[0] @ d[0]), 0.0, 1.0)
+            dist = np.linalg.norm(x - (p + u[:, None] * d), axis=1)
+            assert dist.min() >= full[c] - 1e-12
 
 
 @pytest.mark.parametrize("name", ["ellipse", "trefoil"])
@@ -498,7 +521,10 @@ def test_flat_seed_raises_but_leaves_other_seeds_valid():
 @pytest.fixture(scope="module")
 def k11_s_flow():
     """The pinned trefoil's saddle k11_s flowed, with every branch the flow
-    read, as (cord, branch tuples), and every kernel call, as (p, d, seeds)."""
+    read, as (cord, branch tuples), and every kernel call, as (p, d, seeds).
+
+    The flow reads the branch values at every cord (``_values_wait`` is
+    False), so that every cord with a live branch is read."""
     import cordalg.flow as flow
     from cordalg.energy import find_critical_points
     from cordalg.pipeline import setup_knot
@@ -518,6 +544,7 @@ def k11_s_flow():
         return kernel(curve, p, d, u0)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "_values_wait", lambda zone: False)
         mp.setattr(flow._Tracer, "_branch_values", branch_values)
         mp.setattr(flow, "_refine_crossings", refine_crossings)
         k = next(p for p in ctx.saddles if p.label == "k11_s")
@@ -616,7 +643,9 @@ def test_group_midpoints_match_contiguous_runs():
     for cand in cases:
         groups = _group_contiguous(cand, n)
         wraps += len(groups) > 1 and groups[0][0] > groups[0][-1]
-        assert list(_group_midpoints(cand, n)) == [g[len(g) // 2] for g in groups]
+        lo, hi = _group_runs(cand, n)
+        assert list(cand[lo + (hi - lo) // 2]) == [g[len(g) // 2] for g in groups]
+        assert [list(cand[np.arange(a, b)]) for a, b in zip(lo, hi)] == groups
     assert wraps > 50
 
 

@@ -22,7 +22,6 @@ from cordalg.knots import (
     KnotCurve,
     build_curve,
     build_framing,
-    ellipse_points,
 )
 from cordalg.pipeline import (
     compute_cord_algebra,
