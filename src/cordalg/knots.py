@@ -113,6 +113,11 @@ def _resample_arclength(points, n_out, refine=4):
     return pts, L
 
 
+# midpoint rows per band of the clearance scan: a band's (rows x n) float
+# arrays take 128 KiB each at n = 512
+_CLEARANCE_BAND = 32
+
+
 def _min_clearance(points, ratio=0.7):
     """Fold-back clearance: min spatial distance among genuinely close approaches.
 
@@ -125,40 +130,57 @@ def _min_clearance(points, ratio=0.7):
     counted pair raises ``DegenerateSpec``.  The segment distance is refined
     on the counted pairs within 2 steps of the closest one.
 
-    Midpoints are taken 64 at a time, and the block pairs are visited in
-    ascending order of the distance of their bounding boxes until that
-    distance exceeds the closest counted distance plus 2 steps: no pair
-    further on can be refined.
+    The midpoints are scanned in bands of ``_CLEARANCE_BAND`` rows, each
+    against every later midpoint.  A band's squared distances come from
+    one matrix product, by the Gram identity |c_i|^2 + |c_j|^2 - 2 c_i.c_j
+    on the midpoints c centred at their mean, and only the pairs below both
+    squared bounds, the counted one and (best + 2 steps) with the best of
+    the bands before, widened by ``margin``, are measured again by the
+    midpoint difference and judged by the exact rule.  Every term of the
+    identity is at most 4 R^2, R the largest |c_i|, so its rounding, with
+    that of the centring, is below 30 u R^2 (u = 2^-53); a pair that the
+    exact rule keeps has d^2 < t^2 (1 + 11 u) for its bound t, and no pair
+    is farther apart than 2 R (1 + u).  The margin of 1e-12 R^2 is some
+    100 times what these take, so the pairs measured again include every
+    pair the exact rule keeps, and the result is the dense rule's float.
     """
     a = np.asarray(points)
     n = len(a)
     b = np.roll(a, -1, axis=0)
     mids = 0.5 * (a + b)
     step = float(np.mean(np.linalg.norm(b - a, axis=1)))
-    starts = np.arange(0, n, 64)
-    blocks = [np.arange(i, min(i + 64, n)) for i in starts]
-    lo = np.minimum.reduceat(mids, starts)
-    hi = np.maximum.reduceat(mids, starts)
-    bi, bj = np.triu_indices(len(blocks))
-    # shrunk far beyond rounding, so it stays below every midpoint distance
-    # of the block pair
-    gap = (1.0 - 1e-12) * np.linalg.norm(
-        np.maximum(0.0, np.maximum(lo[bi] - hi[bj], lo[bj] - hi[bi])), axis=1)
-    best = math.inf
+    # the counted bound of two midpoints k apart, as the exact rule has it
+    k = np.arange(n)
+    limit = ratio * (np.minimum(k, n - k) * step)
+    c = mids - np.mean(mids, axis=0)
+    sq = row_dots(c, c)
+    margin = 1e-12 * float(np.max(sq))
+    # squared bounds by offset j - i, at -inf where j <= i, read for every
+    # pair through a Toeplitz view: row i, column j is padded[n + j - i]
+    padded = np.full(2 * n, -np.inf)
+    padded[n + 1:] = limit[1:] ** 2 + margin
+    counted2 = np.lib.stride_tricks.as_strided(
+        padded[n:], shape=(n, n), strides=(-padded.itemsize, padded.itemsize),
+        writeable=False)
+    best = bound2 = math.inf
     found = []
-    for p in np.argsort(gap):
-        if gap[p] > best + 2 * step:
-            break
-        ki, kj = blocks[bi[p]], blocks[bj[p]]
-        dist = np.linalg.norm(mids[ki, None] - mids[None, kj], axis=2)
-        circ = np.abs(ki[:, None] - kj[None, :])
-        mask = dist < ratio * (np.minimum(circ, n - circ) * step)
-        if bi[p] == bj[p]:
-            mask = np.triu(mask, k=1)
+    for lo in range(0, n - 1, _CLEARANCE_BAND):
+        hi = min(lo + _CLEARANCE_BAND, n)
+        d2 = c[lo:hi] @ c[lo:].T
+        d2 *= -2.0
+        d2 += sq[lo:hi, None]
+        d2 += sq[lo:]
+        u, v = np.nonzero((d2 < counted2[lo:hi, lo:]) & (d2 < bound2))
+        if not len(u):
+            continue
+        i, j = u + lo, v + lo
+        dist = np.linalg.norm(mids[i] - mids[j], axis=1)
+        mask = dist < limit[j - i]
         if mask.any():
             best = min(best, dist[mask].min())
-            u, v = np.nonzero(mask & (dist < best + 2 * step))
-            found.append((ki[u], kj[v], dist[u, v]))
+            bound2 = (best + 2 * step) ** 2 + margin
+            keep = mask & (dist < best + 2 * step)
+            found.append((i[keep], j[keep], dist[keep]))
     if not found:
         raise DegenerateSpec(
             f"no segment pair is closer than {ratio} of its arc distance:"
@@ -167,6 +189,12 @@ def _min_clearance(points, ratio=0.7):
     near = dist < best + 2 * step
     i, j = i[near], j[near]
     return float(np.min(_segment_distances(a[i], b[i], a[j], b[j])))
+
+
+def _clearance_points(samples):
+    """The samples whose fold-back clearance a curve records: every k-th of
+    n >= 512 samples, k = n // 512, so that the scan sees 512 to 1,023."""
+    return samples[:: max(1, len(samples) // 512)]
 
 
 def row_dots(x, y):
@@ -227,14 +255,15 @@ class KnotCurve:
 
     def validate(self):
         probe = np.linspace(0.0, self.L, 4 * len(self.samples), endpoint=False)
-        speed = np.linalg.norm(self.spline(probe, d=1), axis=1)
+        first, second = self.spline.eval_multi(probe, (1, 2))
+        speed = np.linalg.norm(first, axis=1)
         if np.any(np.abs(speed - 1.0) > DEFAULT_TOL.tol_arc):
             raise DegenerateSpec(
                 f"arclength parametrization off by {np.max(np.abs(speed - 1.0)):.2e}"
             )
         if self.clearance <= DEFAULT_TOL.embedding_floor * self.L:
             raise NonEmbedded(f"clearance {self.clearance:.3e} below floor")
-        curv = np.linalg.norm(self.spline(probe, d=2), axis=1)
+        curv = np.linalg.norm(second, axis=1)
         if np.any(curv < DEFAULT_TOL.curvature_floor):
             raise DegenerateSpec("curvature below floor at some parameter")
         return self
@@ -273,29 +302,61 @@ class Framing:
         self.eps = 0.1 * curve.clearance
 
     def at(self, s, tx, ty, tz):
-        """nu at the parameter s, where the unit tangent is (tx, ty, tz); the
-        only computation of nu, in scalar arithmetic for the flow's steps."""
-        nx, ny, nz = -tz * tx, -tz * ty, 1.0 - tz * tz
-        nn = math.sqrt(nx * nx + ny * ny + nz * nz)
-        if nn < VERTICAL_FLOOR:
-            raise VerticalTangent("tangent parallel to the vertical direction")
-        nx, ny, nz = nx / nn, ny / nn, nz / nn
-        # positive winding turns clockwise seen along the orientation,
-        # decreasing lk(K, K') by one per turn
-        angle = self.rotation
-        if self.winding:
-            angle -= 2.0 * math.pi * self.winding * s / self.curve.L
-        if angle:
-            ca, sa = math.cos(angle), math.sin(angle)
-            nx, ny, nz = (ca * nx + sa * (ty * nz - tz * ny),
-                          ca * ny + sa * (tz * nx - tx * nz),
-                          ca * nz + sa * (tx * ny - ty * nx))
-        return nx, ny, nz
+        """nu at the parameter s, where the unit tangent is (tx, ty, tz), in
+        scalar arithmetic for the flow's steps."""
+        angle = self._angle(s)
+        turn = (math.cos(angle), math.sin(angle)) if angle else None
+        return _nu_formula(tx, ty, tz, turn, math.sqrt, float)
 
     def nu(self, s):
-        """nu at each parameter of the array s, one row each."""
-        tangents = self.curve.unit_tangent(s).tolist()
-        return np.array([self.at(si, *ti) for si, ti in zip(s.tolist(), tangents)])
+        """nu at each parameter of the array s, one row each: the expression
+        of ``at`` on numpy columns, with the same floats."""
+        s = np.asarray(s, dtype=float)
+        tx, ty, tz = self.curve.unit_tangent(s).T
+        angle = self._angle(s)
+        if not self.winding:
+            turn = (math.cos(angle), math.sin(angle)) if angle else None
+            return np.column_stack(_nu_formula(tx, ty, tz, turn, np.sqrt, np.min))
+        # math's cos and sin per element, as ``at`` takes them, and no turn
+        # where the angle is zero
+        turn = (np.array([math.cos(x) for x in angle.tolist()]),
+                np.array([math.sin(x) for x in angle.tolist()]))
+        nu = np.column_stack(_nu_formula(tx, ty, tz, turn, np.sqrt, np.min))
+        flat = angle == 0.0
+        if flat.any():
+            nu[flat] = np.column_stack(_nu_formula(
+                tx[flat], ty[flat], tz[flat], None, np.sqrt, np.min))
+        return nu
+
+    def _angle(self, s):
+        """The turn of nu in the normal plane at the parameter s, a float or
+        an array: the rotation, less one full turn per winding."""
+        angle = self.rotation
+        if self.winding:
+            # positive winding turns clockwise seen along the orientation,
+            # decreasing lk(K, K') by one per turn
+            angle -= 2.0 * math.pi * self.winding * s / self.curve.L
+        return angle
+
+
+def _nu_formula(tx, ty, tz, turn, sqrt, least):
+    """The one expression of nu: the vertical projected onto the normal plane
+    of the unit tangent (tx, ty, tz), normalised, then turned in the oriented
+    normal plane by the angle whose (cos, sin) is ``turn``, or not turned
+    when it is None.  It runs on floats and on numpy columns alike: ``sqrt``
+    is the square root of either, and ``least`` gives the shortest of the
+    projections (``float`` for one), which must reach VERTICAL_FLOOR."""
+    nx, ny, nz = -tz * tx, -tz * ty, 1.0 - tz * tz
+    nn = sqrt(nx * nx + ny * ny + nz * nz)
+    if least(nn) < VERTICAL_FLOOR:
+        raise VerticalTangent("tangent parallel to the vertical direction")
+    nx, ny, nz = nx / nn, ny / nn, nz / nn
+    if turn is None:
+        return nx, ny, nz
+    ca, sa = turn
+    return (ca * nx + sa * (ty * nz - tz * ny),
+            ca * ny + sa * (tz * nx - tx * nz),
+            ca * nz + sa * (tx * ny - ty * nx))
 
 
 def build_framing(curve, kind="blackboard", rotation=0.0, winding=0):
@@ -688,7 +749,7 @@ def build_curve(spec):
         raise SpecError(f"unknown knot spec type {kind!r}")
 
     samples, L = _resample_arclength(pts, n_out)
-    clearance = _min_clearance(samples[:: max(1, len(samples) // 512)])
+    clearance = _min_clearance(_clearance_points(samples))
     curve = KnotCurve(samples, L, clearance, meta).validate()
     if shift:
         curve = curve.shift_basepoint(shift * L).validate()
@@ -739,7 +800,7 @@ def perturb_curve(curve, magnitude, seed=0):
     pts = curve.samples + bump
     try:
         samples, L = _resample_arclength(pts, n)
-        clearance = _min_clearance(samples[:: max(1, len(samples) // 512)])
+        clearance = _min_clearance(_clearance_points(samples))
         return KnotCurve(samples, L, clearance, curve.metadata).validate()
     except (NonEmbedded, DegenerateSpec) as exc:
         raise InvariantLost(str(exc)) from exc

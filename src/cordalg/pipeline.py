@@ -199,15 +199,25 @@ def genericity_check(curve, framing, critical_points):
     return report
 
 
-def _perturb_for(reason, curve, framing, magnitude, seed):
-    """The curve and framing of a retry, the framing built on that curve."""
+def _draw_magnitude(reason, curve, magnitude):
+    """The magnitude of a retry's draw: a framing turn of 0.3, a basepoint
+    shift of L / 8, or the knot bump ``magnitude``."""
     if reason == "framing":
-        return curve, perturb_framing(framing, 0.3, seed)
+        return 0.3
     if reason == "basepoint":
         # a basepoint shift is a pure reparametrization: its scale is set to
         # clear the diagonal tube (four tube widths are 0.08 L, less than
         # L / 8), not by the embedding clearance that caps geometric bumps
-        curve = perturb_basepoint(curve, curve.L / 8.0, seed)
+        return curve.L / 8.0
+    return magnitude
+
+
+def _perturb_for(reason, curve, framing, magnitude, seed):
+    """The curve and framing of a retry, the framing built on that curve."""
+    if reason == "framing":
+        return curve, perturb_framing(framing, magnitude, seed)
+    if reason == "basepoint":
+        curve = perturb_basepoint(curve, magnitude, seed)
     else:
         curve = perturb_curve(curve, magnitude, seed)
     return curve, build_framing(curve, rotation=framing.rotation,
@@ -254,7 +264,8 @@ def compute_cord_algebra(spec, framing="seifert", seed=0):
     ``UnsupportedFraming`` before the census.  The presentation is simplified.
     Genericity failures trigger seeded perturbation with retries
     (geometrically shrinking magnitude), each logged in ``metadata["retries"]``
-    with its reason, the error that caused it and its outcome.
+    with its reason, the error that caused it, the magnitude and seed of its
+    draw and its outcome.
     """
     curve, frame = setup_knot(spec)
     # a basepoint shift reparametrizes the knot and a framing retry turns nu
@@ -288,13 +299,15 @@ def compute_cord_algebra(spec, framing="seifert", seed=0):
                 raise GenericityExhausted(
                     f"perturb-and-retry budget exhausted: {last}")
             attempt += 1
+            size = _draw_magnitude(reason, curve, magnitude)
             try:
-                curve, frame = _perturb_for(reason, curve, frame, magnitude,
+                curve, frame = _perturb_for(reason, curve, frame, size,
                                             seed + attempt)
                 redrawn = True
             except InvariantLost as exc:
                 last = exc.with_traceback(None)
             retries.append({"attempt": attempt, "reason": reason, "error": error,
+                            "magnitude": size, "seed": seed + attempt,
                             "outcome": "accepted" if redrawn else "refused"})
             magnitude *= 0.5
         if reason == "knot":

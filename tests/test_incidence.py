@@ -65,6 +65,9 @@ def test_vertical_tangent_is_one_error():
     curve = build_curve({"type": "samples", "points": _VERTICAL_CIRCLE})
     with pytest.raises(VerticalTangent):
         build_framing(curve)
+    for turned in (Framing(curve, rotation=0.15), Framing(curve, winding=1)):
+        with pytest.raises(VerticalTangent):
+            turned.nu(np.array([0.0, curve.L / 4.0]))
     framing = Framing(curve)
     t = curve.L / 3.0
     with pytest.raises(VerticalTangent):

@@ -256,6 +256,7 @@ def test_circle_computes_the_unknot_after_one_knot_draw():
     assert res.presentation.relations[0] == UNKNOT_RELATION
     assert res.metadata["retries"] == [
         {"attempt": 1, "reason": "knot", "error": "DegenerateCritical",
+         "magnitude": build_curve(spec).clearance / 8.0, "seed": 1,
          "outcome": "accepted"},
     ]
 
@@ -301,6 +302,7 @@ def test_retry_log_records_the_ellipse_basepoint_draw():
     res = compute_cord_algebra(spec)
     assert res.metadata["retries"] == [
         {"attempt": 1, "reason": "basepoint", "error": "GenericityViolation",
+         "magnitude": build_curve(spec).L / 8.0, "seed": 1,
          "outcome": "accepted"},
     ]
     assert "retries" not in res.presentation.metadata
@@ -324,13 +326,40 @@ def test_retry_log_lists_refused_draws(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_run_once", run_once)
     monkeypatch.setattr(pipeline, "_perturb_for", perturb_for)
-    assert compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1}) == "result"
+    spec = {"type": "ellipse", "a": 2, "b": 1}
+    assert compute_cord_algebra(spec) == "result"
+    m = build_curve(spec).clearance / 8.0
     assert logs == [[], [
         {"attempt": 1, "reason": "knot", "error": "DegenerateCritical",
-         "outcome": "refused"},
+         "magnitude": m, "seed": 1, "outcome": "refused"},
         {"attempt": 2, "reason": "knot", "error": "DegenerateCritical",
-         "outcome": "accepted"},
+         "magnitude": m / 2, "seed": 2, "outcome": "accepted"},
     ]]
+
+
+def test_knot_draws_log_halving_magnitudes(monkeypatch):
+    """Every knot draw, refused or run, is logged with its seed and half the
+    magnitude of the draw before, starting from clearance / 8."""
+    logs = []
+
+    def run_once(curve, *args):
+        logs.append(list(args[-1]))
+        if len(logs) < 3:
+            raise DegenerateCritical("forced")
+        return "result"
+
+    def perturb_for(reason, curve, framing, magnitude, seed):
+        if seed == 7:
+            raise InvariantLost("forced")
+        return curve, framing
+
+    monkeypatch.setattr(pipeline, "_run_once", run_once)
+    monkeypatch.setattr(pipeline, "_perturb_for", perturb_for)
+    spec = {"type": "ellipse", "a": 2, "b": 1}
+    assert compute_cord_algebra(spec, seed=5) == "result"
+    m = build_curve(spec).clearance / 8.0
+    assert [(r["magnitude"], r["seed"], r["outcome"]) for r in logs[-1]] == [
+        (m, 6, "accepted"), (m / 2, 7, "refused"), (m / 4, 8, "accepted")]
 
 
 def test_setup_rotates_braid_framings_once():
