@@ -6,7 +6,9 @@ the options it honours, and every numerical setting is the one of
 as UTF-8 to the ``-o`` file.  Exit status: 0 on success; 1 on genericity
 exhaustion, and from ``check`` when an invariant fails; 2 on spec errors and
 bad option values; 3 on numerical failures (any other package error, such as
-StepCollapse, MaxSplits or NumericalAmbiguity).
+StepCollapse, MaxSplits or NumericalAmbiguity); 141 (128 + SIGPIPE, as a
+shell reports a writer that the signal ended) when the reader of stdout
+closes the pipe early, as ``head`` does.
 """
 
 from __future__ import annotations
@@ -301,7 +303,14 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; with no stdout left that
+        # flush cannot fail a second time
+        sys.stdout = None
+        return 141
     except GenericityExhausted as exc:
         print(f"genericity exhausted: {exc}", file=sys.stderr)
         return 1

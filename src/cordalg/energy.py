@@ -350,10 +350,8 @@ def _braid_labels(curve, points):
     these decorative names.
     """
     meta = curve.metadata
-    spacing = meta.get("spacing", 0.25)
-    modulation = meta.get("modulation", 0.3)
-    short_cut = 2.5 * spacing * (1.0 + modulation)
-    n = meta.get("strands", 2)
+    short_cut = 2.5 * meta["spacing"] * (1.0 + meta["modulation"])
+    n = meta["strands"]
     pairs = {}
     for p in points:
         key = _pair_key(curve, p)

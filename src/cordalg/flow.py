@@ -834,7 +834,7 @@ def dhat_of_trace(trace, terminal_values):
         c1, c2 = sp["children"]
         piece = (_mono(sp["left"])
                  * dhat_of_trace(c1, terminal_values)
-                 * AlgebraElement.mu(sp.get("birth_mu", 0))
+                 * AlgebraElement.mu(sp["birth_mu"])
                  * dhat_of_trace(c2, terminal_values)
                  * _mono(sp["right"]))
         out = out + sp["sign"] * piece
@@ -931,7 +931,7 @@ def mirror_trace(trace, partner_labels):
         splits=[{
             "time": sp["time"],
             "sign": -sp["sign"],
-            "birth_mu": -1 - sp.get("birth_mu", 0),
+            "birth_mu": -1 - sp["birth_mu"],
             "left": _neg(sp["right"]),
             "right": _neg(sp["left"]),
             "children": tuple(mirror_trace(c, partner_labels)

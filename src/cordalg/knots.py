@@ -244,9 +244,6 @@ class KnotCurve:
     def tangent(self, s):
         return self.spline(s, d=1)
 
-    def second(self, s):
-        return self.spline(s, d=2)
-
     def unit_tangent(self, s):
         t = self.spline(s, d=1)
         return t / np.linalg.norm(t, axis=-1, keepdims=True)

@@ -35,16 +35,12 @@ def winding_sweep_rules(curve, ctx, lk):
     """Substitution rules from sliding lk windings to the crossing sites.
 
     Returns a list of (generator label, AlgebraElement) pairs; labels not
-    listed are unchanged.
+    listed are unchanged.  On a braid closure lk is the writhe, the sum of
+    the crossing signs, so there are at least |lk| crossing sites.
     """
     from .ring import AlgebraElement
 
-    targets = crossing_passage_params(curve)
-    if len(targets) < abs(lk):
-        # more windings than crossings (or vice versa): spread them evenly
-        targets = (targets * (abs(lk) // max(len(targets), 1) + 1))[: abs(lk)]
-    else:
-        targets = targets[: abs(lk)]
+    targets = crossing_passage_params(curve)[: abs(lk)]
 
     # a winding sweeps past every parameter between the basepoint and its
     # target

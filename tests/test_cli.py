@@ -67,9 +67,13 @@ def test_compute_refuses_the_torus_knot_in_the_seifert_framing(capsys):
     ("circle.json", [], "compute_circle.json"),
     ("ellipse.json", ["--resolution", "6"], "sets_ellipse.json"),
     ("trefoil.json", ["--resolution", "6"], "sets_trefoil.json"),
+    ("trefoil.json", ["--format", "tsv"], "analyze_trefoil.tsv"),
+    # a cord with F-start and F-end events and one split
+    ("trefoil.json", ["--cord", "1.0,22.5", "--format", "text"], "trace_trefoil.txt"),
 ])
 def test_compute_matches_the_byte_golden(spec, options, golden, tmp_path):
-    """The shipped specs compute and export byte for byte the pinned outputs."""
+    """The shipped specs compute, analyze, export and trace byte for byte
+    the pinned outputs."""
     command = golden.split("_")[0]
     out = tmp_path / "out.json"
     assert main([command, str(SPECS / spec), *options, "-o", str(out)]) == 0
@@ -245,6 +249,18 @@ def test_numerical_failure_exit_code(ellipse_spec, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_compute", collapse)
     assert main(["compute", ellipse_spec]) == 3
     assert capsys.readouterr().err.startswith("error: step size below the floor")
+
+
+def test_a_closed_pipe_exits_cleanly(ellipse_spec, monkeypatch, capsys):
+    """A reader that closes stdout early, as ``head`` does, ends the command
+    with exit status 141 and no traceback."""
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["analyze", ellipse_spec, "--format", "tsv"]) == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_the_package_imports_no_scipy():

@@ -206,7 +206,7 @@ def test_dhat_fold_with_synthetic_split():
     parent = FlowTrace(
         initial=(0, 0), events=[], terminal="g2", left=(0, 0), right=(1, 0),
         splits=[{
-            "time": 1.0, "sign": -1,
+            "time": 1.0, "sign": -1, "birth_mu": 0,
             "left": (0, -1), "right": (0, 0),
             "children": (child1, child2), "hit": (0, 0.5),
         }],

@@ -15,21 +15,22 @@ from cordalg.incidence import (
     ChordScreen,
     _framing_coordinates,
     _refine_crossings,
-    _tangency_residual,
     chord_knot_intersections,
     cord_events,
-    f_arc_ends,
-    f_start_value,
     framing_event,
-    tangent_boundary_cords,
 )
 from cordalg.knots import Framing, KnotCurve, build_curve, build_framing
 from cordalg.tolerances import DEFAULT_TOL
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+from boundary_cords import (
+    F_ARC_RADIUS,
+    f_arc_ends,
+    f_start_value,
+    tangency_residual,
+    tangent_boundary_cords,
+)
 
-# radius of the F^s arc-end circle around a tangency cord, as a fraction of L
-F_ARC_RADIUS = 10 * 1e-4
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 # a circle in the xz-plane, whose tangent is vertical at s = 0
 _VERTICAL_CIRCLE = [[math.cos(2 * math.pi * k / 64), 0.0,
@@ -396,7 +397,7 @@ def _refine_hit_scalar(curve, p, d, u0, iters=40):
         tau = float((x - p) @ d) / dd
         r = x - (p + tau * d)
         g = float(r @ v)
-        h = float(v @ v - ((v @ d) ** 2) / dd + r @ curve.second(u))
+        h = float(v @ v - ((v @ d) ** 2) / dd + r @ curve.spline(u, d=2))
         if abs(h) < 1e-12:
             raise TangentialContact("flat distance minimum along the chord")
         step = g / h
@@ -579,7 +580,7 @@ def _cycle_start(curve, p, d, u0, iters=40):
         x, v = curve.point(u), curve.tangent(u)
         tau = float((x - p) @ d) / dd
         r = x - (p + tau * d)
-        h = float(v @ v - ((v @ d) ** 2) / dd + r @ curve.second(u))
+        h = float(v @ v - ((v @ d) ** 2) / dd + r @ curve.spline(u, d=2))
         if abs(h) < 1e-12:
             return None
         step = max(-0.25, min(0.25, float(r @ v) / h))
@@ -691,13 +692,13 @@ def test_tangency_jacobian_matches_central_differences(trefoil):
     with central differences of r at 50 random cords."""
     rng = np.random.default_rng(21)
     s, t = rng.random((2, 50)) * trefoil.L
-    _r, J = _tangency_residual(trefoil, s, t)
+    _r, J = tangency_residual(trefoil, s, t)
     h = 1e-6 * trefoil.L
     fd = np.stack([
-        (_tangency_residual(trefoil, s + h, t)[0]
-         - _tangency_residual(trefoil, s - h, t)[0]) / (2 * h),
-        (_tangency_residual(trefoil, s, t + h)[0]
-         - _tangency_residual(trefoil, s, t - h)[0]) / (2 * h),
+        (tangency_residual(trefoil, s + h, t)[0]
+         - tangency_residual(trefoil, s - h, t)[0]) / (2 * h),
+        (tangency_residual(trefoil, s, t + h)[0]
+         - tangency_residual(trefoil, s, t - h)[0]) / (2 * h),
     ], axis=2)
     assert np.max(np.abs(J - fd)) < 1e-6 * max(1.0, np.max(np.abs(J)))
 

@@ -86,7 +86,7 @@ def test_resampling_idempotent(ellipse):
 def test_frenet_consistency(ellipse):
     probe = np.linspace(0, ellipse.L, 333)
     t = ellipse.tangent(probe)
-    a = ellipse.second(probe)
+    a = ellipse.spline(probe, d=2)
     curv = np.linalg.norm(a, axis=1)
     mask = curv > DEFAULT_TOL.curvature_floor
     dots = np.abs(np.einsum("ij,ij->i", t, a))[mask]

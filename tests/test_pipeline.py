@@ -22,6 +22,7 @@ from cordalg.knots import (
     KnotCurve,
     build_curve,
     build_framing,
+    linking_number,
 )
 from cordalg.pipeline import (
     compute_cord_algebra,
@@ -483,3 +484,25 @@ def test_crossing_passages_match_the_radial_derivation(word):
     assert len(new) == len(ref) == 3
     for p, q in zip(new, ref):
         assert round(curve.circ_dist(p, q) / step) <= 2
+
+
+@pytest.mark.parametrize("spec", [
+    None,
+    {"type": "braid", "word": [1, 1, 1]},
+    {"type": "braid", "word": [-1, -1, -1]},
+    {"type": "braid", "word": [1] * 5},
+    {"type": "braid", "word": [1, -1, 1]},
+    {"type": "braid", "word": [1, 1, 1], "spacing": 0.14},
+    {"type": "braid", "word": [1, 1, 1], "modulation": 0.28},
+], ids=["trefoil.json", "[1,1,1]", "[-1,-1,-1]", "[1]*5", "[1,-1,1]",
+        "spacing 0.14", "modulation 0.28"])
+def test_braid_linking_number_is_the_writhe(spec):
+    """On a braid closure lk is the sum of the crossing signs, and the layout
+    records one over-passage per crossing, so |lk| never exceeds the number
+    of sites that the Seifert windings sweep to."""
+    if spec is None:
+        spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
+                           / "trefoil.json").read_text())
+    curve, frame = pipeline.setup_knot(spec)
+    assert linking_number(curve, frame) == sum(spec["word"])
+    assert len(curve.metadata["over_passages"]) == len(spec["word"])
