@@ -98,11 +98,7 @@ def cmd_compute(args):
     spec = _load_spec(args.spec)
     result = compute_cord_algebra(spec, framing=args.framing, seed=args.seed)
     doc = result.presentation.to_dict()
-    doc["metadata"].update({
-        "lk": result.linking,
-        "census": list(result.census),
-        "D_M": serialize(result.D_M),
-    })
+    doc["metadata"]["D_M"] = serialize(result.D_M)
     if args.format == "text":
         lines = [f"ring: {doc['ring']}",
                  f"generators: {', '.join(doc['generators']) or '(none)'}",

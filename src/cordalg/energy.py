@@ -344,14 +344,13 @@ def _braid_labels(curve, points):
     """s / S for the short inter-strand cords, k_ij / l_ij for the long ones.
 
     The paper's (i, j) strand indices depend on its drawing; here the long
-    cords of each index are named k11, k12, ... in descending energy order
-    (the paper's k11 is its longest index-1 cord), which is deterministic
-    and layout-independent.  Golden comparisons use value multisets, not
-    these decorative names.
+    cords of each index are named k11, k12, k21, k22, ... in descending
+    energy order (the paper's k11 is its longest index-1 cord), which is
+    deterministic and layout-independent.  Golden comparisons use value
+    multisets, not these decorative names.
     """
     meta = curve.metadata
     short_cut = 2.5 * meta["spacing"] * (1.0 + meta["modulation"])
-    n = meta["strands"]
     pairs = {}
     for p in points:
         key = _pair_key(curve, p)
@@ -370,7 +369,7 @@ def _braid_labels(curve, points):
             seen[keys[0]] = fam
         elif fam in ("k", "l"):
             for rank, key in enumerate(keys):
-                i, j = divmod(rank, n)
+                i, j = divmod(rank, 2)
                 seen[key] = f"{fam}{i + 1}{j + 1}"
         else:
             for rank, key in enumerate(keys):

@@ -9,6 +9,7 @@ reparametrization of the same geometry.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -370,7 +371,7 @@ def build_framing(curve, kind="blackboard", rotation=0.0, winding=0):
 # linking number by crossing count
 # ---------------------------------------------------------------------------
 
-# the projection direction of ``linking_number``: tilted off the vertical,
+# the projection direction of ``linking_number``: oblique to the vertical,
 # along which the stacked strands of braid layouts and the blackboard
 # push-off would almost overlay
 LINKING_VIEW = np.array([0.6, 0.3, 1.0]) / math.sqrt(1.45)
@@ -457,12 +458,9 @@ def linking_number(curve, framing, eps=None):
 # primitive layouts
 # ---------------------------------------------------------------------------
 
-def ellipse_points(a, b, n=1024, tilt=None):
+def ellipse_points(a, b, n=1024):
     th = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    pts = np.stack([a * np.cos(th), b * np.sin(th), np.zeros_like(th)], axis=1)
-    if tilt:
-        pts = pts @ _rotation_matrix(tilt).T
-    return pts
+    return np.stack([a * np.cos(th), b * np.sin(th), np.zeros_like(th)], axis=1)
 
 
 def torus_knot_points(p, q, R=3.0, r=1.0, n=2048):
@@ -472,17 +470,6 @@ def torus_knot_points(p, q, R=3.0, r=1.0, n=2048):
         (R + r * np.cos(q * th)) * np.sin(p * th),
         r * np.sin(q * th),
     ], axis=1)
-
-
-def _rotation_matrix(angles):
-    ax, ay, az = angles
-    cx, sx = math.cos(ax), math.sin(ax)
-    cy, sy = math.cos(ay), math.sin(ay)
-    cz, sz = math.cos(az), math.sin(az)
-    rx = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    ry = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-    rz = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-    return rz @ ry @ rx
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +483,16 @@ def _smoothstep(t):
 
 @dataclass
 class BraidLayoutSpec:
-    """Braid closure drawn along an ellipse, crossings confined to one quarter.
+    """Two-strand braid closure drawn along an ellipse, crossings confined to
+    one quarter.
 
-    Strands are stacked vertically over the ellipse and swap levels by half
-    turns inside angular slots; the stack separation d(theta) is modulated by
-    one cosine so the short inter-strand cords have exactly one minimum (the
-    cord s) and one maximum (the saddle S) instead of a critical circle.
+    The two strands are stacked vertically over the ellipse and swap levels
+    by half turns inside angular slots; the stack separation d(theta) is
+    modulated by one cosine so the short inter-strand cords have exactly one
+    minimum (the cord s) and one maximum (the saddle S) instead of a
+    critical circle.  ``strands`` must be 2, or ``DegenerateSpec`` is
+    raised; the generators are 1 and -1, and a word of even length, whose
+    closure is a link, raises SpecError.
     """
 
     word: list
@@ -512,37 +503,18 @@ class BraidLayoutSpec:
     modulation: float = 0.3
     theta_S: float = math.radians(265.0)
     quarter: tuple = (math.radians(272.0), math.radians(358.0))
-    inplane_ratio: float = 1.0     # swap-circle in-plane amplitude / spacing;
-                                   # 1.0 keeps the strand pair at constant
-                                   # separation through the crossings so the
-                                   # short-cord family stays a single Bott
-                                   # circle (broken only by the modulation)
-    samples_per_loop: int = 2048
 
     def __post_init__(self):
-        if self.strands < 2:
-            raise DegenerateSpec("braid needs at least 2 strands")
+        if self.strands != 2:
+            raise DegenerateSpec(
+                f"braid layouts draw two strands, not {self.strands}")
         for g in self.word:
-            if g == 0 or abs(g) >= self.strands:
-                raise SpecError(f"braid generator {g} out of range")
-        if not self._single_cycle():
-            raise SpecError("braid closure is a link, not a knot")
-
-    def _permutation(self):
-        perm = list(range(self.strands))
-        for g in self.word:
-            i = abs(g) - 1
-            perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        return perm
-
-    def _single_cycle(self):
-        perm = self._permutation()
-        seen = 1
-        at = perm[0]
-        while at != 0:
-            at = perm[at]
-            seen += 1
-        return seen == self.strands
+            if abs(g) != 1:
+                raise SpecError(f"braid generator {g} out of range: two strands"
+                                " have only the generators 1 and -1")
+        if len(self.word) % 2 == 0:
+            raise SpecError("braid closure is a link, not a knot: a two-strand"
+                            " word needs an odd number of crossings")
 
     def slots(self):
         """Angular slot (start, end) for each crossing, inside the quarter."""
@@ -554,6 +526,10 @@ class BraidLayoutSpec:
 
     def d_of_theta(self, theta):
         return self.spacing * (1.0 + self.modulation * np.cos(theta - self.theta_S))
+
+
+# samples of ``braid_layout_points`` per pass of the ellipse
+_BRAID_PASS_SAMPLES = 2048
 
 
 def _ellipse_frame(spec, theta):
@@ -569,79 +545,43 @@ def _ellipse_frame(spec, theta):
 
 
 def braid_layout_points(spec):
-    """Dense points along the braid closure, plus layout metadata.
+    """Dense points along the two-strand braid closure, plus layout metadata.
 
-    Returns (points, metadata); metadata records the strand count, spacing
-    and modulation, which the labeler reads, and each crossing's
-    over-passage point, where the Seifert winding-rule derivation settles a
-    winding.
+    The closure passes the ellipse twice, starting at the stack levels -1/2
+    and +1/2 (units of d), and every slot swaps the two levels by a half
+    turn.  Returns (points, metadata); metadata records the spacing and
+    modulation, which the labeler reads, and each crossing's over-passage
+    point, where the Seifert winding-rule derivation settles a winding.
     """
-    n_str = spec.strands
-    loops = n_str  # single-cycle closure passes the ellipse once per strand
-    n_total = spec.samples_per_loop * loops
-    Theta = np.linspace(0.0, 2.0 * math.pi * loops, n_total, endpoint=False)
+    Theta = np.linspace(0.0, 4.0 * math.pi, 2 * _BRAID_PASS_SAMPLES, endpoint=False)
     theta = Theta % (2.0 * math.pi)
-    loop_idx = (Theta // (2.0 * math.pi)).astype(int)
-
-    # braid position occupied at Theta: start of each loop from the closure
-    # permutation, updated as theta passes each slot
-    perm = spec._permutation()
-    start_pos = [0]
-    for _ in range(loops - 1):
-        start_pos.append(perm[start_pos[-1]])
-    slots = spec.slots()
-
-    pos = np.array([start_pos[l] for l in loop_idx])
-    alpha = np.zeros(n_total)  # vertical stack coordinate (units of d)
-    beta = np.zeros(n_total)   # in-plane normal coordinate  (units of d)
-    # per crossing: the slot's middle angle and the (alpha, beta) of the
-    # strand on the outside of the swap there (its over-passage)
-    over_theta, over_ab = [], []
-
-    # positions before each slot, evolved sequentially
-    for k, (g, (a_k, b_k)) in enumerate(zip(spec.word, slots)):
-        i = abs(g) - 1
-        after = theta >= b_k
+    # the stack level outside the slots, and where a slot is entered: each
+    # slot flips it, so the second pass starts at +1/2
+    level = np.where(Theta < 2.0 * math.pi, -0.5, 0.5)
+    phi = np.zeros_like(theta)  # the strand pair's turn, 0 outside the slots
+    for g, (a_k, b_k) in zip(spec.word, spec.slots()):
         inside = (theta >= a_k) & (theta < b_k)
-        lo, hi = i, i + 1
-        swap_lo = after & (pos == lo)
-        swap_hi = after & (pos == hi)
-        mid = (lo + hi) / 2.0 - (n_str - 1) / 2.0
-
-        # rotation inside the slot; positive generators give positive
-        # crossings w.r.t. the blackboard push-off
-        def slot_coords(t, sgn):
-            phi = np.sign(g) * math.pi * _smoothstep(t)
-            return (mid + sgn * np.cos(phi),
-                    sgn * spec.inplane_ratio * np.sin(phi))
-
-        t = (theta - a_k) / (b_k - a_k)
-        for which, sgn in ((lo, -0.5), (hi, 0.5)):
-            m = inside & (pos == which)
-            alpha[m], beta[m] = slot_coords(t[m], sgn)
-        over_theta.append(0.5 * (a_k + b_k))
-        over_ab.append(max((slot_coords(0.5, sgn) for sgn in (-0.5, 0.5)),
-                           key=lambda ab: ab[1]))
-        pos[swap_lo] = hi
-        pos[swap_hi] = lo
-
-    outside = np.ones(n_total, dtype=bool)
-    for (a_k, b_k) in slots:
-        outside &= ~((theta >= a_k) & (theta < b_k))
-    alpha[outside] = pos[outside] - (n_str - 1) / 2.0
-
+        # positive generators give positive crossings w.r.t. the blackboard
+        # push-off
+        phi[inside] = np.sign(g) * math.pi * _smoothstep(
+            (theta[inside] - a_k) / (b_k - a_k))
+        level[theta >= b_k] *= -1.0
     d = spec.d_of_theta(theta)
     base, n_hat = _ellipse_frame(spec, theta)
+    # vertical stack and in-plane normal coordinates, in units of d
+    alpha, beta = level * np.cos(phi), level * np.sin(phi)
     pts = base + (d * alpha)[:, None] * VERTICAL + (d * beta)[:, None] * n_hat
 
-    over_theta = np.array(over_theta)
-    over_ab = np.array(over_ab).reshape(-1, 2)
+    # halfway through each slot the strand that entered at level sign(g) / 2
+    # is outside the other one: the over-passage
+    over_theta = np.array([0.5 * (a_k + b_k) for a_k, b_k in spec.slots()])
+    over_level = 0.5 * np.sign(spec.word)[:, None]
+    turn = np.sign(spec.word)[:, None] * math.pi * _smoothstep(0.5)
     base, n_hat = _ellipse_frame(spec, over_theta)
     over = base + spec.d_of_theta(over_theta)[:, None] * (
-        over_ab[:, :1] * VERTICAL + over_ab[:, 1:] * n_hat)
+        over_level * np.cos(turn) * VERTICAL + over_level * np.sin(turn) * n_hat)
     meta = {
         "layout": "braid",
-        "strands": n_str,
         "spacing": spec.spacing,
         "modulation": spec.modulation,
         "over_passages": over,
@@ -656,6 +596,16 @@ def braid_layout_points(spec):
 _REQUIRED = object()
 
 
+def _real(value):
+    """A JSON number as a finite float: bools, strings, NaN and the
+    infinities are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a number")
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float(value)
+
+
 def _integer(value):
     if isinstance(value, bool) or int(value) != value:
         raise ValueError(f"{value!r} is not an integer")
@@ -664,7 +614,7 @@ def _integer(value):
 
 def _numbers(count):
     def convert(value):
-        out = tuple(float(x) for x in value)
+        out = tuple(_real(x) for x in value)
         if len(out) != count:
             raise ValueError(f"expected {count} numbers, got {len(out)}")
         return out
@@ -672,7 +622,7 @@ def _numbers(count):
 
 
 def _points(value):
-    pts = np.asarray(value, dtype=float)
+    pts = np.array([[_real(x) for x in p] for p in value])
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected a list of [x, y, z] points, got shape {pts.shape}")
     return pts
@@ -682,12 +632,21 @@ def _word(value):
     return [_integer(g) for g in value]
 
 
-_BRAID_FIELDS = {"strands": _integer, "a": float, "b": float, "spacing": float,
-                 "modulation": float, "theta_S": float, "quarter": _numbers(2),
-                 "inplane_ratio": float, "samples_per_loop": _integer}
+_BRAID_FIELDS = {"strands": _integer, "a": _real, "b": _real, "spacing": _real,
+                 "modulation": _real, "theta_S": _real, "quarter": _numbers(2)}
+
+# every key a knot spec may have, by its type: the ones ``build_curve``
+# reads, and ``framing_rotation``, which ``pipeline.setup_knot`` reads
+_SPEC_KEYS = {
+    kind: frozenset({"type", "basepoint_shift", "framing_rotation", *keys})
+    for kind, keys in [("samples", ["points"]),
+                       ("circle", ["r", "n"]),
+                       ("ellipse", ["a", "b", "n"]),
+                       ("torus_knot", ["p", "q", "R", "r"]),
+                       ("braid", ["word", *_BRAID_FIELDS])]}
 
 
-def spec_field(spec, key, convert=float, default=_REQUIRED):
+def spec_field(spec, key, convert=_real, default=_REQUIRED):
     """``convert(spec[key])``, or ``default`` when the key is absent or null.
     A missing required field, or a value that ``convert`` refuses, raises
     SpecError naming the field."""
@@ -706,14 +665,21 @@ def spec_field(spec, key, convert=float, default=_REQUIRED):
 def build_curve(spec):
     """Build a validated KnotCurve from a knot spec dict.
 
-    Spec types: samples | circle | ellipse | torus_knot | braid.  Optional
-    field: basepoint_shift (fraction of L).  The framing field
-    (framing_rotation) is read by ``pipeline.setup_knot``, which also
-    refuses the keys it does not support.  Every field is read and converted
+    Spec types: samples | circle | ellipse | torus_knot | braid, with the
+    keys that ``_SPEC_KEYS`` lists for each; every type takes the optional
+    basepoint_shift (fraction of L) and framing_rotation, which
+    ``pipeline.setup_knot`` reads.  Any other key raises SpecError, and so
+    does a number that is not finite.  Every field is read and converted
     before any numerics run.
     """
     kind = spec.get("type")
-    shift = spec_field(spec, "basepoint_shift", float, 0.0)
+    if not isinstance(kind, str) or kind not in _SPEC_KEYS:
+        raise SpecError(f"unknown knot spec type {kind!r}")
+    unread = [repr(k) for k in spec if k not in _SPEC_KEYS[kind]]
+    if unread:
+        raise SpecError(f"knot spec type {kind!r} has no field {', '.join(unread)};"
+                        f" its fields are {', '.join(sorted(_SPEC_KEYS[kind]))}")
+    shift = spec_field(spec, "basepoint_shift", default=0.0)
     meta = {}
     if kind == "samples":
         pts = spec_field(spec, "points", _points)
@@ -726,24 +692,21 @@ def build_curve(spec):
         n_out = 512
     elif kind == "ellipse":
         pts = ellipse_points(spec_field(spec, "a"), spec_field(spec, "b"),
-                             n=spec_field(spec, "n", _integer, 1024),
-                             tilt=spec_field(spec, "tilt", _numbers(3), None))
+                             n=spec_field(spec, "n", _integer, 1024))
         n_out = 512
     elif kind == "torus_knot":
         pts = torus_knot_points(spec_field(spec, "p", _integer),
                                 spec_field(spec, "q", _integer),
-                                spec_field(spec, "R", float, 3.0),
-                                spec_field(spec, "r", float, 1.0))
+                                spec_field(spec, "R", default=3.0),
+                                spec_field(spec, "r", default=1.0))
         n_out = 1024
-    elif kind == "braid":
+    else:
         kwargs = {k: spec_field(spec, k, convert)
                   for k, convert in _BRAID_FIELDS.items()
                   if spec.get(k) is not None}
         pts, meta = braid_layout_points(
             BraidLayoutSpec(word=spec_field(spec, "word", _word), **kwargs))
         n_out = 2048
-    else:
-        raise SpecError(f"unknown knot spec type {kind!r}")
 
     samples, L = _resample_arclength(pts, n_out)
     clearance = _min_clearance(_clearance_points(samples))

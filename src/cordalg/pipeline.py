@@ -230,20 +230,14 @@ def setup_knot(spec):
 
     ``framing_rotation`` rotates the framing in the normal planes; braid
     layouts default to ``BRAID_ROTATION``.  Every computation runs with this
-    framing, so a ``framing`` key, which would ask for another one, raises
-    SpecError, and so does a ``seifert_rules`` key, which would replace the
-    derived Seifert rules.
+    framing.  ``build_curve`` refuses every key that the spec's type does
+    not read, such as a ``framing`` key, which would ask for another
+    framing, or a ``seifert_rules`` key, which would replace the derived
+    Seifert rules.
     """
     if not isinstance(spec, dict):
         raise SpecError(f"a knot spec is a JSON object, not a {type(spec).__name__}")
-    if "framing" in spec:
-        raise SpecError("the spec key 'framing' is not supported: computations"
-                        " use the blackboard framing, rotated by"
-                        " 'framing_rotation'")
-    if "seifert_rules" in spec:
-        raise SpecError("the spec key 'seifert_rules' is not supported: the"
-                        " Seifert framing uses the derived winding-sweep rules")
-    rotation = spec_field(spec, "framing_rotation", float, 0.0)
+    rotation = spec_field(spec, "framing_rotation", default=0.0)
     curve = build_curve(spec)
     if curve.metadata.get("layout") == "braid" and rotation == 0.0:
         rotation = BRAID_ROTATION

@@ -228,10 +228,28 @@ _VERTICAL_CIRCLE = [[math.cos(2 * math.pi * k / 64), 0.0,
     ({"type": "braid"}, "needs the field 'word'"),
     ({"type": "torus_knot", "p": 2}, "needs the field 'q'"),
     ([{"type": "ellipse", "a": 2, "b": 1}], "a knot spec is a JSON object"),
+    ({"type": "ellipse", "a": 2, "b": 1, "tilt": [0.1, 0.2, 0.3]}, "'tilt'"),
+    ({"type": "braid", "word": [1, 1, 1], "inplane_ratio": 1.0},
+     "'inplane_ratio'"),
+    ({"type": "braid", "word": [1, 1, 1], "modualtion": 0.28}, "'modualtion'"),
+    ({"type": "braid", "word": [1, -2, 1, -2], "strands": 3}, "two strands"),
+    ({"type": "ellipse", "a": 2, "b": 1, "framing_rotation": math.nan},
+     "bad spec field 'framing_rotation'"),
+    ({"type": "ellipse", "a": 2, "b": 1, "basepoint_shift": math.inf},
+     "bad spec field 'basepoint_shift'"),
+    ({"type": "ellipse", "a": "2", "b": 1}, "bad spec field 'a'"),
+    ({"type": "ellipse", "a": True, "b": 1}, "bad spec field 'a'"),
+    ({"type": "samples", "points": _VERTICAL_CIRCLE[:-1] + [[math.nan, 0.0, 1.0]]},
+     "bad spec field 'points'"),
+    ({"type": "samples", "points": _VERTICAL_CIRCLE[:-1] + [["1", 0.0, 0.0]]},
+     "bad spec field 'points'"),
 ], ids=["seifert rules key", "vertical tangent",
         "missing ellipse axis", "non-numeric axis", "non-numeric rotation",
         "non-numeric basepoint shift", "braid without word",
-        "torus knot without q", "top-level list"])
+        "torus knot without q", "top-level list", "tilt key",
+        "inplane_ratio key", "misspelt key", "three strands", "NaN rotation",
+        "infinite basepoint shift", "string axis", "boolean axis", "NaN point",
+        "string coordinate"])
 def test_bad_input_is_a_spec_error(spec, message, tmp_path, capsys):
     """Input the setup refuses exits 2, the spec-error code, not 3."""
     path = tmp_path / "spec.json"

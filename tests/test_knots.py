@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cordalg import knots
 from cordalg.errors import DegenerateSpec, InvariantLost, NumericalAmbiguity, SpecError
 from cordalg.knots import (
     _CROSSING_MARGIN,
@@ -99,9 +100,23 @@ def test_too_few_points_rejected():
         build_curve({"type": "samples", "points": pts})
 
 
-def test_braid_closure_must_be_knot():
-    with pytest.raises(SpecError):
-        BraidLayoutSpec(word=[1, 1], strands=2)  # two-component link
+def test_braid_closure_must_be_knot(monkeypatch):
+    """A braid that the two-strand layout cannot close into a knot is
+    refused before any point is built."""
+    def no_points(spec):
+        raise AssertionError("points built for a refused braid")
+
+    monkeypatch.setattr(knots, "braid_layout_points", no_points)
+    for fields, error in [
+        ({"word": [1, 1]}, SpecError),                   # two-component link
+        ({"word": [1, 2, 1]}, SpecError),                # generator 2
+        ({"word": [1, -1, 1, -1]}, SpecError),           # even word: a link
+        ({"word": [1, -2, 1, -2], "strands": 3}, DegenerateSpec),
+    ]:
+        with pytest.raises(error):
+            BraidLayoutSpec(**fields)
+        with pytest.raises(error):
+            build_curve({"type": "braid", **fields})
 
 
 def projection_crossings(curve, n=2048):

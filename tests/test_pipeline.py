@@ -18,10 +18,12 @@ from cordalg.errors import (
     UnsupportedFraming,
 )
 from cordalg.knots import (
+    _SPEC_KEYS,
     BraidLayoutSpec,
     KnotCurve,
     build_curve,
     build_framing,
+    ellipse_points,
     linking_number,
 )
 from cordalg.pipeline import (
@@ -473,8 +475,7 @@ def test_crossing_passages_match_the_radial_derivation(word):
                        / "trefoil.json").read_text())
     if word is not None:
         spec = {"type": "braid", "word": word}
-    keys = ("strands", "a", "b", "spacing", "modulation", "theta_S",
-            "quarter", "inplane_ratio", "samples_per_loop")
+    keys = ("strands", "a", "b", "spacing", "modulation", "theta_S", "quarter")
     layout = BraidLayoutSpec(word=list(spec["word"]),
                              **{k: spec[k] for k in keys if k in spec})
     curve = build_curve(spec)
@@ -484,6 +485,24 @@ def test_crossing_passages_match_the_radial_derivation(word):
     assert len(new) == len(ref) == 3
     for p, q in zip(new, ref):
         assert round(curve.circ_dist(p, q) / step) <= 2
+
+
+@pytest.mark.parametrize("spec", [
+    {"type": "samples", "points": ellipse_points(2.0, 1.0, n=512).tolist()},
+    {"type": "circle", "r": 1.0, "n": 256},
+    {"type": "ellipse", "a": 2.0, "b": 1.0, "n": 512},
+    {"type": "torus_knot", "p": 2, "q": 3, "R": 3.0, "r": 1.0},
+    {"type": "braid", "word": [1, 1, 1], "strands": 2, "a": 3.0, "b": 2.0,
+     "spacing": 0.12, "modulation": 0.3, "theta_S": math.radians(265.0),
+     "quarter": [math.radians(272.0), math.radians(358.0)]},
+], ids=lambda spec: spec["type"])
+def test_every_spec_key_builds(spec):
+    """A spec of each type that sets every key ``_SPEC_KEYS`` allows it
+    builds, so the table names no key that the build would refuse."""
+    spec = {**spec, "basepoint_shift": 0.25, "framing_rotation": 0.1}
+    assert set(spec) == _SPEC_KEYS[spec["type"]]
+    _curve, frame = pipeline.setup_knot(spec)
+    assert frame.rotation == 0.1
 
 
 @pytest.mark.parametrize("spec", [
