@@ -22,7 +22,7 @@ import numpy as np
 
 from .energy import diagonal_data, find_critical_points
 from .errors import CordAlgError, GenericityExhausted, SpecError
-from .flow import FlowContext, _Tracer, dhat_of_trace, terminal_generator_values
+from .flow import FlowContext, _Tracer, dhat_of_trace
 # framing_event is re-exported: perfbench/layers.py counts its calls here
 from .incidence import (  # noqa: F401
     ChordScreen,
@@ -172,7 +172,7 @@ def cmd_trace(args):
     points = find_critical_points(curve)
     ctx = FlowContext(curve, frame, points)
     trace = _Tracer(ctx).run(s, t)
-    value = dhat_of_trace(trace, terminal_generator_values(ctx))
+    value = dhat_of_trace(trace, ctx.terminal_values)
 
     def trace_doc(tr):
         return {

@@ -319,7 +319,7 @@ def assign_labels(curve, points):
     seen = {}
     labeled = []
     for p in points:
-        key = _pair_key(curve, p)
+        key = _pair_key(p)
         if key in seen:
             base = seen[key]
         else:
@@ -334,10 +334,9 @@ def _orientation(p):
     return "s" if p.s < p.t else "t"
 
 
-def _pair_key(curve, p, res=1e-5):
-    a = round(min(p.s, p.t) / (res * curve.L))
-    b = round(max(p.s, p.t) / (res * curve.L))
-    return (p.index, a, b)
+def _pair_key(p):
+    """The key a census point shares with its exact swap (``_collect``)."""
+    return (p.index, min(p.s, p.t), max(p.s, p.t))
 
 
 def _braid_labels(curve, points):
@@ -353,7 +352,7 @@ def _braid_labels(curve, points):
     short_cut = 2.5 * meta["spacing"] * (1.0 + meta["modulation"])
     pairs = {}
     for p in points:
-        key = _pair_key(curve, p)
+        key = _pair_key(p)
         pairs.setdefault(key, p)
     seen = {}
     by_family = {}
@@ -375,7 +374,7 @@ def _braid_labels(curve, points):
             for rank, key in enumerate(keys):
                 seen[key] = f"{fam}{rank + 1}"
     return [
-        p.with_label(f"{seen[_pair_key(curve, p)]}_{_orientation(p)}")
+        p.with_label(f"{seen[_pair_key(p)]}_{_orientation(p)}")
         for p in points
     ]
 

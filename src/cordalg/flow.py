@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import cord_length, cord_terms, diagonal_data, energy
+from .energy import cord_length, cord_terms, diagonal_data, energy, mirror_partners
 from .errors import (
     GenericityViolation,
     MaxSplits,
@@ -115,6 +115,11 @@ class FlowTrace:
 class FlowContext:
     """Everything the flow precomputes once per (curve, framing).
 
+    It holds the census facts the flow reads: ``partners`` maps each label
+    to the label of its exact swap, and ``terminal_values`` maps each trace
+    terminal to its value (an index-0 label to its generator, "contractible"
+    to the diagonal minimum's 1 - u).
+
     At every accepted cord the flow screens the knot branches within
     ``branch_radius`` (four screen steps) of the chord.  No step moves the
     cord farther than ``reach``, 7/8 of that radius, on the torus:
@@ -165,6 +170,10 @@ class FlowContext:
         self.excl = 3.0 * self.screen.step
         self.minima = [p for p in critical_points if p.index == 0]
         self.saddles = [p for p in critical_points if p.index == 1]
+        self.partners = mirror_partners(critical_points)
+        self.terminal_values = {p.label: AlgebraElement.gen(p.label)
+                                for p in self.minima}
+        self.terminal_values["contractible"] = diagonal_data()["m"]["value"]
         self.basins = [self._basin_radius(p) for p in self.minima]
         self.split_budget = DEFAULT_TOL.max_splits
 
@@ -581,7 +590,6 @@ class _Tracer:
         """
         ctx = self.ctx
         curve = ctx.curve
-        excl = ctx.excl
         out = [None] * len(seeds)
         live = np.nonzero(~self._in_zones(seeds, y))[0]
         if len(live) == 0:
@@ -589,11 +597,10 @@ class _Tracer:
         p = ends[0]
         u, tau, dist, flat, value, n_hat, parallel = _refine_crossings(
             curve, p, ends[1] - p, seeds[live])
+        zone = self._in_zones(u, y)
         for k, i in enumerate(live):
-            if flat[k] or not np.isfinite(dist[k]) or dist[k] > 6.0 * ctx.screen.step:
-                continue
-            if (curve.circ_dist(u[k], y[0]) < excl
-                    or curve.circ_dist(u[k], y[1]) < excl):
+            if (flat[k] or not np.isfinite(dist[k]) or dist[k] > 6.0 * ctx.screen.step
+                    or zone[k]):
                 continue
             if parallel[k]:
                 if dist[k] < 4.0 * DEFAULT_TOL.intersect_tol * curve.L:
@@ -818,18 +825,14 @@ def _group_runs(indices, n):
 def dhat_of_trace(trace, terminal_values):
     """Fold a FlowTrace into its algebra value.
 
-    terminal_values maps index-0 labels to AlgebraElements (the contractible
-    terminal takes the diagonal minimum's value, 1 - u).  The non-splitting
-    part is left * terminal * right; each split contributes
-    sign * left_at * Dhat(c1) * mu^birth * Dhat(c2) * right_at with the
-    boundary monomials frozen at the split time and the birth meridian
-    resolved from the framing side of the crossing.
+    ``terminal_values`` maps every terminal of the trace and of its split
+    children to an AlgebraElement, as ``FlowContext.terminal_values`` does.
+    The non-splitting part is left * terminal * right; each split
+    contributes sign * left_at * Dhat(c1) * mu^birth * Dhat(c2) * right_at
+    with the boundary monomials frozen at the split time and the birth
+    meridian resolved from the framing side of the crossing.
     """
-    if trace.terminal == "contractible":
-        core = diagonal_data()["m"]["value"]
-    else:
-        core = terminal_values[trace.terminal]
-    out = _mono(trace.left) * core * _mono(trace.right)
+    out = _mono(trace.left) * terminal_values[trace.terminal] * _mono(trace.right)
     for sp in trace.splits:
         c1, c2 = sp["children"]
         piece = (_mono(sp["left"])
@@ -845,12 +848,7 @@ def _mono(exps):
     return AlgebraElement.monomial(exps[0], exps[1])
 
 
-def terminal_generator_values(ctx):
-    vals = {p.label: AlgebraElement.gen(p.label) for p in ctx.minima}
-    return vals
-
-
-def select_k_pm(curve, k, ctx):
+def select_k_pm(k, ctx):
     """Offsets k+ and k- along the unstable eigenvector of an index-1 point.
 
     k+ moves the startpoint in the direction of the knot orientation; the
@@ -859,6 +857,7 @@ def select_k_pm(curve, k, ctx):
     Returns ((s+, t+), (s-, t-)).  A vertical eigenvector does not move the
     startpoint; there k+ moves the endpoint forward, a convention.
     """
+    curve = ctx.curve
     L = curve.L
     i_min = int(np.argmin(k.eigvals))
     if k.eigvals[i_min] >= 0:
@@ -894,19 +893,24 @@ def select_k_pm(curve, k, ctx):
 
 
 def boundary_D(curve, framing, k, ctx):
-    """D(k) = Dhat(k+) - Dhat(k-) for an index-1 critical point.
+    """D(k) = Dhat(k+) - Dhat(k-) for an index-1 critical point, as
+    (D, trace+, trace-).
 
     Each boundary value gets its own split budget of
     ``DEFAULT_TOL.max_splits``.  Either trace that contracts at the
     basepoint raises GenericityViolation (reason "basepoint").  The flow
-    reads ``ctx.framing``; the ``framing`` argument is not read and stays
-    for the callers that pass it, perfbench/workloads.py among them.
+    reads ``ctx`` alone: ``curve`` and ``framing`` are not read and stay
+    for the callers that pass them, perfbench/workloads.py among them.
     """
-    plus, minus = select_k_pm(curve, k, ctx)
+    plus, minus = select_k_pm(k, ctx)
     ctx.split_budget = DEFAULT_TOL.max_splits
-    tr_plus = _Tracer(ctx, origin_saddle=k).run(*plus)
-    tr_minus = _Tracer(ctx, origin_saddle=k).run(*minus)
-    vals = terminal_generator_values(ctx)
+    return _fold(_Tracer(ctx, origin_saddle=k).run(*plus),
+                 _Tracer(ctx, origin_saddle=k).run(*minus), ctx)
+
+
+def _fold(tr_plus, tr_minus, ctx):
+    """(D, trace+, trace-) with D = Dhat(k+) - Dhat(k-)."""
+    vals = ctx.terminal_values
     return (dhat_of_trace(tr_plus, vals) - dhat_of_trace(tr_minus, vals),
             tr_plus, tr_minus)
 
@@ -962,30 +966,27 @@ def _neg(exps):
     return (-exps[0], -exps[1])
 
 
-def mirror_boundary_D(curve, k, flowed, partner_labels, ctx):
+def mirror_boundary_D(k, flowed, ctx):
     """D(k) for the swap k of a flowed index-1 cord, without a flow.
 
-    ``flowed`` holds the partner's (trace+, trace-).  k's own ``select_k_pm``
-    start points must be the swapped partner start points bit for bit, in
-    either order (the unstable eigenvector may change its sign convention
-    under the swap); otherwise MirrorMismatch is raised.  The mirrored
-    traces are not checked for a contraction at the basepoint again: the
-    rule reads s and t alike.  Returns (D, trace+, trace-) like
-    ``boundary_D``.
+    ``flowed`` holds the (trace+, trace-) of k's partner in
+    ``ctx.partners``, and the index-0 terminals of their mirrors are
+    renamed by the same map.  k's own ``select_k_pm`` start points must be
+    the swapped partner start points bit for bit, in either order (the
+    unstable eigenvector may change its sign convention under the swap);
+    otherwise MirrorMismatch is raised.  The mirrored traces are not
+    checked for a contraction at the basepoint again: the rule reads s and
+    t alike.  Returns (D, trace+, trace-) like ``boundary_D``.
     """
-    plus, minus = select_k_pm(curve, k, ctx)
-    a, b = (mirror_trace(tr, partner_labels) for tr in flowed)
+    plus, minus = select_k_pm(k, ctx)
+    a, b = (mirror_trace(tr, ctx.partners) for tr in flowed)
     # a trace starts at its cord wrapped the way _Tracer.run wraps it
-    L = curve.L
+    L = ctx.curve.L
     starts = tuple((float(y[0]) % L, float(y[1]) % L) for y in (plus, minus))
     if starts == (a.initial, b.initial):
-        tr_plus, tr_minus = a, b
-    elif starts == (b.initial, a.initial):
-        tr_plus, tr_minus = b, a
-    else:
-        raise MirrorMismatch(
-            f"the start points of {k.label} are not the swapped start points"
-            " of its partner")
-    vals = terminal_generator_values(ctx)
-    return (dhat_of_trace(tr_plus, vals) - dhat_of_trace(tr_minus, vals),
-            tr_plus, tr_minus)
+        return _fold(a, b, ctx)
+    if starts == (b.initial, a.initial):
+        return _fold(b, a, ctx)
+    raise MirrorMismatch(
+        f"the start points of {k.label} are not the swapped start points"
+        " of its partner")

@@ -686,20 +686,23 @@ def build_curve(spec):
         if len(pts) < 12:
             raise DegenerateSpec("need at least 12 sample points")
         n_out = max(512, len(pts))
-    elif kind == "circle":
-        r = spec_field(spec, "r")
-        pts = ellipse_points(r, r, n=spec_field(spec, "n", _integer, 1024))
-        n_out = 512
-    elif kind == "ellipse":
-        pts = ellipse_points(spec_field(spec, "a"), spec_field(spec, "b"),
-                             n=spec_field(spec, "n", _integer, 1024))
-        n_out = 512
+    elif kind in ("circle", "ellipse"):
+        a, b = ([spec_field(spec, "r")] * 2 if kind == "circle"
+                else [spec_field(spec, "a"), spec_field(spec, "b")])
+        n = spec_field(spec, "n", _integer, 1024)
+        if n < 12:
+            raise DegenerateSpec(f"need at least 12 sample points, not 'n' = {n}")
+        pts, n_out = ellipse_points(a, b, n=n), 512
     elif kind == "torus_knot":
-        pts = torus_knot_points(spec_field(spec, "p", _integer),
-                                spec_field(spec, "q", _integer),
-                                spec_field(spec, "R", default=3.0),
-                                spec_field(spec, "r", default=1.0))
-        n_out = 1024
+        p, q = spec_field(spec, "p", _integer), spec_field(spec, "q", _integer)
+        R, r = spec_field(spec, "R", default=3.0), spec_field(spec, "r", default=1.0)
+        if p == 0 or q == 0 or math.gcd(p, q) != 1:
+            raise SpecError(f"torus knot fields 'p' = {p} and 'q' = {q} are not"
+                            " nonzero and coprime: the curve is not a knot")
+        if not 0 < r < R:
+            raise SpecError(f"torus knot fields 'R' = {R} and 'r' = {r} need"
+                            " 0 < r < R, or the tube meets its axis")
+        pts, n_out = torus_knot_points(p, q, R, r), 1024
     else:
         kwargs = {k: spec_field(spec, k, convert)
                   for k, convert in _BRAID_FIELDS.items()

@@ -2,16 +2,16 @@
 
 The census returns the off-diagonal critical points in exact mirror pairs
 (s,t), (t,s).  Of each pair of index-1 cords only the one with s < t is
-flowed; the boundary value of its partner is folded from the mirrored
-traces (``flow.mirror_boundary_D``), and ``ComputeResult.metadata["mirrored"]``
-maps each derived label to the label that was flowed.
+flowed; the boundary value of its partner (``FlowContext.partners``) is
+folded from the mirrored traces (``flow.mirror_boundary_D``), and the
+result's ``metadata["mirrored"]`` maps each derived label to the flowed one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .energy import diagonal_data, find_critical_points, mirror_partners
+from .energy import diagonal_data, find_critical_points
 from .errors import (
     DegenerateCritical,
     GenericityExhausted,
@@ -228,19 +228,19 @@ def setup_knot(spec):
     """The curve and its blackboard framing of a knot spec dict, as
     (curve, framing).
 
-    ``framing_rotation`` rotates the framing in the normal planes; braid
-    layouts default to ``BRAID_ROTATION``.  Every computation runs with this
-    framing.  ``build_curve`` refuses every key that the spec's type does
-    not read, such as a ``framing`` key, which would ask for another
-    framing, or a ``seifert_rules`` key, which would replace the derived
-    Seifert rules.
+    ``framing_rotation`` rotates the framing in the normal planes; where it
+    is absent or null, braid layouts take ``BRAID_ROTATION`` and others 0.
+    Every computation runs with this framing.  ``build_curve`` refuses every
+    key that the spec's type does not read, such as a ``framing`` key, which
+    would ask for another framing, or a ``seifert_rules`` key, which would
+    replace the derived Seifert rules.
     """
     if not isinstance(spec, dict):
         raise SpecError(f"a knot spec is a JSON object, not a {type(spec).__name__}")
-    rotation = spec_field(spec, "framing_rotation", default=0.0)
+    rotation = spec_field(spec, "framing_rotation", default=None)
     curve = build_curve(spec)
-    if curve.metadata.get("layout") == "braid" and rotation == 0.0:
-        rotation = BRAID_ROTATION
+    if rotation is None:
+        rotation = BRAID_ROTATION if curve.metadata.get("layout") == "braid" else 0.0
     try:
         frame = build_framing(curve, kind="blackboard", rotation=rotation)
     except VerticalTangent as exc:
@@ -316,27 +316,15 @@ def _run_once(curve, frame, lk, framing, seed, retries):
         reason = {"B": "basepoint", "F": "framing", "S": "knot"}[kind]
         raise GenericityViolation(f"genericity check: {report}", reason=reason)
     ctx = FlowContext(curve, frame, critical)
-    partners = mirror_partners(critical)
-    saddles = {k.label: k for k in ctx.saddles}
-    flowed, mirrored = {}, {}
-
-    def flow(label):
-        if label not in flowed:
-            flowed[label] = boundary_D(curve, frame, saddles[label], ctx)
-        return flowed[label]
-
-    boundary_values = {}
-    traces = {}
+    boundary_values, traces, mirrored = {}, {}, {}
     for k in ctx.saddles:
-        # the s < t cord of each mirror pair is flowed; its partner's
-        # traces are the exact mirror of the flowed ones
+        # the s < t cord of each mirror pair is flowed; the census lists it
+        # before its partner, whose traces are the exact mirror of its own
         if k.s < k.t:
-            D, trp, trm = flow(k.label)
+            D, trp, trm = boundary_D(curve, frame, k, ctx)
         else:
-            rep = partners[k.label]
-            D, trp, trm = mirror_boundary_D(curve, k, flow(rep)[1:], partners,
-                                            ctx)
-            mirrored[k.label] = rep
+            rep = mirrored[k.label] = ctx.partners[k.label]
+            D, trp, trm = mirror_boundary_D(k, traces[rep], ctx)
         boundary_values[k.label] = D
         traces[k.label] = (trp, trm)
 

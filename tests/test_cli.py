@@ -243,13 +243,17 @@ _VERTICAL_CIRCLE = [[math.cos(2 * math.pi * k / 64), 0.0,
      "bad spec field 'points'"),
     ({"type": "samples", "points": _VERTICAL_CIRCLE[:-1] + [["1", 0.0, 0.0]]},
      "bad spec field 'points'"),
+    ({"type": "ellipse", "a": 2, "b": 1, "n": -5}, "'n' = -5"),
+    ({"type": "torus_knot", "p": 2, "q": 3, "R": 1, "r": 1}, "0 < r < R"),
+    ({"type": "torus_knot", "p": 2, "q": 4}, "coprime"),
 ], ids=["seifert rules key", "vertical tangent",
         "missing ellipse axis", "non-numeric axis", "non-numeric rotation",
         "non-numeric basepoint shift", "braid without word",
         "torus knot without q", "top-level list", "tilt key",
         "inplane_ratio key", "misspelt key", "three strands", "NaN rotation",
         "infinite basepoint shift", "string axis", "boolean axis", "NaN point",
-        "string coordinate"])
+        "string coordinate", "negative point count", "torus tube on its axis",
+        "torus link"])
 def test_bad_input_is_a_spec_error(spec, message, tmp_path, capsys):
     """Input the setup refuses exits 2, the spec-error code, not 3."""
     path = tmp_path / "spec.json"

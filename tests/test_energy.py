@@ -1,6 +1,8 @@
 """Energy landscape: values, derivatives, critical point census."""
 
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +18,10 @@ from cordalg.energy import (
     find_critical_points,
     gradient,
     hessian,
+    mirror_partners,
 )
 from cordalg.errors import DegenerateCritical
-from cordalg.knots import build_curve
+from cordalg.knots import build_curve, perturb_curve
 from cordalg.ring import AlgebraElement, serialize
 
 
@@ -276,6 +279,32 @@ def test_symmetry_of_critical_set(trefoil, ellipse):
                 (p.index, p.energy, p.grad_norm, p.eigvals)
             assert np.array_equal(np.array(q.eigvecs), np.array(p.eigvecs)[:, ::-1])
             assert q.label[:-2] == p.label[:-2] and q.label != p.label
+
+
+@pytest.mark.parametrize("spec, redrawn", [
+    ({"type": "ellipse", "a": 2, "b": 1}, False),
+    (json.loads((Path(__file__).resolve().parent.parent / "specs"
+                 / "trefoil.json").read_text()), False),
+    ({"type": "torus_knot", "p": 2, "q": 3}, True),
+], ids=["ellipse", "trefoil.json", "torus_2_3"])
+def test_census_lists_the_s_below_t_saddle_of_each_pair_first(spec, redrawn):
+    """The census sorts by (index, energy, s) and partners have equal
+    energies, so the s < t cord of each mirror pair comes first: the
+    pipeline flows it and mirrors its partner's traces from it.  The torus
+    knot's own census is a Bott family; its first knot draw, as the
+    pipeline makes it, is censused instead."""
+    curve = build_curve(spec)
+    if redrawn:
+        curve = perturb_curve(curve, curve.clearance / 8.0, 1)
+    pts = find_critical_points(curve)
+    partners = mirror_partners(pts)
+    position = {p.label: i for i, p in enumerate(pts)}
+    saddles = [p for p in pts if p.index == 1]
+    assert saddles
+    for p in saddles:
+        first, second = sorted((p.label, partners[p.label]), key=position.get)
+        assert pts[position[first]].s < pts[position[first]].t
+        assert pts[position[second]].s > pts[position[second]].t
 
 
 def test_gradient_norm_below_newton_tol(trefoil):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cordalg import flow
-from cordalg.energy import cord_terms, energy, find_critical_points, mirror_partners
+from cordalg.energy import cord_terms, energy, find_critical_points
 from cordalg.errors import GenericityViolation, MirrorMismatch
 from cordalg.flow import (
     FlowContext,
@@ -25,7 +25,6 @@ from cordalg.flow import (
     mirror_boundary_D,
     mirror_trace,
     select_k_pm,
-    terminal_generator_values,
 )
 from cordalg.knots import build_curve, build_framing
 from cordalg.pipeline import compute_cord_algebra, setup_knot
@@ -65,11 +64,9 @@ def test_swapped_saddle_is_the_mirror_of_its_partner(unknot):
     along the mirrored paths bit for bit."""
     curve, framing, ctx = unknot
     saddles = {k.label: k for k in ctx.saddles}
-    partners = mirror_partners(ctx.minima + ctx.saddles)
-    assert partners["h1_t"] == "h1_s"
+    assert ctx.partners["h1_t"] == "h1_s"
     _D, trp, trm = boundary_D(curve, framing, saddles["h1_s"], ctx)
-    derived, dp, dm = mirror_boundary_D(curve, saddles["h1_t"], (trp, trm),
-                                        partners, ctx)
+    derived, dp, dm = mirror_boundary_D(saddles["h1_t"], (trp, trm), ctx)
     flowed, fp, fm = boundary_D(curve, framing, saddles["h1_t"], ctx)
     assert derived == flowed
     assert (dp.path, dm.path) == (fp.path, fm.path)
@@ -78,7 +75,7 @@ def test_swapped_saddle_is_the_mirror_of_its_partner(unknot):
         (fp.left, fp.right, fm.left, fm.right)
     # the unswapped saddle's start points are not the mirrored ones
     with pytest.raises(MirrorMismatch):
-        mirror_boundary_D(curve, saddles["h1_s"], (trp, trm), partners, ctx)
+        mirror_boundary_D(saddles["h1_s"], (trp, trm), ctx)
 
 
 def test_mirror_of_a_synthetic_split():
@@ -120,13 +117,12 @@ def test_contraction_rule_is_swap_invariant(unknot, bare_ellipse):
     it."""
     answers = []
     for c, _f, cx in (unknot, bare_ellipse):
-        partners = mirror_partners(cx.minima + cx.saddles)
         for k in cx.saddles:
-            for start in select_k_pm(c, k, cx):
+            for start in select_k_pm(k, cx):
                 tr = _Tracer(cx).run(*start)   # a free trace is exempt
                 assert tr.terminal == "contractible"
                 answers.append(_contracts(c, tr))
-                assert _contracts(c, mirror_trace(tr, partners)) == answers[-1]
+                assert _contracts(c, mirror_trace(tr, cx.partners)) == answers[-1]
     assert answers == [False] * 4 + [False, True, True, False]
 
     curve = unknot[0]
@@ -158,7 +154,7 @@ def test_boundary_value_refuses_a_contraction_at_the_basepoint(bare_ellipse):
 def test_trace_event_structure(unknot):
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, minus = select_k_pm(curve, k, ctx)
+    plus, minus = select_k_pm(k, ctx)
     trp = _Tracer(ctx, origin_saddle=k).run(*plus)
     trm = _Tracer(ctx, origin_saddle=k).run(*minus)
     assert trp.terminal == "contractible" and trp.events == []
@@ -169,7 +165,7 @@ def test_trace_event_structure(unknot):
 def test_energy_monotone_along_path(unknot):
     curve, framing, ctx = unknot
     for k in ctx.saddles:
-        for start in select_k_pm(curve, k, ctx):
+        for start in select_k_pm(k, ctx):
             tr = _Tracer(ctx, origin_saddle=k).run(*start)
             es = [energy(curve, s, t) for (_tau, s, t) in tr.path]
             assert len(es) > 1
@@ -183,13 +179,13 @@ def test_trace_inside_basin_is_trivial(unknot):
     tr = _Tracer(ctx).run(1.0, 1.0 + 0.1)
     assert tr.terminal == "contractible"
     assert tr.events == []
-    assert dhat_of_trace(tr, {}) == A.one() - A.mu()
+    assert dhat_of_trace(tr, ctx.terminal_values) == A.one() - A.mu()
 
 
 def test_select_k_pm_descends_both_sides(unknot):
     curve, framing, ctx = unknot
     k = ctx.saddles[0]
-    plus, minus = select_k_pm(curve, k, ctx)
+    plus, minus = select_k_pm(k, ctx)
     e0 = energy(curve, k.s, k.t)
     assert energy(curve, *plus) < e0
     assert energy(curve, *minus) < e0
@@ -211,7 +207,7 @@ def test_dhat_fold_with_synthetic_split():
             "children": (child1, child2), "hit": (0, 0.5),
         }],
     )
-    vals = {"g1": A.gen("g1"), "g2": A.gen("g2")}
+    vals = {"g1": A.gen("g1"), "g2": A.gen("g2"), "contractible": A.one() - A.mu()}
     got = dhat_of_trace(parent, vals)
     expect = (A.gen("g2") * A.lam()
               - A.mu(-1) * (A.mu() * A.gen("g1"))
@@ -224,12 +220,11 @@ def test_end_point_basepoint_crossing_gives_inverse_lambda(unknot):
     lambda^-sigma on the right."""
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    _plus, minus = select_k_pm(curve, k, ctx)
+    _plus, minus = select_k_pm(k, ctx)
     trm = _Tracer(ctx, origin_saddle=k).run(*minus)
     assert [(e.kind, e.sigma, e.exponent) for e in trm.events] == [("B-end", 1, -1)]
     assert (trm.left, trm.right) == ((0, 0), (-1, 0))
-    vals = terminal_generator_values(ctx)
-    assert dhat_of_trace(trm, vals) == (A.one() - A.mu()) * A.lam(-1)
+    assert dhat_of_trace(trm, ctx.terminal_values) == (A.one() - A.mu()) * A.lam(-1)
 
 
 def test_contractible_value_is_one_minus_mu(unknot):
@@ -237,17 +232,17 @@ def test_contractible_value_is_one_minus_mu(unknot):
     # a cord displaced from the saddle toward the diagonal contracts and
     # yields exactly 1 - u
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, _minus = select_k_pm(curve, k, ctx)
+    plus, _minus = select_k_pm(k, ctx)
     tr = _Tracer(ctx, origin_saddle=k).run(*plus)
     assert tr.terminal == "contractible"
-    assert dhat_of_trace(tr, {}) == A.one() - A.mu()
+    assert dhat_of_trace(tr, ctx.terminal_values) == A.one() - A.mu()
 
 
 def test_interpolant_endpoint_is_the_accepted_step(unknot):
     curve, framing, ctx = unknot
     L = curve.L
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    _plus, minus = select_k_pm(curve, k, ctx)
+    _plus, minus = select_k_pm(k, ctx)
     y0 = np.array(minus)
     f, _e, (h11, h12, h22), _terms = _state(ctx, y0)
     h = 0.7
@@ -272,7 +267,7 @@ def test_interpolant_stays_within_the_step(unknot):
     eigenvalue, so the whole interpolant lies within |y(1) - y0| of y0."""
     curve, framing, ctx = unknot
     k = next(p for p in ctx.saddles if p.label == "h1_s")
-    plus, _minus = select_k_pm(curve, k, ctx)
+    plus, _minus = select_k_pm(k, ctx)
     y0 = np.array(plus)
     f, _e, H, _terms = _state(ctx, y0)
     h11, h12, h22 = H

@@ -311,6 +311,34 @@ def test_retry_log_records_the_ellipse_basepoint_draw():
     assert "retries" not in res.presentation.metadata
 
 
+def test_framing_retry_turns_only_the_framing(monkeypatch):
+    """A framing retry draws a framing turn of at most 0.3 with the next
+    seed on the same curve object, and lk is not counted again."""
+    attempts, counted = [], []
+    linking_number = pipeline.linking_number
+
+    def run_once(curve, frame, *args):
+        attempts.append((curve, frame, list(args[-1])))
+        if len(attempts) == 1:
+            raise GenericityViolation("forced", reason="framing")
+        return "result"
+
+    def count(curve, frame):
+        counted.append(curve)
+        return linking_number(curve, frame)
+
+    monkeypatch.setattr(pipeline, "_run_once", run_once)
+    monkeypatch.setattr(pipeline, "linking_number", count)
+    assert compute_cord_algebra({"type": "ellipse", "a": 2, "b": 1}) == "result"
+    (first, frame0, _), (curve, frame, log) = attempts
+    assert log == [{"attempt": 1, "reason": "framing",
+                    "error": "GenericityViolation", "magnitude": 0.3,
+                    "seed": 1, "outcome": "accepted"}]
+    assert curve is first and frame.curve is first
+    assert 0.0 < abs(frame.rotation - frame0.rotation) <= 0.3
+    assert counted == [first]
+
+
 def test_retry_log_lists_refused_draws(monkeypatch):
     """A refused draw is logged with the error that made the run retry, and
     each attempt's run receives the log so far."""
@@ -366,9 +394,15 @@ def test_knot_draws_log_halving_magnitudes(monkeypatch):
 
 
 def test_setup_rotates_braid_framings_once():
+    """An absent or null rotation takes the layout's default; an explicit
+    one, 0.0 included, is kept."""
     curve, frame = pipeline.setup_knot({"type": "braid", "word": [1, 1, 1]})
     assert curve.metadata["layout"] == "braid"
     assert frame.rotation == 0.15
+    for rotation, expect in ((0.0, 0.0), (None, 0.15)):
+        _curve, frame = pipeline.setup_knot(
+            {"type": "braid", "word": [1, 1, 1], "framing_rotation": rotation})
+        assert frame.rotation == expect
     spec = json.loads((Path(__file__).resolve().parent.parent / "specs"
                        / "trefoil.json").read_text())
     _curve, frame = pipeline.setup_knot(spec)
